@@ -45,7 +45,11 @@ def _worker_count(requested: int) -> int:
         if cap < 1:
             raise ValidationError("GLMIXER_THREADS must be >= 1")
         return min(requested, cap)
-    return min(requested, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(requested, cpus)
 
 
 def _chain_job(args):
@@ -149,12 +153,22 @@ def _read_predictions(path):
 def cmd_metrics(args) -> None:
     preds = _read_predictions(args.predictions)
     panel = load_panel(args.observed)
-    observed = [(o.unit_id, o.completeness) for o in panel.observations()]
-    if len(preds) != len(observed):
+    # join on (unit_id, row): row is the position within the unit, as
+    # predict writes it for a panel grouped and sorted the same way
+    by_key = {}
+    for uid, row, mean in preds:
+        if (uid, row) in by_key:
+            raise ValidationError(f"duplicate prediction for unit {uid!r} row {row}")
+        by_key[(uid, row)] = mean
+    observed_keys = [(uid, j) for uid, obs_list in panel.groups for j in range(len(obs_list))]
+    missing = [key for key in observed_keys if key not in by_key]
+    extra = by_key.keys() - set(observed_keys)
+    if missing or extra:
         raise ValidationError(
-            f"{len(preds)} predictions vs {len(observed)} observations")
-    predicted = np.asarray([p[2] for p in preds])
-    obs = np.asarray([o[1] for o in observed])
+            f"predictions and observations differ on (unit_id, row): {len(missing)} "
+            f"observations have no prediction, {len(extra)} predictions match no observation")
+    predicted = np.asarray([by_key[key] for key in observed_keys])
+    obs = np.asarray([o.completeness for o in panel.observations()])
     report = metric_report(predicted, obs, paper_literal=args.paper_literal)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:

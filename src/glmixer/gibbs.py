@@ -15,6 +15,7 @@ stationary distribution, which the getting-it-right tests verify.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -97,6 +98,20 @@ class PriorConfig:
     @property
     def phi_name(self) -> str:
         return "zeta_u" if self.reffect_prior == "gamma" else "phi"
+
+    @functools.cached_property
+    def _nu_t_terms(self):
+        """Support-only terms of the nu_i conditional as (|support|, 1)
+        columns, computed once per config: log prior, log Student-t
+        normalizer, (nu + 1) / 2 and nu."""
+        df = np.asarray(self.nu_support, dtype=np.float64)
+        terms = (nu_log_prior(self),
+                 gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi),
+                 (df + 1.0) / 2.0, df)
+        terms = tuple(a[:, None] for a in terms)
+        for a in terms:
+            a.setflags(write=False)
+        return terms
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in (
@@ -258,19 +273,16 @@ def nu_log_prior(priors: PriorConfig) -> np.ndarray:
     return np.log(l) - np.log(l + priors.k_nu)
 
 
-def _log_t_pdf(x, df, scale):
-    z = x / scale
-    return (gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
-            - 0.5 * np.log(df * math.pi) - np.log(scale)
-            - (df + 1.0) / 2.0 * np.log1p(z * z / df))
-
-
 def nu_log_weights(u: np.ndarray, phi: float, priors: PriorConfig) -> np.ndarray:
     """(m, |support|) log weights of the nu_i conditional: log prior plus
-    the log Student-t density of u_i at scale sqrt(1/phi)."""
-    df = np.asarray(priors.nu_support, dtype=np.float64)[None, :]
+    the log Student-t density of u_i at scale sqrt(1/phi).
+
+    Computed support-major, so every operation runs along the m units, and
+    returned as the transposed view."""
+    log_prior, log_norm, half_df1, df = priors._nu_t_terms
     scale = math.sqrt(1.0 / phi)
-    return nu_log_prior(priors)[None, :] + _log_t_pdf(u[:, None], df, scale)
+    z = u / scale
+    return (log_prior + ((log_norm - np.log(scale)) - half_df1 * np.log1p(z * z / df))).T
 
 
 def _draw_gig_neg_half(rng, a_vec, b):

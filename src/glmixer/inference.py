@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtri
 
 from .data import PanelDataset
@@ -54,67 +53,85 @@ class PosteriorSummary:
         raise KeyError((param, index))
 
 
-def _autocovariance(x: np.ndarray) -> np.ndarray:
-    """Biased autocovariance of one chain via FFT."""
-    n = len(x)
-    xc = x - x.mean()
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(xc, nfft)
-    acov = np.fft.irfft(f * np.conjugate(f), nfft)[:n].real / n
-    return acov
+# Parameters are summarized in blocks of at most this many float64 FFT
+# buffer values (2 MB), so the autocovariance workspace stays a few MB
+# whatever the trace length and parameter count.
+BLOCK_FFT_VALUES = 1 << 18
+
+
+def _block_ess(x: np.ndarray) -> np.ndarray:
+    """ESS of each parameter of a C-contiguous (D, C, K) block, pooling
+    chains with Geyer's initial monotone sequence. The autocovariances
+    come from one FFT along the last axis; only the pair truncation loops
+    over parameters."""
+    d, c, k = x.shape
+    if k < 4:
+        return np.full(d, float(c * k))
+    xc = x - x.mean(axis=-1, keepdims=True)
+    nfft = 1 << (2 * k - 1).bit_length()
+    f = np.fft.rfft(xc, nfft, axis=-1)
+    acov = np.fft.irfft(f * np.conjugate(f), nfft, axis=-1)[..., :k] / k  # biased
+    chain_var = acov[..., 0] * k / (k - 1.0)
+    mean_var = chain_var.mean(axis=-1)
+    var_plus = mean_var * (k - 1.0) / k
+    if c > 1:
+        var_plus += x.mean(axis=-1).var(axis=-1, ddof=1)
+    degenerate = var_plus == 0.0
+    denom = np.where(degenerate, 1.0, var_plus)
+    rho = 1.0 - (mean_var[:, None] - acov.mean(axis=1)) / denom[:, None]
+    # Geyer: accumulate consecutive pairs (rho[t] + rho[t+1], t = 1, 3, ...)
+    # while positive, then enforce monotone decrease of the pair sums
+    n_pairs = (k - 1) // 2
+    pairs = rho[:, 1:2 * n_pairs:2] + rho[:, 2:2 * n_pairs + 1:2]
+    negative = pairs < 0.0
+    cut = np.where(negative.any(axis=1), negative.argmax(axis=1), n_pairs)
+    n = c * k
+    floor, cap = 1.0 / math.log10(n + 10), n * math.log10(n + 10)
+    out = np.empty(d)
+    for j in range(d):
+        if degenerate[j]:
+            out[j] = n
+            continue
+        mono = np.minimum.accumulate(pairs[j, :cut[j]])
+        tau_hat = max(-1.0 + 2.0 * rho[j, 0] + 2.0 * float(np.sum(mono)), floor)
+        out[j] = min(n / tau_hat, cap)
+    return out
+
+
+def _block_rhat(x: np.ndarray) -> np.ndarray:
+    """Rank-normalized split R-hat of each parameter of a C-contiguous
+    (D, C, K) block; 1.0 for constant draws."""
+    d, _, k = x.shape
+    if k < 4:
+        return np.ones(d)
+    half = k // 2
+    split = np.concatenate([x[:, :, :half], x[:, :, half:2 * half]], axis=1)
+    flat = split.reshape(d, -1)
+    order = np.argsort(flat, axis=1, kind="stable")
+    ranks = np.empty(flat.shape)
+    np.put_along_axis(ranks, order, np.arange(1.0, flat.shape[1] + 1.0)[None, :], axis=1)
+    z = ndtri((ranks - 0.375) / (flat.shape[1] + 0.25)).reshape(split.shape)
+    k2 = split.shape[2]
+    w = z.var(axis=-1, ddof=1).mean(axis=-1)
+    b = k2 * z.mean(axis=-1).var(axis=-1, ddof=1)
+    constant = (flat == flat[:, :1]).all(axis=1) | (w == 0.0)
+    w = np.where(constant, 1.0, w)
+    var_plus = (k2 - 1.0) / k2 * w + b / k2
+    return np.where(constant, 1.0, np.sqrt(var_plus / w))
+
+
+def _as_block(chains: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.atleast_2d(chains), dtype=np.float64)[None]
 
 
 def effective_sample_size(chains: np.ndarray) -> float:
     """ESS across chains (C, K) using Geyer's initial monotone sequence."""
-    chains = np.atleast_2d(chains)
-    c, k = chains.shape
-    if k < 4:
-        return float(c * k)
-    acov = np.stack([_autocovariance(ch) for ch in chains])
-    chain_var = acov[:, 0] * k / (k - 1.0)
-    mean_var = chain_var.mean()
-    var_plus = mean_var * (k - 1.0) / k
-    if c > 1:
-        var_plus += chains.mean(axis=1).var(ddof=1)
-    if var_plus == 0.0:
-        return float(c * k)
-    rho = 1.0 - (mean_var - acov.mean(axis=0)) / var_plus
-    # Geyer: accumulate consecutive pairs while positive, then enforce
-    # monotone decrease of the pair sums
-    pair_sums = []
-    t = 1
-    while t + 1 < k:
-        pair = rho[t] + rho[t + 1]
-        if pair < 0.0:
-            break
-        pair_sums.append(pair)
-        t += 2
-    mono = np.minimum.accumulate(pair_sums) if pair_sums else np.zeros(0)
-    tau_hat = -1.0 + 2.0 * rho[0] + 2.0 * float(np.sum(mono))
-    tau_hat = max(tau_hat, 1.0 / math.log10(c * k + 10))
-    return float(min(c * k / tau_hat, c * k * math.log10(c * k + 10)))
+    return float(_block_ess(_as_block(chains))[0])
 
 
 def split_rhat(chains: np.ndarray) -> float:
     """Rank-normalized split R-hat; 1.0 for constant draws."""
-    chains = np.atleast_2d(chains)
-    c, k = chains.shape
-    if k < 4:
-        return 1.0
-    half = k // 2
-    split = np.concatenate([chains[:, :half], chains[:, half:2 * half]], axis=0)
-    if np.allclose(split, split.ravel()[0], rtol=0.0, atol=0.0):
-        return 1.0
-    flat = split.ravel()
-    ranks = np.argsort(np.argsort(flat, kind="stable"), kind="stable") + 1.0
-    z = ndtri((ranks - 0.375) / (flat.size + 0.25)).reshape(split.shape)
-    c2, k2 = z.shape
-    w = z.var(axis=1, ddof=1).mean()
-    b = k2 * z.mean(axis=1).var(ddof=1)
-    if w == 0.0:
-        return 1.0
-    var_plus = (k2 - 1.0) / k2 * w + b / k2
-    return float(math.sqrt(var_plus / w))
+    return float(_block_rhat(_as_block(chains))[0])
 
 
 def _param_display_name(key: str, priors: PriorConfig) -> str:
@@ -126,30 +143,38 @@ def _param_display_name(key: str, priors: PriorConfig) -> str:
 
 
 def summarize(traces) -> PosteriorSummary:
-    """Pooled means, sds, quantiles plus per-parameter ESS and split R-hat."""
+    """Pooled means, sds, quantiles plus per-parameter ESS and split R-hat.
+
+    Each draw key is summarized as C-contiguous (D, C, K) blocks of
+    parameters x chains x kept draws; every reduction runs along the last
+    axis, so each row gives the same bits as the 1-D call on that
+    parameter's draws.
+    """
     if not traces:
         raise ValidationError("summarize needs at least one trace")
     kept = {t.kept for t in traces}
     if len(kept) != 1:
         raise ValidationError(f"traces have unequal kept-draw counts: {sorted(kept)}")
+    c, k = len(traces), kept.pop()
+    if k == 0:
+        raise ValidationError("summarize needs at least one kept draw")
     priors = traces[0].priors
+    step = max(1, BLOCK_FFT_VALUES // (c << (2 * k - 1).bit_length()))
     rows = []
     for key in traces[0].draws:
-        stacked = np.stack([np.atleast_2d(t.draws[key].T).T.astype(np.float64)
-                            for t in traces])  # (C, K, dim) or (C, K)
-        if stacked.ndim == 2:
-            stacked = stacked[:, :, None]
         name = _param_display_name(key, priors)
-        for j in range(stacked.shape[2]):
-            chains = stacked[:, :, j]
-            pooled = chains.ravel()
-            q = np.quantile(pooled, [0.025, 0.5, 0.975], method="linear")
-            rows.append(SummaryRow(
-                param=name, index=j,
-                mean=float(pooled.mean()), sd=float(pooled.std(ddof=1) if pooled.size > 1 else 0.0),
-                q2_5=float(q[0]), q50=float(q[1]), q97_5=float(q[2]),
-                ess=effective_sample_size(chains), rhat=split_rhat(chains),
-            ))
+        dim = np.atleast_2d(traces[0].draws[key].T).shape[0]
+        for lo in range(0, dim, step):
+            x = np.empty((min(step, dim - lo), c, k))
+            for ci, t in enumerate(traces):
+                x[:, ci, :] = np.atleast_2d(t.draws[key].T)[lo:lo + step]
+            pooled = x.reshape(x.shape[0], c * k)
+            mean = pooled.mean(axis=-1)
+            sd = pooled.std(axis=-1, ddof=1) if c * k > 1 else np.zeros(x.shape[0])
+            q = np.quantile(pooled, [0.025, 0.5, 0.975], axis=-1, method="linear")
+            for j, vals in enumerate(zip(mean.tolist(), sd.tolist(), *q.tolist(),
+                                         _block_ess(x).tolist(), _block_rhat(x).tolist())):
+                rows.append(SummaryRow(name, lo + j, *vals))
     return PosteriorSummary(rows=tuple(rows))
 
 
@@ -320,6 +345,9 @@ def _marginal_loglik(obs_var: float, reff_var: float, n_i: int,
 def _tail_prob(log_f, log_cut: float) -> float:
     """P(X < cut) for the density exp(log_f(log x)) dx, by quadrature on
     the log axis with peak normalization."""
+    # imported here so that loading the CLI does not pay for scipy.integrate
+    from scipy.integrate import quad
+
     # finite window around the cut: the local priors all decay at least
     # exponentially on the log axis, so +/-200 log units lose nothing at
     # double precision, and finite bounds keep exp() in range. Each side

@@ -245,18 +245,16 @@ def draw_categorical_log(rng, log_weights, axis=-1):
     """Categorical draw from unnormalized log weights; vectorized over rows.
 
     Log weights are shifted by their row maximum before exponentiation so
-    extreme t-densities cannot underflow every entry at once.
+    extreme t-densities cannot underflow every entry at once. One uniform
+    per row; the index is the count of CDF entries <= u, which on the
+    nondecreasing CDF is searchsorted(cdf, u, side="right").
     """
-    lw = np.asarray(log_weights, dtype=np.float64)
-    if np.any(np.isnan(lw)) or np.any(lw == np.inf):
-        raise ValidationError("log weights must be < inf and not NaN")
-    lw = lw - lw.max(axis=axis, keepdims=True)
-    w = np.exp(lw)
-    cdf = np.cumsum(w, axis=axis)
-    if lw.ndim == 1:
-        return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    lw = np.moveaxis(np.asarray(log_weights, dtype=np.float64), axis, -1)
+    top = lw.max(axis=-1, keepdims=True)  # NaN if the row holds a NaN
+    if not np.all(np.isfinite(top)):
+        raise ValidationError("log weights must be < inf and not NaN, with a finite "
+                              "entry in every row")
+    cdf = np.cumsum(np.exp(lw - top), axis=-1)
     u = rng.random(size=cdf.shape[:-1]) * cdf[..., -1]
-    idx = np.empty(cdf.shape[:-1], dtype=np.intp)
-    for i in np.ndindex(*cdf.shape[:-1]):
-        idx[i] = np.searchsorted(cdf[i], u[i], side="right")
-    return idx
+    idx = np.count_nonzero(cdf <= u[..., None], axis=-1)
+    return int(idx) if lw.ndim == 1 else idx

@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the package's sampling code paths:
 CDFs come from quadrature over the target density, moments from closed
-forms, and per-draw replays from hand-rolled loops.
+forms, and per-draw replays from hand-rolled loops. The per-row and
+per-parameter loops below are the references the vectorized kernels and
+the batched summaries are checked against.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 
 def quadrature_cdf(pdf, xs, lower=0.0, upper=np.inf):
@@ -81,3 +84,93 @@ def quantiles_from_pdf(pdf, probs, lower=0.0, upper=np.inf):
                 hi = mid
         out.append(0.5 * (lo + hi))
     return np.asarray(out)
+
+
+def categorical_by_searchsorted(rng, log_weights):
+    """Per-row replay of a categorical draw from log weights: the same
+    row-max shift, CDF and one uniform per row as the kernel, then one
+    searchsorted call per row."""
+    lw = np.asarray(log_weights, dtype=np.float64)
+    cdf = np.cumsum(np.exp(lw - lw.max(axis=-1, keepdims=True)), axis=-1)
+    u = rng.random(size=cdf.shape[:-1]) * cdf[..., -1]
+    idx = np.empty(cdf.shape[:-1], dtype=np.intp)
+    for i in np.ndindex(*cdf.shape[:-1]):
+        idx[i] = np.searchsorted(cdf[i], u[i], side="right")
+    return idx
+
+
+def _autocovariance(x):
+    n = len(x)
+    xc = x - x.mean()
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(xc, nfft)
+    return np.fft.irfft(f * np.conjugate(f), nfft)[:n].real / n
+
+
+def ess_one_parameter(chains):
+    """Geyer initial-monotone ESS of one parameter's (C, K) draws, one
+    chain and one pair at a time."""
+    c, k = chains.shape
+    if k < 4:
+        return float(c * k)
+    acov = np.stack([_autocovariance(ch) for ch in chains])
+    chain_var = acov[:, 0] * k / (k - 1.0)
+    mean_var = chain_var.mean()
+    var_plus = mean_var * (k - 1.0) / k
+    if c > 1:
+        var_plus += chains.mean(axis=1).var(ddof=1)
+    if var_plus == 0.0:
+        return float(c * k)
+    rho = 1.0 - (mean_var - acov.mean(axis=0)) / var_plus
+    pair_sums = []
+    t = 1
+    while t + 1 < k:
+        pair = rho[t] + rho[t + 1]
+        if pair < 0.0:
+            break
+        pair_sums.append(pair)
+        t += 2
+    mono = np.minimum.accumulate(pair_sums) if pair_sums else np.zeros(0)
+    tau_hat = -1.0 + 2.0 * rho[0] + 2.0 * float(np.sum(mono))
+    tau_hat = max(tau_hat, 1.0 / math.log10(c * k + 10))
+    return float(min(c * k / tau_hat, c * k * math.log10(c * k + 10)))
+
+
+def rhat_one_parameter(chains):
+    """Rank-normalized split R-hat of one parameter's (C, K) draws."""
+    c, k = chains.shape
+    if k < 4:
+        return 1.0
+    half = k // 2
+    split = np.concatenate([chains[:, :half], chains[:, half:2 * half]], axis=0)
+    if np.all(split == split.ravel()[0]):
+        return 1.0
+    flat = split.ravel()
+    ranks = np.argsort(np.argsort(flat, kind="stable"), kind="stable") + 1.0
+    z = ndtri((ranks - 0.375) / (flat.size + 0.25)).reshape(split.shape)
+    k2 = z.shape[1]
+    w = z.var(axis=1, ddof=1).mean()
+    b = k2 * z.mean(axis=1).var(ddof=1)
+    if w == 0.0:
+        return 1.0
+    return float(math.sqrt(((k2 - 1.0) / k2 * w + b / k2) / w))
+
+
+def summarize_per_parameter(traces):
+    """(param, index, mean, sd, q2.5, q50, q97.5, ess, rhat) rows, one
+    parameter at a time."""
+    priors = traces[0].priors
+    names = {"tau": priors.tau_name, "phi": priors.phi_name}
+    rows = []
+    for key in traces[0].draws:
+        stacked = np.stack([np.atleast_2d(t.draws[key].T).T.astype(np.float64)
+                            for t in traces])  # (C, K, dim)
+        for j in range(stacked.shape[2]):
+            chains = stacked[:, :, j]
+            pooled = chains.ravel()
+            q = np.quantile(pooled, [0.025, 0.5, 0.975], method="linear")
+            sd = float(pooled.std(ddof=1)) if pooled.size > 1 else 0.0
+            rows.append((names.get(key, key), j, float(pooled.mean()), sd,
+                         float(q[0]), float(q[1]), float(q[2]),
+                         ess_one_parameter(chains), rhat_one_parameter(chains)))
+    return rows

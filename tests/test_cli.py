@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from glmixer.cli import main
+import glmixer
+from glmixer.cli import _worker_count, main
 
 FIT_ARGS = ["--iters", "80", "--burn-in", "20", "--thin", "2",
             "--chains", "2", "--seed", "7"]
@@ -29,6 +34,14 @@ def fit_dir(sim_dir, tmp_path_factory):
                  "--out", str(out)] + FIT_ARGS)
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def pred_csv(sim_dir, fit_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("pred")
+    assert main(["predict", "--artifact", str(fit_dir),
+                 "--input", str(sim_dir / "panel.csv"), "--out", str(out)]) == 0
+    return out / "predictions.csv"
 
 
 class TestSimulate:
@@ -133,6 +146,62 @@ class TestPredictAndMetrics:
         assert main(["metrics", "--predictions", str(pred_out / "predictions.csv"),
                      "--observed", str(short),
                      "--out", str(tmp_path / "met")]) == 2
+
+    def test_metrics_renamed_units_exit_2(self, sim_dir, pred_csv, tmp_path):
+        renamed = tmp_path / "renamed.csv"
+        lines = (sim_dir / "panel.csv").read_text().splitlines(keepends=True)
+        assert all(line.startswith("U00") for line in lines[1:])
+        renamed.write_text(lines[0] + "".join("Z00" + line[3:] for line in lines[1:]))
+        assert main(["metrics", "--predictions", str(pred_csv),
+                     "--observed", str(renamed), "--out", str(tmp_path / "met")]) == 2
+
+    def test_metrics_duplicate_prediction_exits_2(self, sim_dir, pred_csv, tmp_path):
+        lines = pred_csv.read_text().splitlines(keepends=True)
+        dup = tmp_path / "dup.csv"
+        # the last row replaced by a copy of the one before it
+        dup.write_text("".join(lines[:-1]) + lines[-2])
+        assert main(["metrics", "--predictions", str(dup),
+                     "--observed", str(sim_dir / "panel.csv"),
+                     "--out", str(tmp_path / "met")]) == 2
+
+    def test_metrics_join_ignores_prediction_order(self, sim_dir, pred_csv, tmp_path):
+        lines = pred_csv.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(lines[0] + "".join(reversed(lines[1:])))
+        reports = []
+        for name, preds in (("a", pred_csv), ("b", shuffled)):
+            assert main(["metrics", "--predictions", str(preds),
+                         "--observed", str(sim_dir / "panel.csv"),
+                         "--out", str(tmp_path / name)]) == 0
+            reports.append((tmp_path / name / "metrics.csv").read_bytes())
+        assert reports[0] == reports[1]
+
+
+class TestWorkerCount:
+    def test_sized_from_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("GLMIXER_THREADS")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _worker_count(4) == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("GLMIXER_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _worker_count(4) == 3
+
+    def test_env_cap_wins(self, monkeypatch):
+        monkeypatch.setenv("GLMIXER_THREADS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert _worker_count(4) == 2
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(glmixer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, glmixer.cli; sys.exit(int('scipy.integrate' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 class TestDiagnose:

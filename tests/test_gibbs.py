@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 from glmixer.design import ModelSpec, build_matrices
 from glmixer.errors import ValidationError
-from glmixer.gibbs import (PriorConfig, beta_conditional,
+from glmixer.gibbs import (NU_WEIGHTS, PriorConfig, beta_conditional,
                            initialize_state, lambda_conditional,
                            nu_log_prior, nu_log_weights,
                            omega_conditional_horseshoe,
@@ -228,6 +229,21 @@ class TestNuPrior:
                 expect = (nu_log_prior(priors)[j]
                           + stats.t.logpdf(ui, df=df, scale=scale))
                 assert lw[i, j] == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize("priors", [
+        PriorConfig(reffect_prior="student-t", nu_weight=w) for w in NU_WEIGHTS
+    ] + [PriorConfig(reffect_prior="student-t", nu_support=(2, 4, 9), k_nu=1.5)])
+    def test_log_weights_equal_direct_formula_exactly(self, priors):
+        u = np.array([-40.0, -3.1, -1.3, 0.0, 0.2, 2.5, 1e-8])
+        df = np.asarray(priors.nu_support, dtype=np.float64)[None, :]
+        for phi in (1e-4, 0.5, 2.0, 350.0):
+            scale = math.sqrt(1.0 / phi)
+            z = u[:, None] / scale
+            log_t = (gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
+                     - 0.5 * np.log(df * math.pi) - np.log(scale)
+                     - (df + 1.0) / 2.0 * np.log1p(z * z / df))
+            np.testing.assert_array_equal(nu_log_weights(u, phi, priors),
+                                          nu_log_prior(priors)[None, :] + log_t)
 
     def test_algorithm3_prior_median_and_tail(self):
         w = np.exp(nu_log_prior(PriorConfig()))

@@ -6,12 +6,15 @@ import pytest
 from glmixer.data import inv_logit
 from glmixer.design import ModelSpec, build_matrices
 from glmixer.errors import SpecMismatchError, ValidationError
+from glmixer import inference
 from glmixer.gibbs import PriorConfig, Trace, run_chain
 from glmixer.inference import (deviances, effective_sample_size,
                                fitted_completeness, predict_new_unit,
                                shrinkage_factors, split_rhat, summarize,
                                theorem2_curve)
 from glmixer.simulate import SimConfig, simulate_panel
+
+from oracles import summarize_per_parameter
 
 SPEC = ModelSpec(variant=1, year_offset=2009.5)
 
@@ -131,6 +134,55 @@ class TestSummarize:
             assert summary.lookup("u", j).mean == 0.0
         with pytest.raises(KeyError):
             summary.lookup("u", 3)
+
+
+def assert_matches_per_parameter_oracle(traces):
+    got = summarize(traces).rows
+    want = summarize_per_parameter(traces)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.param, g.index, g.mean, g.sd, g.q2_5, g.q50, g.q97_5, g.rhat) == (
+            w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[8])
+        assert g.ess == pytest.approx(w[7], rel=1e-12, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def student_t_traces():
+    """Three chains of a Student-t fit, so the integer nu draws are included."""
+    panel, truth = simulate_panel(SimConfig(m=5, n_i=10, seed=31, reffect_prior="student-t"))
+    spec = ModelSpec.from_dict(truth["spec"])
+    priors = PriorConfig(reffect_prior="student-t")
+    return [run_chain(panel, spec, priors, n_iter=240, burn_in=40, thin=1, seed=5,
+                      stream_id=k) for k in range(3)]
+
+
+class TestBatchedSummaryMatchesPerParameterOracle:
+    # 3072 buffer values at C = 3, nfft = 512 is two parameters per block,
+    # so the five-unit keys end in a short block; 1 is one parameter per block
+    @pytest.mark.parametrize("block", [inference.BLOCK_FFT_VALUES, 3072, 1])
+    def test_fit_with_integer_nu(self, student_t_traces, block, monkeypatch):
+        monkeypatch.setattr(inference, "BLOCK_FFT_VALUES", block)
+        assert "nu" in student_t_traces[0].draws
+        assert_matches_per_parameter_oracle(student_t_traces)
+
+    def test_one_chain(self, student_t_traces):
+        assert_matches_per_parameter_oracle(student_t_traces[:1])
+
+    @pytest.mark.parametrize("kept", [1, 2, 3, 4, 5])
+    def test_short_traces(self, student_t_traces, kept):
+        short = [make_trace({k: v[:kept] for k, v in t.draws.items()}, chain_id=t.chain_id,
+                            priors=t.priors, spec=t.spec, unit_ids=t.unit_ids,
+                            sizes=t.sizes) for t in student_t_traces]
+        assert_matches_per_parameter_oracle(short)
+        assert_matches_per_parameter_oracle(short[:1])
+
+    def test_constant_draws(self):
+        traces = [make_trace(scalar_draws(np.full(50, 2.5)), chain_id=c) for c in range(2)]
+        assert_matches_per_parameter_oracle(traces)
+
+    def test_no_kept_draws_rejected(self):
+        with pytest.raises(ValidationError):
+            summarize([make_trace(scalar_draws(np.zeros(0)))])
 
 
 @pytest.fixture(scope="module")

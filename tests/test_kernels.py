@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from glmixer.errors import NumericalError, ValidationError
 from glmixer.kernels import (RngStream, draw_categorical, draw_categorical_log,
                              draw_gamma, draw_gig, draw_mvn_from_precision,
                              draw_normal)
 
-from oracles import ecdf_sup_distance, gamma_pdf, gig_half_mean, gig_pdf
+from oracles import (categorical_by_searchsorted, ecdf_sup_distance, gamma_pdf,
+                     gig_half_mean, gig_pdf)
 
 
 def rng(seed=0, stream=0):
@@ -163,3 +167,51 @@ class TestCategorical:
         draws = np.array([draw_categorical_log(g, logw) for _ in range(10 ** 5)])
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, [0.1, 0.2, 0.7], atol=0.01)
+
+    def test_rejects_rows_without_finite_weight(self):
+        with pytest.raises(ValidationError):
+            draw_categorical_log(rng(), [-np.inf, -np.inf])
+        with pytest.raises(ValidationError):
+            draw_categorical_log(rng(), [[0.0, 1.0, 2.0], [-np.inf, -np.inf, -np.inf]])
+
+
+# Few distinct values, so rows carry ties and zero-weight (-inf) entries.
+LOG_WEIGHT_ROWS = st.integers(1, 6).flatmap(lambda cols: arrays(
+    np.float64, st.tuples(st.integers(1, 8), st.just(cols)),
+    elements=st.one_of(st.sampled_from([-np.inf, 0.0, -1.0, 2.0, -745.0]),
+                       st.floats(-50.0, 50.0))))
+
+
+class FixedUniform:
+    """Stands in for a Generator whose uniforms all equal `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return np.full(size, self.value)
+
+
+class TestCategoricalLogMatchesSearchsorted:
+    @settings(max_examples=300, deadline=None)
+    @given(lw=LOG_WEIGHT_ROWS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_oracle(self, lw, seed):
+        lw[~np.isfinite(lw).any(axis=1), 0] = 0.0
+        got = draw_categorical_log(rng(seed), lw)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, categorical_by_searchsorted(rng(seed), lw))
+
+    @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.75])
+    def test_uniform_on_cdf_entries(self, u):
+        # CDFs [0, 1, 1, 2] and [1, 2, 3, 4]: u * total lands exactly on
+        # entries, where counting entries <= u and side="right" must agree
+        lw = np.array([[-np.inf, 0.0, -np.inf, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(draw_categorical_log(FixedUniform(u), lw),
+                                      categorical_by_searchsorted(FixedUniform(u), lw))
+
+    def test_one_dimensional_matches_first_row(self):
+        lw = np.array([0.3, -np.inf, 1.2, 1.2])
+        for seed in range(50):
+            got = draw_categorical_log(rng(seed), lw)
+            assert isinstance(got, int)
+            assert got == categorical_by_searchsorted(rng(seed), lw[None, :])[0]
