@@ -13,6 +13,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import shutil
 import sys
@@ -97,7 +98,15 @@ def _priors_from_args(args) -> PriorConfig:
                        nu_weight=args.nu_weight)
 
 
+def _check_counts(args) -> None:
+    for flag, value, minimum in (("--chains", args.chains, 1), ("--iters", args.iters, 1),
+                                 ("--thin", args.thin, 1), ("--burn-in", args.burn_in, 0)):
+        if value < minimum:
+            raise ValidationError(f"{flag} must be >= {minimum}, got {value}")
+
+
 def cmd_fit(args) -> None:
+    _check_counts(args)
     panel = load_panel(args.input, clamp_policy=args.clamp_policy)
     panel = _filter_sex(panel, args.sex)
     years = [o.period for o in panel.observations()]
@@ -128,23 +137,34 @@ def cmd_predict(args) -> None:
 
 
 def cmd_diagnose(args) -> None:
-    traces, _ = artifacts.load_fit(args.artifact)
-    summary = summarize(traces)
+    # summary.csv already holds the fit's ESS and R-hat for every scalar
+    rows = artifacts.load_summary_rows(args.artifact)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "diagnostics.csv"), "w",
               encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["param", "index", "ess", "rhat"])
-        for row in summary.rows:
-            w.writerow([row.param, row.index, repr(row.ess), repr(row.rhat)])
+        for row in rows:
+            w.writerow([row["param"], row["index"], row["ess"], row["rhat"]])
 
 
 def _read_predictions(path):
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append((rec["unit_id"], int(rec["row"]), float(rec["mean"])))
+        missing = {"unit_id", "row", "mean"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValidationError(f"{path}: header lacks {sorted(missing)}")
+        for line_no, rec in enumerate(reader, start=2):
+            try:
+                row, mean = int(rec["row"]), float(rec["mean"])
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{path}: line {line_no}: row {rec['row']!r} is not an integer "
+                    f"or mean {rec['mean']!r} is not a number") from None
+            if not math.isfinite(mean):
+                raise ValidationError(f"{path}: line {line_no}: mean {mean!r} is not finite")
+            rows.append((rec["unit_id"], row, mean))
     if not rows:
         raise ValidationError(f"{path}: no prediction rows")
     return rows

@@ -58,12 +58,12 @@ class Observation:
                 f"completeness must lie strictly in (0,1), got {self.completeness!r} "
                 f"for ({self.unit_id}, {self.period}, {self.sex})"
             )
-        if self.reg_cdr < 0.0:
-            raise ValidationError(f"reg_cdr must be >= 0, got {self.reg_cdr!r}")
+        if not (0.0 <= self.reg_cdr < math.inf):
+            raise ValidationError(f"reg_cdr must be finite and >= 0, got {self.reg_cdr!r}")
         if not (0.0 <= self.pct65 <= 1.0):
             raise ValidationError(f"pct65 must lie in [0,1], got {self.pct65!r}")
-        if not self.u5mr_true > 0.0:
-            raise ValidationError(f"u5mr_true must be > 0, got {self.u5mr_true!r}")
+        if not (0.0 < self.u5mr_true < math.inf):
+            raise ValidationError(f"u5mr_true must be finite and > 0, got {self.u5mr_true!r}")
         if self.c5q0 is not None:
             if not (0.0 < self.c5q0 <= 1.5):
                 raise ValidationError(

@@ -172,9 +172,6 @@ class Trace:
     def kept(self) -> int:
         return self.draws["beta"].shape[0]
 
-    def kept_iterations(self) -> np.ndarray:
-        return self.burn_in + self.thin * (1 + np.arange(self.kept))
-
 
 # ---------------------------------------------------------------------------
 # conditional-parameter helpers (pure, unit-testable) and the draw steps

@@ -1,13 +1,19 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import glmixer
+from glmixer.artifacts import load_fit
 from glmixer.cli import _worker_count, main
+from glmixer.inference import summarize
 
 FIT_ARGS = ["--iters", "80", "--burn-in", "20", "--thin", "2",
             "--chains", "2", "--seed", "7"]
@@ -42,6 +48,61 @@ def pred_csv(sim_dir, fit_dir, tmp_path_factory):
     assert main(["predict", "--artifact", str(fit_dir),
                  "--input", str(sim_dir / "panel.csv"), "--out", str(out)]) == 0
     return out / "predictions.csv"
+
+
+# Manifest fields for which every different JSON value drawn below is a
+# detectable mismatch. Fields that only label the run (seed, version,
+# clamp_policy, the prior hyperparameters, run lengths giving the same kept
+# count) are not covered by any digest, so they are not edited here.
+CHECKED_FIELDS = ("format", "chains", "kept", "sha256", "priors", "spec", "unit_ids", "sizes")
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 100),
+                        st.floats(allow_nan=False), st.text(max_size=5),
+                        st.lists(st.integers(0, 3), max_size=3))
+
+
+def corrupt_artifact(art, data):
+    """Change a fit artifact so that it no longer matches its manifest:
+    truncate, flip a bit in or reorder a chain file's bytes, or edit a
+    checked field of the manifest."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "reorder", "manifest-text",
+                                      "manifest-drop", "manifest-value", "manifest-nested"]))
+    if kind in ("truncate", "flip", "reorder"):
+        path = art / data.draw(st.sampled_from(["chain_0.csv", "chain_1.csv"]))
+        raw = path.read_bytes()
+        if kind == "truncate":
+            new = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "flip":
+            i = data.draw(st.integers(0, len(raw) - 1))
+            new = raw[:i] + bytes([raw[i] ^ (1 << data.draw(st.integers(0, 7)))]) + raw[i + 1:]
+        else:  # swap two adjacent segments
+            i, j, k = sorted(data.draw(st.lists(st.integers(0, len(raw)), min_size=3,
+                                                max_size=3)))
+            new = raw[:i] + raw[j:k] + raw[i:j] + raw[k:]
+            assume(new != raw)
+        path.write_bytes(new)
+        return
+    path = art / "manifest.json"
+    text = path.read_text()
+    if kind == "manifest-text":  # any proper prefix of the object
+        path.write_text(text[:data.draw(st.integers(0, text.rindex("}") - 1))])
+        return
+    manifest = json.loads(text)
+    if kind == "manifest-drop":
+        del manifest[data.draw(st.sampled_from(CHECKED_FIELDS + ("seed", "n_iter", "burn_in",
+                                                                  "thin")))]
+    elif kind == "manifest-value":
+        key = data.draw(st.sampled_from(CHECKED_FIELDS))
+        value = data.draw(JSON_VALUES)
+        assume(value != manifest[key])
+        manifest[key] = value
+    else:
+        section, key, value = data.draw(st.sampled_from([
+            ("sha256", "chain_0.csv", "0" * 64), ("sha256", "chain_1.csv", None),
+            ("spec", "variant", 2), ("spec", "variant", 3), ("spec", "year_offset", "x"),
+            ("priors", "reffect_prior", "gamma"), ("priors", "reffect_prior", "student-t"),
+            ("priors", "error_prior", "gamma"), ("priors", "nu_support", [])]))
+        manifest[section][key] = value
+    path.write_text(json.dumps(manifest))
 
 
 class TestSimulate:
@@ -94,6 +155,42 @@ class TestFit:
         monkeypatch.setenv("GLMIXER_THREADS", "zero")
         assert main(["fit", "--input", str(sim_dir / "panel.csv"),
                      "--out", str(tmp_path / "fit")] + FIT_ARGS) == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--chains", "0"), ("--iters", "0"), ("--thin", "0"), ("--burn-in", "-1")])
+    def test_bad_counts_exit_2(self, sim_dir, tmp_path, capsys, flag, value):
+        args = FIT_ARGS[:]
+        args[args.index(flag) + 1] = value
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(sim_dir / "panel.csv"),
+                     "--out", str(out)] + args) == 2
+        assert f"{flag} must be >=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_covariate_exits_2(self, sim_dir, tmp_path, value):
+        lines = (sim_dir / "panel.csv").read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")
+        assert lines[0].split(",")[4] == "reg_cdr"
+        fields[4] = value
+        bad = tmp_path / "panel.csv"
+        bad.write_text("".join(lines[:3]) + ",".join(fields) + "".join(lines[4:]))
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(bad), "--out", str(out)] + FIT_ARGS) == 2
+        assert not out.exists()
+
+    def test_process_pool_matches_serial(self, sim_dir, tmp_path, monkeypatch):
+        args = ["--iters", "30", "--burn-in", "10", "--thin", "1", "--chains", "2",
+                "--seed", "11"]
+        trees = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GLMIXER_THREADS", threads)
+            out = tmp_path / f"fit{threads}"
+            assert main(["fit", "--input", str(sim_dir / "panel.csv"),
+                         "--out", str(out)] + args) == 0
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(trees[0]) == ["chain_0.csv", "chain_1.csv", "manifest.json", "summary.csv"]
+        assert trees[0] == trees[1]
 
 
 class TestPredictAndMetrics:
@@ -164,6 +261,40 @@ class TestPredictAndMetrics:
                      "--observed", str(sim_dir / "panel.csv"),
                      "--out", str(tmp_path / "met")]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("mean", "avg", 1),
+        lambda text: text.replace("unit_id,row", "unit,row", 1),
+        lambda text: text.replace("\nU001,0,", "\nU001,x,", 1),
+        lambda text: text.replace("\nU001,0,", "\nU001,0.5,", 1),
+        lambda text: text.replace(",integrate_reffect,", ",integrate_reffect,high,", 1),
+        lambda text: text.replace(",integrate_reffect,", ",integrate_reffect,nan,", 1),
+        lambda text: text + "U001,11\n",
+    ], ids=["header-mean", "header-unit_id", "row-not-int", "row-float", "mean-not-float",
+            "mean-nan", "short-row"])
+    def test_metrics_malformed_predictions_exit_2(self, sim_dir, pred_csv, tmp_path, edit):
+        text = pred_csv.read_text()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(edit(text))
+        assert bad.read_text() != text
+        out = tmp_path / "met"
+        assert main(["metrics", "--predictions", str(bad),
+                     "--observed", str(sim_dir / "panel.csv"), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_predict_on_corrupted_artifact_exits_2_or_4(self, sim_dir, fit_dir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            art = Path(tmp) / "fit"
+            shutil.copytree(fit_dir, art)
+            corrupt_artifact(art, data)
+            code = main(["predict", "--artifact", str(art),
+                         "--input", str(sim_dir / "panel.csv"),
+                         "--out", str(Path(tmp) / "pred")])
+            assert code in (2, 4)
+            assert not (Path(tmp) / "pred").exists()
+
     def test_metrics_join_ignores_prediction_order(self, sim_dir, pred_csv, tmp_path):
         lines = pred_csv.read_text().splitlines(keepends=True)
         shuffled = tmp_path / "shuffled.csv"
@@ -211,6 +342,23 @@ class TestDiagnose:
         lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
         assert lines[0] == "param,index,ess,rhat"
         assert any(line.startswith("beta,0,") for line in lines)
+
+    def test_copies_summary_of_a_fresh_summarize(self, fit_dir, tmp_path):
+        # what diagnose wrote when it reran summarize on the loaded chains
+        rows = summarize(load_fit(fit_dir)[0]).rows
+        expected = "param,index,ess,rhat\n" + "".join(
+            f"{r.param},{r.index},{r.ess!r},{r.rhat!r}\n" for r in rows)
+        assert main(["diagnose", "--artifact", str(fit_dir), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "diagnostics.csv").read_bytes() == expected.encode()
+
+    def test_edited_summary_exits_2(self, fit_dir, tmp_path):
+        art = tmp_path / "fit"
+        shutil.copytree(fit_dir, art)
+        summary = art / "summary.csv"
+        summary.write_text(summary.read_text().replace("beta,0,", "beta,9,", 1))
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--artifact", str(art), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestCheckTheory:

@@ -135,6 +135,12 @@ class TestObservationValidation:
         with pytest.raises(ValidationError):
             obs(reg_cdr=-1.0).validate()
 
+    @pytest.mark.parametrize("field", ["reg_cdr", "pct65", "u5mr", "c5q0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_covariate(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            obs(**{field: value}).validate()
+
 
 class TestMergeC5q0:
     def test_direct_copy(self):

@@ -283,7 +283,6 @@ class TestChainMechanics:
         tr = run_chain(design, ModelSpec(variant=1, year_offset=2009.5), PriorConfig(),
                        n_iter=100, burn_in=50, thin=5, seed=0)
         assert tr.kept == 10
-        np.testing.assert_array_equal(tr.kept_iterations(), np.arange(55, 101, 5))
 
     def test_bad_schedule_rejected(self, design):
         spec = ModelSpec(variant=1, year_offset=2009.5)
