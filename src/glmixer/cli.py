@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import artifacts
-from .data import load_panel, build_panel, PanelDataset
+from .data import load_panel, build_panel, read_text_lines, PanelDataset
 from .design import ModelSpec, build_matrices, build_row
 from .errors import GlmixerError, NumericalError, ValidationError
 from .gibbs import (DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER,
@@ -150,21 +150,20 @@ def cmd_diagnose(args) -> None:
 
 def _read_predictions(path):
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"unit_id", "row", "mean"} - set(reader.fieldnames or ())
-        if missing:
-            raise ValidationError(f"{path}: header lacks {sorted(missing)}")
-        for line_no, rec in enumerate(reader, start=2):
-            try:
-                row, mean = int(rec["row"]), float(rec["mean"])
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"{path}: line {line_no}: row {rec['row']!r} is not an integer "
-                    f"or mean {rec['mean']!r} is not a number") from None
-            if not math.isfinite(mean):
-                raise ValidationError(f"{path}: line {line_no}: mean {mean!r} is not finite")
-            rows.append((rec["unit_id"], row, mean))
+    reader = csv.DictReader(read_text_lines(path))
+    missing = {"unit_id", "row", "mean"} - set(reader.fieldnames or ())
+    if missing:
+        raise ValidationError(f"{path}: header lacks {sorted(missing)}")
+    for line_no, rec in enumerate(reader, start=2):
+        try:
+            row, mean = int(rec["row"]), float(rec["mean"])
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{path}: line {line_no}: row {rec['row']!r} is not an integer "
+                f"or mean {rec['mean']!r} is not a number") from None
+        if not math.isfinite(mean):
+            raise ValidationError(f"{path}: line {line_no}: mean {mean!r} is not finite")
+        rows.append((rec["unit_id"], row, mean))
     if not rows:
         raise ValidationError(f"{path}: no prediction rows")
     return rows

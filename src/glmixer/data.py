@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
@@ -122,6 +122,16 @@ def build_panel(observations) -> PanelDataset:
     return PanelDataset(groups=groups)
 
 
+def read_text_lines(path) -> list:
+    """The lines of a UTF-8 text file, opened as csv expects; a file that
+    is not UTF-8 is a ValidationError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _clamp_completeness(c: float, policy: str, eps: float, row_no: int) -> float:
     if policy == "reject":
         if not (0.0 < c < 1.0):
@@ -150,65 +160,47 @@ def load_panel(path, clamp_policy: str = "clamp", clamp_eps: float = DEFAULT_CLA
     if clamp_policy not in ("clamp", "reject"):
         raise ValidationError(f"unknown clamp policy {clamp_policy!r}")
     observations = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        percent = False
-        expect = list(CSV_COLUMNS)
-        if "completeness_pct" in header:
-            percent = True
-            expect[expect.index("completeness")] = "completeness_pct"
-        if header != expect:
+    reader = csv.reader(read_text_lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    percent = False
+    expect = list(CSV_COLUMNS)
+    if "completeness_pct" in header:
+        percent = True
+        expect[expect.index("completeness")] = "completeness_pct"
+    if header != expect:
+        raise ValidationError(
+            f"{path}: bad header {header!r}; expected {expect!r}"
+        )
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(CSV_COLUMNS):
             raise ValidationError(
-                f"{path}: bad header {header!r}; expected {expect!r}"
+                f"{path}: row {row_no}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
             )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise ValidationError(
-                    f"{path}: row {row_no}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
-                )
-            try:
-                unit_id = row[0].strip()
-                period = int(row[1])
-                sex = row[2].strip()
-                missing_completeness = row[3].strip() == "" and allow_missing_completeness
-                completeness = 0.5 if missing_completeness else float(row[3])
-                reg_cdr = float(row[4])
-                pct65 = float(row[5])
-                u5mr = float(row[6])
-                c5q0 = float(row[7]) if row[7].strip() != "" else None
-            except ValueError as exc:
-                raise ValidationError(f"{path}: row {row_no}: {exc}") from None
-            if not missing_completeness:
-                if percent:
-                    completeness /= 100.0
-                completeness = _clamp_completeness(completeness, clamp_policy, clamp_eps, row_no)
-            observations.append(
-                Observation(unit_id, period, sex, completeness, reg_cdr, pct65, u5mr, c5q0)
-            )
+        try:
+            unit_id = row[0].strip()
+            period = int(row[1])
+            sex = row[2].strip()
+            missing_completeness = row[3].strip() == "" and allow_missing_completeness
+            completeness = 0.5 if missing_completeness else float(row[3])
+            reg_cdr = float(row[4])
+            pct65 = float(row[5])
+            u5mr = float(row[6])
+            c5q0 = float(row[7]) if row[7].strip() != "" else None
+        except ValueError as exc:
+            raise ValidationError(f"{path}: row {row_no}: {exc}") from None
+        if not missing_completeness:
+            if percent:
+                completeness /= 100.0
+            completeness = _clamp_completeness(completeness, clamp_policy, clamp_eps, row_no)
+        observations.append(
+            Observation(unit_id, period, sex, completeness, reg_cdr, pct65, u5mr, c5q0)
+        )
     if not observations:
         raise ValidationError(f"{path}: no data rows")
     return build_panel(observations)
-
-
-def merge_c5q0(sexed: PanelDataset, both_sexes: PanelDataset) -> PanelDataset:
-    """Replace each sexed observation's c5q0 by the both-sexes value for its (unit, period)."""
-    lookup = {}
-    for obs in both_sexes.observations():
-        lookup[(obs.unit_id, obs.period)] = obs.c5q0
-    missing = sorted(
-        {(o.unit_id, o.period) for o in sexed.observations() if (o.unit_id, o.period) not in lookup}
-    )
-    if missing:
-        raise ValidationError(f"no both-sexes c5q0 for (unit, period) pairs: {missing}")
-    groups = tuple(
-        (uid, tuple(replace(o, c5q0=lookup[(o.unit_id, o.period)]) for o in obs_list))
-        for uid, obs_list in sexed.groups
-    )
-    return PanelDataset(groups=groups)

@@ -93,6 +93,20 @@ class GroupedDesign:
         return self.X.shape[0]
 
 
+def pooled_crossprod(X: np.ndarray) -> np.ndarray:
+    """X'X of the pooled design rows; ValidationError when it is
+    numerically singular (reciprocal condition below RCOND_MIN)."""
+    xtx = X.T @ X
+    svals = np.linalg.svd(xtx, compute_uv=False)
+    rcond = svals[-1] / svals[0] if svals[0] > 0 else 0.0
+    if rcond < RCOND_MIN:
+        raise ValidationError(
+            f"pooled cross-product matrix is numerically singular "
+            f"(reciprocal condition {rcond:.3g} < {RCOND_MIN:g})"
+        )
+    return xtx
+
+
 def build_matrices(panel: PanelDataset, spec: ModelSpec, for_fit: bool = True) -> GroupedDesign:
     """Design rows plus responses y = logit(completeness), grouped by unit.
 
@@ -118,14 +132,7 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec, for_fit: bool = True) -
             raise ValidationError(
                 f"fitting requires n_i > p = {p} observations per group; violated by {bad}"
             )
-        xtx = X.T @ X
-        svals = np.linalg.svd(xtx, compute_uv=False)
-        rcond = svals[-1] / svals[0] if svals[0] > 0 else 0.0
-        if rcond < RCOND_MIN:
-            raise ValidationError(
-                f"pooled cross-product matrix is numerically singular "
-                f"(reciprocal condition {rcond:.3g} < {RCOND_MIN:g})"
-            )
+        pooled_crossprod(X)
     m = len(sizes)
     xbar = np.zeros((m, p))
     ybar = np.zeros(m)

@@ -24,8 +24,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .design import GroupedDesign, ModelSpec, build_matrices
-from .errors import ValidationError
-from .kernels import GIG_TINY, RngStream, draw_categorical_log, draw_mvn_from_precision
+from .errors import GlmixerError, NumericalError, ValidationError
+from .kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
+                      draw_mvn_from_precision)
 
 ERROR_PRIORS = ("gamma", "half-cauchy")
 REFFECT_PRIORS = ("gamma", "student-t", "horseshoe", "laplace")
@@ -240,10 +241,10 @@ def step_global_scales(state: ChainState, design: GroupedDesign, priors: PriorCo
                        rng, fixed=()) -> None:
     if "tau" not in fixed:
         shape, rate = tau_conditional(state, design, priors)
-        state.tau = rng.standard_gamma(shape) / rate
+        state.tau = draw_gamma(rng, shape, rate)
     if "phi" not in fixed:
         shape, rate = phi_conditional(state, priors)
-        state.phi = rng.standard_gamma(shape) / rate
+        state.phi = draw_gamma(rng, shape, rate)
 
 
 def lambda_conditional(state: ChainState, design: GroupedDesign):
@@ -255,8 +256,8 @@ def lambda_conditional(state: ChainState, design: GroupedDesign):
 def step_lambda_halfcauchy(state: ChainState, design: GroupedDesign, rng) -> None:
     """Auxiliary two-Gamma update with stationary prior (1 + lam)^-2."""
     shape, rate = lambda_conditional(state, design)
-    state.lam = rng.standard_gamma(shape) / rate
-    state.rho = rng.standard_gamma(2.0, size=design.m) / (state.lam + 1.0)
+    state.lam = draw_gamma(rng, shape, rate)
+    state.rho = draw_gamma(rng, 2.0, state.lam + 1.0, size=design.m)
 
 
 def nu_log_prior(priors: PriorConfig) -> np.ndarray:
@@ -280,19 +281,6 @@ def nu_log_weights(u: np.ndarray, phi: float, priors: PriorConfig) -> np.ndarray
     scale = math.sqrt(1.0 / phi)
     z = u / scale
     return (log_prior + ((log_norm - np.log(scale)) - half_df1 * np.log1p(z * z / df))).T
-
-
-def _draw_gig_neg_half(rng, a_vec, b):
-    """Vectorized GIG(-1/2, a_i, b) via the inverse-Gaussian identity;
-    a_i ~ 0 (random effect shrunk to zero) uses the inverse-Gamma limit."""
-    a_vec = np.asarray(a_vec, dtype=np.float64)
-    out = np.empty(a_vec.shape)
-    tiny = a_vec < GIG_TINY
-    if np.any(~tiny):
-        out[~tiny] = rng.wald(np.sqrt(b / a_vec[~tiny]), b)
-    if np.any(tiny):
-        out[tiny] = 1.0 / (rng.standard_gamma(0.5, size=int(tiny.sum())) / (0.5 * b))
-    return out
 
 
 def omega_conditional_horseshoe(phiu2, varrho):
@@ -319,16 +307,16 @@ def step_omega(state: ChainState, priors: PriorConfig, rng) -> None:
     phiu2 = state.phi * state.u * state.u
     if priors.reffect_prior == "horseshoe":
         shape, rate = omega_conditional_horseshoe(phiu2, state.varrho)
-        state.omega = rng.standard_gamma(shape, size=m) / rate
-        state.varrho = rng.standard_gamma(1.0, size=m) / (state.omega + 1.0)
+        state.omega = draw_gamma(rng, shape, rate, size=m)
+        state.varrho = draw_gamma(rng, 1.0, state.omega + 1.0, size=m)
     elif priors.reffect_prior == "laplace":
-        state.omega = _draw_gig_neg_half(rng, phiu2, 2.0)
+        state.omega = draw_gig(rng, -0.5, phiu2, 2.0)
     elif priors.reffect_prior == "student-t":
         idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors))
         support = np.asarray(priors.nu_support)
         state.nu = support[idx]
         shape, rate = omega_conditional_student_t(phiu2, state.nu.astype(np.float64))
-        state.omega = rng.standard_gamma(shape) / rate
+        state.omega = draw_gamma(rng, shape, rate)
     # common Gamma: omega stays 1 and phi is the common zeta_u
 
 
@@ -375,12 +363,14 @@ def initialize_state(design: GroupedDesign, priors: PriorConfig, rng=None) -> Ch
 def run_chain(panel_or_design, spec: ModelSpec, priors: PriorConfig,
               n_iter: int = DEFAULT_N_ITER, burn_in: int = DEFAULT_BURN_IN,
               thin: int = DEFAULT_THIN, seed: int = 0, stream_id: int = 0,
-              fixed: Optional[dict] = None, check_every: int = 0) -> Trace:
+              fixed: Optional[dict] = None) -> Trace:
     """Run one chain and return its Trace.
 
     `fixed` pins state entries (e.g. {"phi": 100.0}) for diagnostics and
     oracle tests; pinned entries are set before sampling and never
-    redrawn. Deterministic given (seed, stream_id).
+    redrawn. Deterministic given (seed, stream_id). A draw that fails
+    mid-chain (every kernel checks its parameters) raises NumericalError
+    naming the chain and the iteration.
     """
     if not (n_iter > burn_in >= 0):
         raise ValidationError(f"need n_iter > burn_in >= 0, got {n_iter}, {burn_in}")
@@ -412,10 +402,9 @@ def run_chain(panel_or_design, spec: ModelSpec, priors: PriorConfig,
     for t in range(1, n_iter + 1):
         try:
             sweep(state, design, priors, rng, fixed=fixed_names)
-            if check_every and t % check_every == 0:
-                state.check()
-        except Exception as exc:
-            raise type(exc)(f"iteration {t}: {exc}") from exc
+        except (GlmixerError, ArithmeticError, ValueError) as exc:
+            # the kernels' own checks, or math and numpy meeting a bad state
+            raise NumericalError(f"chain {stream_id}, iteration {t}: {exc}") from exc
         if t > burn_in and (t - burn_in) % thin == 0:
             draws["beta"][k] = state.beta
             draws["u"][k] = state.u

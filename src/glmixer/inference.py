@@ -15,10 +15,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import PanelDataset
-from .design import ModelSpec, build_matrices
+from .design import ModelSpec, build_matrices, pooled_crossprod
 from .errors import NumericalError, SpecMismatchError, ValidationError
 from .gibbs import PriorConfig, nu_log_prior
-from .kernels import RngStream
+from .kernels import RngStream, draw_local_prior
 
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
@@ -233,21 +233,12 @@ class PredictionResult:
     q97_5: np.ndarray
 
 
-def _draw_omega_prior(rng, priors: PriorConfig, size: int) -> np.ndarray:
-    """Local random-effect precisions from the configured prior family."""
-    if priors.reffect_prior == "horseshoe":
-        x = rng.beta(0.5, 0.5, size=size)
-        return x / (1.0 - x)
-    if priors.reffect_prior == "laplace":
-        return 1.0 / rng.exponential(1.0, size=size)
-    if priors.reffect_prior == "student-t":
-        logw = nu_log_prior(priors)
-        w = np.exp(logw - logw.max())
-        w /= w.sum()
-        nu = np.asarray(priors.nu_support, dtype=np.float64)[
-            rng.choice(len(w), size=size, p=w)]
-        return rng.standard_gamma(nu / 2.0) / (nu / 2.0)
-    return np.ones(size)
+def _draw_nu_prior(rng, priors: PriorConfig, size: int) -> np.ndarray:
+    """Student-t degrees of freedom from their discrete prior."""
+    logw = nu_log_prior(priors)
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    return np.asarray(priors.nu_support, dtype=np.float64)[rng.choice(len(w), size=size, p=w)]
 
 
 def predict_new_unit(traces, rows: np.ndarray, mode: str = "integrate_reffect",
@@ -272,8 +263,10 @@ def predict_new_unit(traces, rows: np.ndarray, mode: str = "integrate_reffect",
         theta = beta @ rows.T                                    # (K, r)
         if mode == "integrate_reffect":
             rng = RngStream(t.seed, PREDICT_STREAM_BASE + t.chain_id).generator()
-            omega = _draw_omega_prior(rng, t.priors, beta.shape[0])
-            u_star = rng.standard_normal(beta.shape[0]) / np.sqrt(omega * t.draws["phi"])
+            family, k = t.priors.reffect_prior, beta.shape[0]
+            nu = _draw_nu_prior(rng, t.priors, k) if family == "student-t" else None
+            omega = draw_local_prior(rng, family, k, nu=nu)
+            u_star = rng.standard_normal(k) / np.sqrt(omega * t.draws["phi"])
             theta = theta + u_star[:, None]
         thetas.append(theta)
     theta = np.concatenate(thetas)
@@ -305,10 +298,7 @@ def deviances(panel: PanelDataset, spec: ModelSpec):
     """Per-group (country-level, country-year-level) deviances around the
     pooled OLS fit: (ybar_i - xbar_i' b)^2 and sum_j (y_ij - x_ij' b)^2 / n_i."""
     design = build_matrices(panel, spec, for_fit=False)
-    xtx = design.X.T @ design.X
-    svals = np.linalg.svd(xtx, compute_uv=False)
-    if svals[0] <= 0 or svals[-1] / svals[0] < 1e-12:
-        raise ValidationError("pooled design is rank deficient; OLS deviances undefined")
+    xtx = pooled_crossprod(design.X)
     beta_hat = np.linalg.solve(xtx, design.X.T @ design.y)
     country = (design.ybar - design.xbar @ beta_hat) ** 2
     r = design.y - design.X @ beta_hat

@@ -1,7 +1,9 @@
-"""Seeded random variate kernels for the Gibbs sweeps.
+"""Seeded random variate kernels for the Gibbs sweeps and forward draws.
 
 Every distribution the engine needs gets its own entry point so tests can
-pin each one against an independent oracle. All draws flow through a
+pin each one against an independent oracle; the sampler, `simulate` and
+`predict` draw their Gamma, GIG and local-prior variates only here, so
+those tests pin the code that runs. All draws flow through a
 numpy Generator owned by exactly one chain; `RngStream` fixes the
 (seed, stream_id) -> sequence mapping.
 """
@@ -19,10 +21,6 @@ from .errors import NumericalError, ValidationError
 # Gamma / inverse-Gamma limit is used instead.
 GIG_TINY = 1e-30
 
-# Underflow floor so gamma draws with microscopic shapes stay positive in
-# linear space; log-scale draws are exact.
-GAMMA_FLOOR = 5e-324
-
 MVN_JITTER_REL = 1e-10
 
 
@@ -38,56 +36,34 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def _check_positive(name, value):
-    arr = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+def _finite_positive(x, allow_zero=False) -> bool:
+    """Whether every entry of x is finite and > 0 (>= 0 with `allow_zero`).
+    One comparison for a float, one min and one max reduction for an
+    array: the sampler checks every draw, so this stays cheap."""
+    if isinstance(x, (float, int)):
+        lo = hi = x
+    else:
+        lo, hi = np.minimum.reduce(x, axis=None), np.maximum.reduce(x, axis=None)
+    return (lo >= 0.0 if allow_zero else lo > 0.0) and hi < math.inf  # False on NaN
 
 
-def draw_gamma(rng, shape, rate, size=None, log=False):
-    """Gamma(shape, rate) draws, density ~ x^(shape-1) exp(-rate x).
+def draw_gamma(rng, shape, rate, size=None):
+    """Gamma(shape, rate) draws, density ~ x^(shape-1) exp(-rate x), as
+    ``rng.standard_gamma(shape, size) / rate``.
 
-    Shapes below 1 use the boost-to-shape+1 power transform computed in
-    log space, so shapes as small as 1e-10 neither NaN nor lose the
-    log-scale information; with ``log=True`` the log of the draw is
-    returned (always finite). Linear-scale draws are floored at the
-    smallest positive float.
+    Shape and rate broadcast; a float comes back for scalar parameters
+    without `size`. A non-positive or non-finite shape or rate raises
+    ValidationError. The check is on the draws: every such parameter
+    gives a draw that is 0, negative, infinite or NaN, or makes numpy
+    raise, while valid shapes (>= 0.5 in this package) do not underflow.
     """
-    _check_positive("shape", shape)
-    _check_positive("rate", rate)
-    scalar = size is None and np.ndim(shape) == 0 and np.ndim(rate) == 0
-    out_shape = np.broadcast_shapes(
-        np.shape(shape), np.shape(rate), () if size is None else (size,))
-    shape_a = np.broadcast_to(np.asarray(shape, dtype=np.float64), out_shape).ravel()
-    rate_a = np.broadcast_to(np.asarray(rate, dtype=np.float64), out_shape).ravel()
-    if scalar:
-        shape_a, rate_a = np.atleast_1d(shape_a), np.atleast_1d(rate_a)
-    out = np.empty(shape_a.shape)
-    small = shape_a < 1.0
-    if np.any(~small):
-        out[~small] = np.log(rng.standard_gamma(shape_a[~small])) - np.log(rate_a[~small])
-    if np.any(small):
-        a = shape_a[small]
-        g = rng.standard_gamma(a + 1.0, size=a.shape)
-        # log(1 - U) is finite for U in [0, 1)
-        logu = np.log1p(-rng.random(size=a.shape))
-        out[small] = np.log(g) + logu / a - np.log(rate_a[small])
-    out = out.reshape(out_shape) if not scalar else out
-    if log:
-        return float(out[0]) if scalar else out
-    lin = np.maximum(np.exp(out), GAMMA_FLOOR)
-    return float(lin[0]) if scalar else lin
-
-
-def draw_normal(rng, mean, sd, size=None):
-    """Normal(mean, sd^2); sd may be 0 (degenerate point mass at the mean)."""
-    sd_a = np.asarray(sd, dtype=np.float64)
-    if not np.all(np.isfinite(sd_a)) or np.any(sd_a < 0.0):
-        raise ValidationError(f"sd must be finite and >= 0, got {sd!r}")
-    out = np.asarray(mean, dtype=np.float64) + sd_a * rng.standard_normal(
-        size if size is not None else np.broadcast_shapes(np.shape(mean), np.shape(sd)))
-    if size is None and np.ndim(mean) == 0 and np.ndim(sd) == 0:
-        return float(out)
+    try:
+        out = rng.standard_gamma(shape, size) / rate
+    except (ValueError, ZeroDivisionError):  # numpy on a shape < 0; a float rate of 0
+        out = math.nan
+    if not _finite_positive(out):
+        raise ValidationError(
+            f"Gamma shape and rate must be finite and > 0, got shape={shape!r}, rate={rate!r}")
     return out
 
 
@@ -194,12 +170,28 @@ def draw_gig(rng, p, a, b, size=None):
     a below GIG_TINY with p < 0 falls back to the inverse-Gamma limit
     1 / Gamma(-p, b/2). |p| = 1/2 uses the exact inverse-Gaussian
     representation (vectorized); other p use a scalar rejection sampler.
+    For p = -1/2, `a` may be an array, with one draw per entry: first the
+    inverse-Gaussian entries, then those of the inverse-Gamma limit.
     """
-    if not (np.isfinite(p) and np.isfinite(a) and np.isfinite(b)):
-        raise ValidationError(f"GIG parameters must be finite, got p={p}, a={a}, b={b}")
-    if a < 0.0 or b < 0.0 or (a <= 0.0 and b <= 0.0):
+    if not (math.isfinite(p) and _finite_positive(a, allow_zero=True)
+            and _finite_positive(b, allow_zero=True)):
+        raise ValidationError(f"GIG needs a finite p and finite a, b >= 0, got p={p}, a={a!r}, b={b}")
+    scalar = size is None and np.ndim(a) == 0
+    if p == -0.5 and b >= GIG_TINY:
+        a_arr = np.asarray(a, dtype=np.float64)
+        if size is not None or scalar:
+            a_arr = np.broadcast_to(a_arr, (1 if scalar else int(size),))
+        out = np.empty(a_arr.shape)
+        tiny = a_arr < GIG_TINY
+        if not tiny.all():
+            out[~tiny] = rng.wald(np.sqrt(b / a_arr[~tiny]), b)
+        if tiny.any():
+            out[tiny] = 1.0 / draw_gamma(rng, 0.5, b / 2.0, size=int(tiny.sum()))
+        return float(out[0]) if scalar else out
+    if np.ndim(a) != 0:
+        raise ValidationError(f"GIG takes an array a only for p = -1/2, got p={p}")
+    if a <= 0.0 and b <= 0.0:
         raise ValidationError(f"GIG requires a, b > 0 (one may underflow), got a={a}, b={b}")
-    scalar = size is None
     n = 1 if scalar else int(size)
 
     if b < GIG_TINY:
@@ -209,11 +201,9 @@ def draw_gig(rng, p, a, b, size=None):
             raise ValidationError(f"GIG with b ~ 0 requires p > 0, got p={p}")
     elif a < GIG_TINY:
         if p < 0:
-            out = 1.0 / np.asarray(draw_gamma(rng, -p, b / 2.0, size=n))
+            out = 1.0 / draw_gamma(rng, -p, b / 2.0, size=n)
         else:
             raise ValidationError(f"GIG with a ~ 0 requires p < 0, got p={p}")
-    elif p == -0.5:
-        out = rng.wald(math.sqrt(b / a), b, size=n)
     elif p == 0.5:
         out = 1.0 / rng.wald(math.sqrt(a / b), a, size=n)
     else:
@@ -228,17 +218,7 @@ def draw_gig(rng, p, a, b, size=None):
                 z = 1.0 / z
             vals[i] = scale * z
         out = vals
-    out = np.asarray(out, dtype=np.float64)
     return float(out[0]) if scalar else out
-
-
-def draw_categorical(rng, weights):
-    """Index k with probability weights[k] / sum(weights)."""
-    w = np.asarray(weights, dtype=np.float64)
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0) or w.sum() <= 0.0:
-        raise ValidationError(f"weights must be finite, >= 0, with positive sum; got {weights!r}")
-    cdf = np.cumsum(w)
-    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
 
 
 def draw_categorical_log(rng, log_weights, axis=-1):
@@ -258,3 +238,20 @@ def draw_categorical_log(rng, log_weights, axis=-1):
     u = rng.random(size=cdf.shape[:-1]) * cdf[..., -1]
     idx = np.count_nonzero(cdf <= u[..., None], axis=-1)
     return int(idx) if lw.ndim == 1 else idx
+
+
+def draw_local_prior(rng, family, size, nu=None):
+    """`size` local random-effect precisions omega from the prior of
+    `family`: horseshoe Beta-prime(1/2, 1/2), laplace 1 / Exp(1),
+    student-t Gamma(nu/2, nu/2) for the given nu (a scalar, or one value
+    per draw), and ones under the common gamma prior."""
+    if family == "gamma":
+        return np.ones(size)
+    if family == "horseshoe":
+        x = rng.beta(0.5, 0.5, size=size)
+        return x / (1.0 - x)
+    if family == "laplace":
+        return 1.0 / rng.exponential(1.0, size=size)
+    if family == "student-t":
+        return draw_gamma(rng, nu / 2.0, nu / 2.0, size=size)
+    raise ValidationError(f"unknown random-effect family {family!r}")

@@ -15,9 +15,10 @@ import numpy as np
 from .data import Observation, build_panel, inv_logit
 from .design import ModelSpec, build_row
 from .errors import ValidationError
-from .kernels import RngStream
+from .kernels import RngStream, draw_local_prior
 
 SIM_STREAM = 999_000  # dedicated stream so fits can reuse chain streams 0..C-1
+SIM_NU = 5.0  # degrees of freedom of the Student-t local prior
 
 # Coefficients roughly shaped like the fitted global models, scaled so
 # logits stay in a well-conditioned range for the default covariates.
@@ -50,27 +51,13 @@ class SimConfig:
         return b
 
 
-def _draw_local_omega(rng, family: str, size: int) -> np.ndarray:
-    if family == "gamma":
-        return np.ones(size)
-    if family == "horseshoe":
-        x = rng.beta(0.5, 0.5, size=size)
-        return x / (1.0 - x)
-    if family == "laplace":
-        return 1.0 / rng.exponential(1.0, size=size)
-    if family == "student-t":
-        nu = 5.0
-        return rng.standard_gamma(nu / 2.0, size=size) / (nu / 2.0)
-    raise ValidationError(f"unknown random-effect family {family!r}")
-
-
 def simulate_panel(config: SimConfig):
     """Generate (panel, truth dict). Deterministic in config.seed."""
     rng = RngStream(config.seed, SIM_STREAM).generator()
     spec = ModelSpec(variant=config.variant, sex=config.sex,
                      year_offset=config.first_year + (config.n_i - 1) / 2.0)
     beta = config.resolved_beta()
-    omega = _draw_local_omega(rng, config.reffect_prior, config.m)
+    omega = draw_local_prior(rng, config.reffect_prior, config.m, nu=SIM_NU)
     u = rng.standard_normal(config.m) / np.sqrt(omega * config.phi)
     observations = []
     for i in range(config.m):

@@ -61,6 +61,20 @@ def gig_half_mean(a, b):
     return math.sqrt(b / a)
 
 
+def gig_neg_half_by_masks(rng, a, b):
+    """GIG(-1/2, a_i, b) with one draw per entry of a, as the sampler drew
+    it before it called the kernel: rng.wald for entries a_i >= 1e-30,
+    then the inverse-Gamma limit 1 / Gamma(1/2, b/2) for the rest."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty(a.shape)
+    tiny = a < 1e-30
+    if np.any(~tiny):
+        out[~tiny] = rng.wald(np.sqrt(b / a[~tiny]), b)
+    if np.any(tiny):
+        out[tiny] = 1.0 / (rng.standard_gamma(0.5, size=int(tiny.sum())) / (0.5 * b))
+    return out
+
+
 def quantiles_from_pdf(pdf, probs, lower=0.0, upper=np.inf):
     """Quantiles of an unnormalized density by bisection on the quadrature CDF."""
     total, _ = quad(pdf, lower, upper, limit=200)

@@ -147,6 +147,14 @@ class TestFit:
                      "--out", str(out)] + FIT_ARGS) == 2
         assert not out.exists()  # partial output removed
 
+    def test_undecodable_panel_exits_2(self, sim_dir, tmp_path, capsys):
+        bad = tmp_path / "panel.csv"
+        bad.write_bytes((sim_dir / "panel.csv").read_bytes() + b"\xff")
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(bad), "--out", str(out)] + FIT_ARGS) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_4(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "fit")] + FIT_ARGS) == 4
@@ -279,6 +287,15 @@ class TestPredictAndMetrics:
         out = tmp_path / "met"
         assert main(["metrics", "--predictions", str(bad),
                      "--observed", str(sim_dir / "panel.csv"), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_metrics_undecodable_predictions_exit_2(self, sim_dir, pred_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(pred_csv.read_bytes() + b"\xff")
+        out = tmp_path / "met"
+        assert main(["metrics", "--predictions", str(bad),
+                     "--observed", str(sim_dir / "panel.csv"), "--out", str(out)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
     @settings(max_examples=60, deadline=None,

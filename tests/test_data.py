@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from glmixer.data import (Observation, build_panel, inv_logit, load_panel,
-                          logit, merge_c5q0)
+from glmixer.data import Observation, inv_logit, load_panel, logit
 from glmixer.errors import ValidationError
 
 
@@ -140,29 +139,3 @@ class TestObservationValidation:
     def test_non_finite_covariate(self, field, value):
         with pytest.raises(ValidationError, match=field):
             obs(**{field: value}).validate()
-
-
-class TestMergeC5q0:
-    def test_direct_copy(self):
-        sexed = build_panel([obs(sex="female", c5q0=0.5)])
-        both = build_panel([obs(sex="both", c5q0=0.8)])
-        merged = merge_c5q0(sexed, both)
-        assert next(merged.observations()).c5q0 == 0.8
-
-    def test_missing_key(self):
-        sexed = build_panel([obs(uid="U2", sex="female")])
-        both = build_panel([obs(uid="U1", sex="both")])
-        with pytest.raises(ValidationError, match=r"U2"):
-            merge_c5q0(sexed, both)
-
-    def test_idempotent_on_identical(self):
-        both = build_panel([obs(sex="both", c5q0=0.8), obs(year=2001, c5q0=0.7)])
-        assert merge_c5q0(both, both) == both
-
-    def test_other_fields_untouched(self):
-        sexed = build_panel([obs(sex="male", c=0.77, reg_cdr=4.25, c5q0=0.5)])
-        both = build_panel([obs(sex="both", c5q0=0.9)])
-        out = next(merge_c5q0(sexed, both).observations())
-        src = next(sexed.observations())
-        for f in ("unit_id", "period", "sex", "completeness", "reg_cdr", "pct65", "u5mr_true"):
-            assert getattr(out, f) == getattr(src, f)

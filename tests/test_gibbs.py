@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from glmixer.design import ModelSpec, build_matrices
-from glmixer.errors import ValidationError
+from glmixer.errors import NumericalError, ValidationError
 from glmixer.gibbs import (NU_WEIGHTS, PriorConfig, beta_conditional,
                            initialize_state, lambda_conditional,
                            nu_log_prior, nu_log_weights,
@@ -295,6 +295,14 @@ class TestChainMechanics:
         tr = run_chain(design, ModelSpec(variant=1, year_offset=2009.5), PriorConfig(),
                        n_iter=40, burn_in=10, thin=1, seed=3, fixed={"phi": 123.0})
         assert np.all(tr.draws["phi"] == 123.0)
+
+    @pytest.mark.parametrize("reffect_prior", ["horseshoe", "laplace", "student-t"])
+    def test_mid_chain_failure_names_chain_and_iteration(self, design, reffect_prior):
+        # phi < 0 gives a negative omega rate, GIG coefficient or scale
+        with pytest.raises(NumericalError, match=r"^chain 2, iteration \d+: "):
+            run_chain(design, ModelSpec(variant=1, year_offset=2009.5),
+                      PriorConfig(reffect_prior=reffect_prior), n_iter=40, burn_in=10,
+                      seed=3, stream_id=2, fixed={"phi": -1.0})
 
     def test_gamma_priors_keep_locals_at_one(self, design):
         priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
