@@ -1,7 +1,8 @@
 """Flat, diff-able fit artifacts: per-chain trace CSVs (one row per kept
 draw), summary and prediction CSVs, and a JSON manifest, written last, that
 records the artifact format, the kept count and the sha256 of every chain
-file and of the summary; readers check the files they read against it.
+file and of the summary, and a sha256 of its own other fields; readers
+check the manifest and the files they read against it.
 
 Floats are written with repr (shortest round-trip) so identical runs
 produce byte-identical files; no timestamps anywhere.
@@ -17,7 +18,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .data import PanelDataset
+from .data import PanelDataset, read_csv_rows
 from .design import ModelSpec
 from .errors import ValidationError
 from .gibbs import PriorConfig, Trace
@@ -31,6 +32,8 @@ SUMMARY_COLUMNS = ("param", "index", "mean", "sd", "q2.5", "q50", "q97.5", "ess"
 # Version of the fit artifact layout, recorded in and checked against the
 # manifest: 2 is the wide chain CSV (one row per kept draw).
 FORMAT = 2
+# Manifest field holding the sha256 of the manifest's other fields.
+MANIFEST_DIGEST = "manifest_sha256"
 # Kept draws formatted per write call of a chain file.
 TRACE_CHUNK_ROWS = 64
 
@@ -90,29 +93,11 @@ def write_trace_csv(trace: Trace, columns, header: str, path) -> None:
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
 
 
-def write_manifest(outdir, *, seed: int, chains: int, n_iter: int, burn_in: int,
-                   thin: int, kept: int, priors: PriorConfig, spec: ModelSpec,
-                   unit_ids, sizes, sha256: dict, clamp_policy: str = "clamp") -> None:
-    manifest = {
-        "software": "glmixer",
-        "version": __version__,
-        "format": FORMAT,
-        "seed": seed,
-        "chains": chains,
-        "n_iter": n_iter,
-        "burn_in": burn_in,
-        "thin": thin,
-        "kept": kept,
-        "priors": priors.to_dict(),
-        "spec": spec.to_dict(),
-        "unit_ids": list(unit_ids),
-        "sizes": [int(s) for s in sizes],
-        "clamp_policy": clamp_policy,
-        "sha256": sha256,
-    }
-    with open(os.path.join(outdir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def manifest_digest(manifest: dict) -> str:
+    """sha256 of the manifest's canonical JSON, every field but this digest."""
+    content = {k: v for k, v in manifest.items() if k != MANIFEST_DIGEST}
+    return hashlib.sha256(json.dumps(content, sort_keys=True, separators=(",", ":"))
+                          .encode()).hexdigest()
 
 
 def write_summary_csv(summary: PosteriorSummary, path) -> None:
@@ -125,14 +110,18 @@ def write_summary_csv(summary: PosteriorSummary, path) -> None:
                         _fmt(row.ess), _fmt(row.rhat)])
 
 
-def write_predictions_csv(results, path) -> None:
+def write_predictions_csv(prediction, unit_ids, sizes, path) -> None:
+    """One line per design row: the unit, the row's position within the
+    unit (`sizes[i]` consecutive rows per unit) and the prediction."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["unit_id", "row", "mode", "mean", "q2.5", "q97.5"])
-        for res in results:
-            for j in range(len(res.mean)):
-                w.writerow([res.unit_id, j, res.mode, _fmt(res.mean[j]),
-                            _fmt(res.q2_5[j]), _fmt(res.q97_5[j])])
+        i = 0
+        for uid, size in zip(unit_ids, sizes):
+            for j in range(size):
+                w.writerow([uid, j, prediction.mode, _fmt(prediction.mean[i]),
+                            _fmt(prediction.q2_5[i]), _fmt(prediction.q97_5[i])])
+                i += 1
 
 
 def write_fit(outdir, traces, summary: PosteriorSummary, *, seed: int,
@@ -145,11 +134,27 @@ def write_fit(outdir, traces, summary: PosteriorSummary, *, seed: int,
     for trace, name in zip(traces, names):
         write_trace_csv(trace, columns, header, os.path.join(outdir, name))
     write_summary_csv(summary, os.path.join(outdir, SUMMARY_NAME))
-    digests = {name: _sha256(os.path.join(outdir, name)) for name in names + [SUMMARY_NAME]}
-    write_manifest(outdir, seed=seed, chains=len(traces), n_iter=t0.n_iter,
-                   burn_in=t0.burn_in, thin=t0.thin, kept=t0.kept, priors=t0.priors,
-                   spec=t0.spec, unit_ids=t0.unit_ids, sizes=t0.sizes,
-                   sha256=digests, clamp_policy=clamp_policy)
+    manifest = {
+        "software": "glmixer",
+        "version": __version__,
+        "format": FORMAT,
+        "seed": seed,
+        "chains": len(traces),
+        "n_iter": t0.n_iter,
+        "burn_in": t0.burn_in,
+        "thin": t0.thin,
+        "kept": t0.kept,
+        "priors": t0.priors.to_dict(),
+        "spec": t0.spec.to_dict(),
+        "unit_ids": list(t0.unit_ids),
+        "sizes": [int(s) for s in t0.sizes],
+        "clamp_policy": clamp_policy,
+        "sha256": {name: _sha256(os.path.join(outdir, name)) for name in names + [SUMMARY_NAME]},
+    }
+    manifest[MANIFEST_DIGEST] = manifest_digest(manifest)
+    with open(os.path.join(outdir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _manifest_int(manifest: dict, key: str, minimum: int) -> int:
@@ -172,6 +177,8 @@ def _read_manifest(outdir) -> dict:
         raise ValidationError(f"{path}: not a JSON manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValidationError(f"{path}: not a JSON object")
+    if manifest.get(MANIFEST_DIGEST) != manifest_digest(manifest):
+        raise ValidationError(f"{path}: content does not match its {MANIFEST_DIGEST}")
     try:
         if manifest["format"] != FORMAT:
             raise ValidationError(
@@ -251,11 +258,7 @@ def load_summary_rows(outdir) -> list:
     """summary.csv's data rows as dicts of the written field strings, after
     checking the file against the manifest's digest."""
     path = _verified_path(outdir, _read_manifest(outdir), SUMMARY_NAME)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    rows = read_csv_rows(path)
     if not rows or tuple(rows[0]) != SUMMARY_COLUMNS or any(
             len(row) != len(SUMMARY_COLUMNS) for row in rows[1:]):
         raise ValidationError(f"{path}: not a summary table")

@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import artifacts
-from .data import load_panel, build_panel, read_text_lines, PanelDataset
-from .design import ModelSpec, build_matrices, build_row
+from .data import load_panel, build_panel, read_csv_rows, PanelDataset
+from .design import ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
 from .gibbs import (DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER,
                     DEFAULT_THIN, PriorConfig, run_chain)
@@ -92,12 +92,6 @@ def cmd_simulate(args) -> None:
         fh.write("\n")
 
 
-def _priors_from_args(args) -> PriorConfig:
-    return PriorConfig(error_prior=args.error_prior,
-                       reffect_prior=args.local_prior,
-                       nu_weight=args.nu_weight)
-
-
 def _check_counts(args) -> None:
     for flag, value, minimum in (("--chains", args.chains, 1), ("--iters", args.iters, 1),
                                  ("--thin", args.thin, 1), ("--burn-in", args.burn_in, 0)):
@@ -112,7 +106,8 @@ def cmd_fit(args) -> None:
     years = [o.period for o in panel.observations()]
     offset = args.year_offset if args.year_offset is not None else float(np.mean(years))
     spec = ModelSpec(variant=args.model, sex=args.sex, year_offset=offset)
-    priors = _priors_from_args(args)
+    priors = PriorConfig(error_prior=args.error_prior, reffect_prior=args.local_prior,
+                         nu_weight=args.nu_weight)
     design = build_matrices(panel, spec)
     traces = run_chains(design, spec, priors, n_iter=args.iters,
                         burn_in=args.burn_in, thin=args.thin, seed=args.seed,
@@ -127,13 +122,12 @@ def cmd_predict(args) -> None:
     traces, manifest = artifacts.load_fit(args.artifact)
     spec = ModelSpec.from_dict(manifest["spec"])
     panel = load_panel(args.input, allow_missing_completeness=True)
+    design = build_matrices(panel, spec, for_fit=False)
     mode = "fixed_only" if args.mode == "fixed-only" else "integrate_reffect"
-    results = []
-    for uid, obs_list in panel.groups:
-        rows = np.vstack([build_row(o, spec) for o in obs_list])
-        results.append(predict_new_unit(traces, rows, mode=mode, unit_id=uid))
+    prediction = predict_new_unit(traces, design.X, design.sizes, mode=mode)
     os.makedirs(args.out, exist_ok=True)
-    artifacts.write_predictions_csv(results, os.path.join(args.out, artifacts.PREDICTIONS_NAME))
+    artifacts.write_predictions_csv(prediction, design.unit_ids, design.sizes,
+                                    os.path.join(args.out, artifacts.PREDICTIONS_NAME))
 
 
 def cmd_diagnose(args) -> None:
@@ -148,37 +142,42 @@ def cmd_diagnose(args) -> None:
             w.writerow([row["param"], row["index"], row["ess"], row["rhat"]])
 
 
-def _read_predictions(path):
-    rows = []
-    reader = csv.DictReader(read_text_lines(path))
-    missing = {"unit_id", "row", "mean"} - set(reader.fieldnames or ())
+def _read_predictions(path) -> dict:
+    """{(unit_id, row): mean} of a predictions CSV."""
+    records = read_csv_rows(path)
+    header = records[0] if records else []
+    missing = {"unit_id", "row", "mean"} - set(header)
     if missing:
         raise ValidationError(f"{path}: header lacks {sorted(missing)}")
-    for line_no, rec in enumerate(reader, start=2):
+    by_key = {}
+    for line_no, fields in enumerate(records[1:], start=2):
+        if not fields:
+            continue
+        if len(fields) != len(header):
+            raise ValidationError(
+                f"{path}: line {line_no}: {len(fields)} fields, header has {len(header)}")
+        rec = dict(zip(header, fields))
         try:
-            row, mean = int(rec["row"]), float(rec["mean"])
-        except (TypeError, ValueError):
+            key, mean = (rec["unit_id"], int(rec["row"])), float(rec["mean"])
+        except ValueError:
             raise ValidationError(
                 f"{path}: line {line_no}: row {rec['row']!r} is not an integer "
                 f"or mean {rec['mean']!r} is not a number") from None
         if not math.isfinite(mean):
             raise ValidationError(f"{path}: line {line_no}: mean {mean!r} is not finite")
-        rows.append((rec["unit_id"], row, mean))
-    if not rows:
+        if key in by_key:
+            raise ValidationError(f"{path}: duplicate prediction for unit {key[0]!r} row {key[1]}")
+        by_key[key] = mean
+    if not by_key:
         raise ValidationError(f"{path}: no prediction rows")
-    return rows
+    return by_key
 
 
 def cmd_metrics(args) -> None:
-    preds = _read_predictions(args.predictions)
+    by_key = _read_predictions(args.predictions)
     panel = load_panel(args.observed)
     # join on (unit_id, row): row is the position within the unit, as
     # predict writes it for a panel grouped and sorted the same way
-    by_key = {}
-    for uid, row, mean in preds:
-        if (uid, row) in by_key:
-            raise ValidationError(f"duplicate prediction for unit {uid!r} row {row}")
-        by_key[(uid, row)] = mean
     observed_keys = [(uid, j) for uid, obs_list in panel.groups for j in range(len(obs_list))]
     missing = [key for key in observed_keys if key not in by_key]
     extra = by_key.keys() - set(observed_keys)

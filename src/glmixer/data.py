@@ -122,14 +122,16 @@ def build_panel(observations) -> PanelDataset:
     return PanelDataset(groups=groups)
 
 
-def read_text_lines(path) -> list:
-    """The lines of a UTF-8 text file, opened as csv expects; a file that
-    is not UTF-8 is a ValidationError naming it."""
+def read_csv_rows(path) -> list:
+    """The records of a UTF-8 CSV file, header included; a file that is
+    not UTF-8 or that csv cannot parse is a ValidationError naming it."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.readlines()
+            return list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _clamp_completeness(c: float, policy: str, eps: float, row_no: int) -> float:
@@ -160,12 +162,10 @@ def load_panel(path, clamp_policy: str = "clamp", clamp_eps: float = DEFAULT_CLA
     if clamp_policy not in ("clamp", "reject"):
         raise ValidationError(f"unknown clamp policy {clamp_policy!r}")
     observations = []
-    reader = csv.reader(read_text_lines(path))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
+    rows = read_csv_rows(path)
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
     percent = False
     expect = list(CSV_COLUMNS)
     if "completeness_pct" in header:
@@ -175,7 +175,7 @@ def load_panel(path, clamp_policy: str = "clamp", clamp_eps: float = DEFAULT_CLA
         raise ValidationError(
             f"{path}: bad header {header!r}; expected {expect!r}"
         )
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(CSV_COLUMNS):

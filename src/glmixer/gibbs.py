@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .design import GroupedDesign, ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
@@ -105,6 +105,9 @@ class PriorConfig:
         """Support-only terms of the nu_i conditional as (|support|, 1)
         columns, computed once per config: log prior, log Student-t
         normalizer, (nu + 1) / 2 and nu."""
+        # imported here so that only `fit` (and check-theory) loads scipy
+        from scipy.special import gammaln
+
         df = np.asarray(self.nu_support, dtype=np.float64)
         terms = (nu_log_prior(self),
                  gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi),
@@ -140,18 +143,8 @@ class ChainState:
     rho: np.ndarray        # (m,) Half-Cauchy auxiliaries for lam
     varrho: np.ndarray     # (m,) Horseshoe auxiliaries for omega
     nu: np.ndarray         # (m,) int, Student-t degrees of freedom
-
-    def check(self) -> None:
-        for name in ("tau", "phi"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValidationError(f"state.{name} = {v!r} is not finite and positive")
-        for name in ("omega", "lam", "rho", "varrho"):
-            v = getattr(self, name)
-            if not np.all(np.isfinite(v)) or np.any(v <= 0):
-                raise ValidationError(f"state.{name} contains non-positive or non-finite entries")
-        if not np.all(np.isfinite(self.beta)) or not np.all(np.isfinite(self.u)):
-            raise ValidationError("state.beta / state.u contain non-finite entries")
+    rss: np.ndarray        # (m,) per-unit residual sums of squares at beta and u,
+                           # refreshed by step_beta for the tau and lambda steps
 
 
 @dataclass(frozen=True)
@@ -212,8 +205,11 @@ def beta_conditional(state: ChainState, design: GroupedDesign, prior_precision: 
 
 
 def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng) -> None:
+    """Draw beta, then refresh state.rss: u was drawn just before and the
+    later steps of a sweep change neither, so one RSS serves tau and lambda."""
     rhs, P = beta_conditional(state, design, priors.beta_prior_precision)
     state.beta = draw_mvn_from_precision(rng, rhs, P)
+    state.rss = rss_by_group(state, design)
 
 
 def rss_by_group(state: ChainState, design: GroupedDesign) -> np.ndarray:
@@ -223,9 +219,9 @@ def rss_by_group(state: ChainState, design: GroupedDesign) -> np.ndarray:
 
 def tau_conditional(state: ChainState, design: GroupedDesign, priors: PriorConfig):
     """(shape, rate) of the error global precision:
-    Gamma(n/2 + a, (1/2) sum_i lam_i RSS_i + b)."""
+    Gamma(n/2 + a, (1/2) sum_i lam_i RSS_i + b), with RSS from state.rss."""
     a, b = priors.tau_hyper
-    rate = 0.5 * float(state.lam @ rss_by_group(state, design)) + b
+    rate = 0.5 * float(state.lam @ state.rss) + b
     return 0.5 * design.n + a, rate
 
 
@@ -248,9 +244,9 @@ def step_global_scales(state: ChainState, design: GroupedDesign, priors: PriorCo
 
 
 def lambda_conditional(state: ChainState, design: GroupedDesign):
-    """(shape, rate) vectors of lam_i ~ Gamma(n_i/2 + 1, (tau/2) RSS_i + rho_i)."""
-    rss = rss_by_group(state, design)
-    return 0.5 * design.sizes + 1.0, 0.5 * state.tau * rss + state.rho
+    """(shape, rate) vectors of lam_i ~ Gamma(n_i/2 + 1, (tau/2) RSS_i + rho_i),
+    with RSS from state.rss."""
+    return 0.5 * design.sizes + 1.0, 0.5 * state.tau * state.rss + state.rho
 
 
 def step_lambda_halfcauchy(state: ChainState, design: GroupedDesign, rng) -> None:
@@ -357,6 +353,7 @@ def initialize_state(design: GroupedDesign, priors: PriorConfig, rng=None) -> Ch
         omega=np.ones(m), lam=np.ones(m),
         rho=np.ones(m), varrho=np.ones(m),
         nu=np.full(m, nu_init, dtype=np.intp),
+        rss=np.bincount(design.group_idx, weights=resid * resid, minlength=m),
     )
 
 
@@ -366,54 +363,50 @@ def run_chain(panel_or_design, spec: ModelSpec, priors: PriorConfig,
               fixed: Optional[dict] = None) -> Trace:
     """Run one chain and return its Trace.
 
-    `fixed` pins state entries (e.g. {"phi": 100.0}) for diagnostics and
-    oracle tests; pinned entries are set before sampling and never
-    redrawn. Deterministic given (seed, stream_id). A draw that fails
-    mid-chain (every kernel checks its parameters) raises NumericalError
-    naming the chain and the iteration.
+    `fixed` pins the global precisions tau and/or phi (e.g. {"phi": 100.0})
+    for diagnostics and oracle tests; pinned values must be finite and
+    > 0, are set before sampling and never redrawn. Deterministic given
+    (seed, stream_id). A draw that fails mid-chain (every kernel checks
+    its parameters) raises NumericalError naming the chain and the
+    iteration.
     """
     if not (n_iter > burn_in >= 0):
         raise ValidationError(f"need n_iter > burn_in >= 0, got {n_iter}, {burn_in}")
     if thin < 1:
         raise ValidationError(f"thin must be >= 1, got {thin}")
+    fixed = dict(fixed or {})
+    for name, value in fixed.items():
+        if name not in ("tau", "phi"):
+            raise ValidationError(f"fixed= pins only tau and phi, got {name!r}")
+        if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+            raise ValidationError(f"fixed {name} must be finite and > 0, got {value!r}")
     if isinstance(panel_or_design, GroupedDesign):
         design = panel_or_design
     else:
         design = build_matrices(panel_or_design, spec)
     rng = RngStream(seed=seed, stream_id=stream_id).generator()
     state = initialize_state(design, priors, rng)
-    fixed = dict(fixed or {})
-    fixed_names = tuple(fixed)
     for name, value in fixed.items():
-        setattr(state, name, value)
+        setattr(state, name, float(value))
     kept = (n_iter - burn_in) // thin
-    m, p = design.m, design.p
-    draws = {
-        "beta": np.empty((kept, p)),
-        "u": np.empty((kept, m)),
-        "tau": np.empty(kept),
-        "phi": np.empty(kept),
-        "omega": np.empty((kept, m)),
-        "lambda": np.empty((kept, m)),
-    }
+    # trace key -> ChainState attribute, in the order of the chain file's columns
+    recorded = {"beta": "beta", "u": "u", "tau": "tau", "phi": "phi",
+                "omega": "omega", "lambda": "lam"}
     if priors.reffect_prior == "student-t":
-        draws["nu"] = np.empty((kept, m), dtype=np.intp)
+        recorded["nu"] = "nu"
+    draws = {key: np.empty((kept, *np.shape(getattr(state, attr))),
+                           dtype=np.intp if key == "nu" else np.float64)
+             for key, attr in recorded.items()}
     k = 0
     for t in range(1, n_iter + 1):
         try:
-            sweep(state, design, priors, rng, fixed=fixed_names)
+            sweep(state, design, priors, rng, fixed=fixed)
         except (GlmixerError, ArithmeticError, ValueError) as exc:
             # the kernels' own checks, or math and numpy meeting a bad state
             raise NumericalError(f"chain {stream_id}, iteration {t}: {exc}") from exc
         if t > burn_in and (t - burn_in) % thin == 0:
-            draws["beta"][k] = state.beta
-            draws["u"][k] = state.u
-            draws["tau"][k] = state.tau
-            draws["phi"][k] = state.phi
-            draws["omega"][k] = state.omega
-            draws["lambda"][k] = state.lam
-            if "nu" in draws:
-                draws["nu"][k] = state.nu
+            for key, attr in recorded.items():
+                draws[key][k] = getattr(state, attr)
             k += 1
     return Trace(
         draws=draws, seed=seed, chain_id=stream_id, n_iter=n_iter,

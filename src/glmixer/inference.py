@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import PanelDataset
 from .design import ModelSpec, build_matrices, pooled_crossprod
 from .errors import NumericalError, SpecMismatchError, ValidationError
-from .gibbs import PriorConfig, nu_log_prior
+from .gibbs import nu_log_prior
 from .kernels import RngStream, draw_local_prior
 
 QUAD_EPSABS = 1e-10
@@ -101,6 +100,9 @@ def _block_ess(x: np.ndarray) -> np.ndarray:
 def _block_rhat(x: np.ndarray) -> np.ndarray:
     """Rank-normalized split R-hat of each parameter of a C-contiguous
     (D, C, K) block; 1.0 for constant draws."""
+    # imported here so that only `fit` (and check-theory) loads scipy
+    from scipy.special import ndtri
+
     d, _, k = x.shape
     if k < 4:
         return np.ones(d)
@@ -134,14 +136,6 @@ def split_rhat(chains: np.ndarray) -> float:
     return float(_block_rhat(_as_block(chains))[0])
 
 
-def _param_display_name(key: str, priors: PriorConfig) -> str:
-    if key == "tau":
-        return priors.tau_name
-    if key == "phi":
-        return priors.phi_name
-    return key
-
-
 def summarize(traces) -> PosteriorSummary:
     """Pooled means, sds, quantiles plus per-parameter ESS and split R-hat.
 
@@ -159,10 +153,11 @@ def summarize(traces) -> PosteriorSummary:
     if k == 0:
         raise ValidationError("summarize needs at least one kept draw")
     priors = traces[0].priors
+    names = {"tau": priors.tau_name, "phi": priors.phi_name}
     step = max(1, BLOCK_FFT_VALUES // (c << (2 * k - 1).bit_length()))
     rows = []
     for key in traces[0].draws:
-        name = _param_display_name(key, priors)
+        name = names.get(key, key)
         dim = np.atleast_2d(traces[0].draws[key].T).shape[0]
         for lo in range(0, dim, step):
             x = np.empty((min(step, dim - lo), c, k))
@@ -190,11 +185,12 @@ def _inv_logit_arr(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_spec(traces, spec: ModelSpec) -> None:
-    for t in traces:
-        if t.spec != spec:
-            raise SpecMismatchError(
-                f"trace was fitted with spec {t.spec}, data built with {spec}")
+def _completeness_bands(theta: np.ndarray):
+    """(mean, 2.5 % quantile, 97.5 % quantile) over the draws (axis 0) of
+    the completeness inv_logit(theta)."""
+    delta = _inv_logit_arr(theta)
+    q = np.quantile(delta, [0.025, 0.975], axis=0, method="linear")
+    return delta.mean(axis=0), q[0], q[1]
 
 
 @dataclass(frozen=True)
@@ -208,48 +204,56 @@ class FittedCompleteness:
 
 
 def fitted_completeness(traces, panel: PanelDataset, spec: ModelSpec) -> FittedCompleteness:
-    _check_spec(traces, spec)
+    for t in traces:
+        if t.spec != spec:
+            raise SpecMismatchError(f"trace was fitted with spec {t.spec}, data built with {spec}")
     design = build_matrices(panel, spec, for_fit=False)
     if traces[0].unit_ids != design.unit_ids:
         raise SpecMismatchError("panel unit ids differ from the fitted ones")
     beta = np.concatenate([t.draws["beta"] for t in traces])   # (K, p)
     u = np.concatenate([t.draws["u"] for t in traces])         # (K, m)
     theta_fixed = beta @ design.X.T                            # (K, n)
-    theta = theta_fixed + u[:, design.group_idx]
-    delta = _inv_logit_arr(theta)
-    q = np.quantile(delta, [0.025, 0.975], axis=0, method="linear")
     return FittedCompleteness(
-        mean=delta.mean(axis=0), q2_5=q[0], q97_5=q[1],
+        *_completeness_bands(theta_fixed + u[:, design.group_idx]),
         mean_minus_u=_inv_logit_arr(theta_fixed).mean(axis=0),
     )
 
 
 @dataclass(frozen=True)
 class PredictionResult:
-    unit_id: str
+    """Posterior predictive completeness per design row."""
     mode: str
-    mean: np.ndarray    # (r,) per design row
+    mean: np.ndarray    # (n,)
     q2_5: np.ndarray
     q97_5: np.ndarray
 
 
-def _draw_nu_prior(rng, priors: PriorConfig, size: int) -> np.ndarray:
-    """Student-t degrees of freedom from their discrete prior."""
-    logw = nu_log_prior(priors)
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
-    return np.asarray(priors.nu_support, dtype=np.float64)[rng.choice(len(w), size=size, p=w)]
+def _new_unit_effects(trace) -> np.ndarray:
+    """One new-unit effect u* ~ N(0, 1/(omega* phi)) per kept draw, with
+    omega* (and nu* under Student-t) from the local prior, drawn from the
+    chain's prediction stream."""
+    rng = RngStream(trace.seed, PREDICT_STREAM_BASE + trace.chain_id).generator()
+    priors, k = trace.priors, trace.kept
+    nu = None
+    if priors.reffect_prior == "student-t":  # nu* from its discrete prior
+        logw = nu_log_prior(priors)
+        w = np.exp(logw - logw.max())
+        nu = np.asarray(priors.nu_support, dtype=np.float64)[
+            rng.choice(len(w), size=k, p=w / w.sum())]
+    omega = draw_local_prior(rng, priors.reffect_prior, k, nu=nu)
+    return rng.standard_normal(k) / np.sqrt(omega * trace.draws["phi"])
 
 
-def predict_new_unit(traces, rows: np.ndarray, mode: str = "integrate_reffect",
-                     unit_id: str = "new_unit") -> PredictionResult:
-    """Posterior predictive completeness for a new unit's design rows.
+def predict_new_unit(traces, rows: np.ndarray, sizes,
+                     mode: str = "integrate_reffect") -> PredictionResult:
+    """Posterior predictive completeness for the design rows of new units,
+    `sizes[i]` consecutive rows per unit; a single new unit is one group.
 
-    fixed_only uses x'beta per draw; integrate_reffect additionally
-    samples a fresh random effect u* ~ N(0, 1/(omega* phi)) with omega*
-    from the configured local prior. One u* per posterior draw, shared
-    across the unit's rows. Uses the dedicated prediction streams
-    (stream_id = 1e6 + chain_id) so fits stay reproducible.
+    fixed_only uses x'beta per draw; integrate_reffect adds a new-unit
+    random effect u* per posterior draw, shared across rows and units.
+    Each chain draws its u* once, from its prediction stream (stream_id
+    = 1e6 + chain_id) so fits stay reproducible; the rows are then
+    evaluated one unit's block at a time.
     """
     if mode not in ("fixed_only", "integrate_reffect"):
         raise ValidationError(f"unknown prediction mode {mode!r}")
@@ -257,23 +261,18 @@ def predict_new_unit(traces, rows: np.ndarray, mode: str = "integrate_reffect",
     p = traces[0].draws["beta"].shape[1]
     if rows.shape[1] != p:
         raise SpecMismatchError(f"design rows have {rows.shape[1]} columns, fit expects {p}")
-    thetas = []
-    for t in traces:
-        beta = t.draws["beta"]
-        theta = beta @ rows.T                                    # (K, r)
-        if mode == "integrate_reffect":
-            rng = RngStream(t.seed, PREDICT_STREAM_BASE + t.chain_id).generator()
-            family, k = t.priors.reffect_prior, beta.shape[0]
-            nu = _draw_nu_prior(rng, t.priors, k) if family == "student-t" else None
-            omega = draw_local_prior(rng, family, k, nu=nu)
-            u_star = rng.standard_normal(k) / np.sqrt(omega * t.draws["phi"])
-            theta = theta + u_star[:, None]
-        thetas.append(theta)
-    theta = np.concatenate(thetas)
-    delta = _inv_logit_arr(theta)
-    q = np.quantile(delta, [0.025, 0.975], axis=0, method="linear")
-    return PredictionResult(unit_id=unit_id, mode=mode,
-                            mean=delta.mean(axis=0), q2_5=q[0], q97_5=q[1])
+    ends = np.cumsum(sizes)
+    if len(ends) == 0 or np.any(np.asarray(sizes) < 1) or ends[-1] != rows.shape[0]:
+        raise ValidationError(f"unit sizes do not partition the {rows.shape[0]} design rows")
+    shifts = [_new_unit_effects(t)[:, None] if mode == "integrate_reffect" else 0.0
+              for t in traces]
+    bands = np.empty((3, rows.shape[0]))
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        block = rows[lo:hi]
+        theta = np.concatenate([t.draws["beta"] @ block.T + shift       # (K, r) per chain
+                                for t, shift in zip(traces, shifts)])
+        bands[:, lo:hi] = _completeness_bands(theta)
+    return PredictionResult(mode, *bands)
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,9 @@ def draw_prior_state(rng, priors):
         nv = nu.astype(np.float64)
         omega = rng.standard_gamma(nv / 2.0) / (nv / 2.0)
     u = rng.standard_normal(M) / np.sqrt(omega * phi)
+    # no data yet: the beta step computes rss before anything reads it
     return ChainState(beta=beta, u=u, tau=tau, phi=phi, omega=omega,
-                      lam=lam, rho=rho, varrho=varrho, nu=nu)
+                      lam=lam, rho=rho, varrho=varrho, nu=nu, rss=np.full(M, np.nan))
 
 
 def draw_data(rng, state, X, gidx):

@@ -47,10 +47,15 @@ def fit_dir(design, tmp_path):
     return tmp_path
 
 
-def edit_manifest(fit_dir, edit):
+def edit_manifest(fit_dir, edit, sign=True):
+    """Apply `edit` to the manifest; with `sign`, update its own digest to
+    match, as a writer of that content would, so the checks behind the
+    digest are reached."""
     path = fit_dir / artifacts.MANIFEST_NAME
     manifest = json.loads(path.read_text())
     edit(manifest)
+    if sign:
+        manifest[artifacts.MANIFEST_DIGEST] = artifacts.manifest_digest(manifest)
     path.write_text(json.dumps(manifest))
 
 
@@ -131,6 +136,34 @@ def test_load_fit_does_not_read_summary(fit_dir):
 def test_manifest_mismatch_rejected(fit_dir, edit, match):
     edit_manifest(fit_dir, edit)
     with pytest.raises(ValidationError, match=match):
+        artifacts.load_fit(fit_dir)
+
+
+@pytest.mark.parametrize("reffect_prior,edit", [
+    ("student-t", lambda m: m.update(seed=m["seed"] + 1)),
+    ("student-t", lambda m: m["priors"].update(a_phi=2.0)),
+    ("horseshoe", lambda m: m["priors"].update(reffect_prior="laplace")),
+    ("laplace", lambda m: m["priors"].update(reffect_prior="horseshoe")),
+])
+def test_manifest_edit_breaks_its_digest(design, tmp_path, reffect_prior, edit):
+    # each edit keeps the chain layout, so only the manifest's own digest sees it
+    traces = chains(design, PriorConfig(reffect_prior=reffect_prior))
+    artifacts.write_fit(tmp_path, traces, summarize(traces), seed=5)
+    edit_manifest(tmp_path, edit, sign=False)
+    for load in (artifacts.load_fit, artifacts.load_summary_rows):
+        with pytest.raises(ValidationError, match="does not match its manifest_sha256"):
+            load(tmp_path)
+    edit_manifest(tmp_path, lambda m: None)
+    artifacts.load_fit(tmp_path)
+
+
+def test_manifest_digest_covers_every_other_field(fit_dir):
+    manifest = json.loads((fit_dir / artifacts.MANIFEST_NAME).read_text())
+    content = {k: v for k, v in manifest.items() if k != "manifest_sha256"}
+    assert manifest["manifest_sha256"] == hashlib.sha256(
+        json.dumps(content, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    edit_manifest(fit_dir, lambda m: m.pop("manifest_sha256"), sign=False)
+    with pytest.raises(ValidationError, match="manifest_sha256"):
         artifacts.load_fit(fit_dir)
 
 

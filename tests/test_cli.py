@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import glmixer
-from glmixer.artifacts import load_fit
+from glmixer import cli, inference
+from glmixer.artifacts import MANIFEST_DIGEST, load_fit, manifest_digest
 from glmixer.cli import _worker_count, main
 from glmixer.inference import summarize
 
@@ -51,9 +52,10 @@ def pred_csv(sim_dir, fit_dir, tmp_path_factory):
 
 
 # Manifest fields for which every different JSON value drawn below is a
-# detectable mismatch. Fields that only label the run (seed, version,
-# clamp_policy, the prior hyperparameters, run lengths giving the same kept
-# count) are not covered by any digest, so they are not edited here.
+# detectable mismatch even when the manifest's own digest is updated to
+# match. Fields that only label the run (seed, version, clamp_policy, the
+# prior hyperparameters, run lengths giving the same kept count) are
+# covered by that digest alone, so only the unsigned edits change them.
 CHECKED_FIELDS = ("format", "chains", "kept", "sha256", "priors", "spec", "unit_ids", "sizes")
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 100),
                         st.floats(allow_nan=False), st.text(max_size=5),
@@ -62,10 +64,12 @@ JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 100),
 
 def corrupt_artifact(art, data):
     """Change a fit artifact so that it no longer matches its manifest:
-    truncate, flip a bit in or reorder a chain file's bytes, or edit a
-    checked field of the manifest."""
+    truncate, flip a bit in or reorder a chain file's bytes, edit any field
+    of the manifest, or edit a checked field and update the manifest's own
+    digest to match."""
     kind = data.draw(st.sampled_from(["truncate", "flip", "reorder", "manifest-text",
-                                      "manifest-drop", "manifest-value", "manifest-nested"]))
+                                      "manifest-drop", "manifest-value", "manifest-nested",
+                                      "manifest-unsigned"]))
     if kind in ("truncate", "flip", "reorder"):
         path = art / data.draw(st.sampled_from(["chain_0.csv", "chain_1.csv"]))
         raw = path.read_bytes()
@@ -87,6 +91,13 @@ def corrupt_artifact(art, data):
         path.write_text(text[:data.draw(st.integers(0, text.rindex("}") - 1))])
         return
     manifest = json.loads(text)
+    if kind == "manifest-unsigned":
+        key = data.draw(st.sampled_from(sorted(set(manifest) - {MANIFEST_DIGEST})))
+        value = data.draw(JSON_VALUES)
+        assume(value != manifest[key])
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        return
     if kind == "manifest-drop":
         del manifest[data.draw(st.sampled_from(CHECKED_FIELDS + ("seed", "n_iter", "burn_in",
                                                                   "thin")))]
@@ -102,7 +113,15 @@ def corrupt_artifact(art, data):
             ("priors", "reffect_prior", "gamma"), ("priors", "reffect_prior", "student-t"),
             ("priors", "error_prior", "gamma"), ("priors", "nu_support", [])]))
         manifest[section][key] = value
+    manifest[MANIFEST_DIGEST] = manifest_digest(manifest)
     path.write_text(json.dumps(manifest))
+
+
+def huge_field_text(text, size=200_000):
+    """CSV text whose first data row starts with one quoted field of
+    `size` characters, over csv's default field limit of 131072."""
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, '"' + "x" * size + '"' + first[first.index(","):], rest])
 
 
 class TestSimulate:
@@ -154,6 +173,46 @@ class TestFit:
         assert main(["fit", "--input", str(bad), "--out", str(out)] + FIT_ARGS) == 2
         assert "not UTF-8" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_csv_field_exits_2(self, sim_dir, tmp_path, capsys):
+        bad = tmp_path / "panel.csv"
+        bad.write_text(huge_field_text((sim_dir / "panel.csv").read_text()))
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(bad), "--out", str(out)] + FIT_ARGS) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_panel_exits_2_or_4(self, sim_dir, data):
+        # three rows per unit: too few to fit even when the edit leaves a
+        # well-formed panel, so every input here must be refused
+        lines = (sim_dir / "panel.csv").read_bytes().splitlines(keepends=True)
+        raw = b"".join([lines[0]] + [line for line in lines[1:]
+                                     if line.split(b",")[1] in (b"2000", b"2001", b"2002")])
+        kind = data.draw(st.sampled_from(["insert", "field", "truncate", "huge", "duplicate"]))
+        if kind == "insert":
+            i = data.draw(st.integers(0, len(raw)))
+            raw = raw[:i] + data.draw(st.binary(min_size=1, max_size=20)) + raw[i:]
+        elif kind == "field":
+            rows = [line.split(b",") for line in raw.split(b"\n")]
+            r = data.draw(st.integers(0, len(rows) - 2))
+            c = data.draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][c] = data.draw(st.text(max_size=12)).encode("utf-8", "surrogatepass")
+            raw = b"\n".join(b",".join(row) for row in rows)
+        elif kind == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "huge":
+            raw = huge_field_text(raw.decode(), data.draw(st.integers(131_073, 300_000))).encode()
+        else:
+            i = data.draw(st.integers(1, len(lines) - 1))
+            raw = raw + lines[i]
+        with tempfile.TemporaryDirectory() as tmp:
+            panel, out = Path(tmp) / "panel.csv", Path(tmp) / "fit"
+            panel.write_bytes(raw)
+            assert main(["fit", "--input", str(panel), "--out", str(out)] + FIT_ARGS) in (2, 4)
+            assert not out.exists()
 
     def test_missing_input_exits_4(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
@@ -236,6 +295,37 @@ class TestPredictAndMetrics:
                      "--mode", "fixed-only", "--out", str(out)]) == 0
         assert ",fixed_only," in (out / "predictions.csv").read_text()
 
+    def test_predict_is_one_call_with_one_stream_per_chain(self, sim_dir, fit_dir, tmp_path,
+                                                           monkeypatch):
+        calls, opened = [], []
+        predict = cli.predict_new_unit
+        monkeypatch.setattr(cli, "predict_new_unit",
+                            lambda *a, **k: calls.append(list(a[2])) or predict(*a, **k))
+        generator = inference.RngStream.generator
+        monkeypatch.setattr(inference.RngStream, "generator",
+                            lambda self: opened.append(self.stream_id) or generator(self))
+        assert main(["predict", "--artifact", str(fit_dir),
+                     "--input", str(sim_dir / "panel.csv"),
+                     "--out", str(tmp_path / "pred")]) == 0
+        assert calls == [[10, 10, 10, 10]]
+        assert opened == [inference.PREDICT_STREAM_BASE, inference.PREDICT_STREAM_BASE + 1]
+
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "seed", 8), ("priors", "b_phi", 1.0), ("priors", "reffect_prior", "laplace")])
+    def test_edited_manifest_exits_2(self, sim_dir, fit_dir, tmp_path, section, key, value):
+        # each edit keeps the chain layout: only the manifest's digest sees it
+        art = tmp_path / "fit"
+        shutil.copytree(fit_dir, art)
+        manifest = json.loads((art / "manifest.json").read_text())
+        assert manifest["priors"]["reffect_prior"] == "horseshoe"
+        (manifest[section] if section else manifest)[key] = value
+        (art / "manifest.json").write_text(json.dumps(manifest))
+        for stage, args in (("predict", ["--input", str(sim_dir / "panel.csv")]),
+                            ("diagnose", [])):
+            out = tmp_path / stage
+            assert main([stage, "--artifact", str(art), *args, "--out", str(out)]) == 2
+            assert not out.exists()
+
     def test_predict_missing_artifact_exits_2(self, sim_dir, tmp_path):
         assert main(["predict", "--artifact", str(tmp_path / "none"),
                      "--input", str(sim_dir / "panel.csv"),
@@ -287,6 +377,15 @@ class TestPredictAndMetrics:
         out = tmp_path / "met"
         assert main(["metrics", "--predictions", str(bad),
                      "--observed", str(sim_dir / "panel.csv"), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_metrics_oversized_csv_field_exits_2(self, sim_dir, pred_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(huge_field_text(pred_csv.read_text()))
+        out = tmp_path / "met"
+        assert main(["metrics", "--predictions", str(bad),
+                     "--observed", str(sim_dir / "panel.csv"), "--out", str(out)]) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
         assert not out.exists()
 
     def test_metrics_undecodable_predictions_exit_2(self, sim_dir, pred_csv, tmp_path, capsys):
@@ -345,10 +444,13 @@ class TestWorkerCount:
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
+    # no scipy module at all: only fit (scipy.special) and check-theory
+    # (scipy.integrate) import it, inside the functions that use it
     src = str(Path(glmixer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, glmixer.cli; sys.exit(int('scipy.integrate' in sys.modules))"
+    code = ("import sys, glmixer.cli; "
+            "sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 

@@ -105,6 +105,16 @@ class TestLoadPanel:
         with pytest.raises(ValidationError, match="row 6"):
             load_panel(p)
 
+    def test_oversized_field_is_validation_error(self, tmp_path):
+        import csv
+
+        # one field over csv's default limit of 131072 characters
+        row = '"' + "x" * 200_000 + '",2000,both,0.5,5,0.1,0.05,0.9'
+        p = write_csv(tmp_path / "p.csv", GOOD_ROWS + [row])
+        with pytest.raises(ValidationError, match="p.csv: field larger than field limit") as info:
+            load_panel(p)
+        assert isinstance(info.value.__context__, csv.Error)
+
     def test_empty_c5q0_allowed(self, tmp_path):
         p = write_csv(tmp_path / "p.csv", ["A,2000,both,0.8,5,0.1,0.05,"])
         assert next(load_panel(p).observations()).c5q0 is None

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+from glmixer import gibbs
 from glmixer.design import ModelSpec, build_matrices
 from glmixer.errors import NumericalError, ValidationError
 from glmixer.gibbs import (NU_WEIGHTS, PriorConfig, beta_conditional,
@@ -35,6 +36,7 @@ def make_state(design, rng=None, priors=None):
     state.lam = rng.uniform(0.2, 3.0, size=m)
     state.rho = rng.uniform(0.2, 3.0, size=m)
     state.varrho = rng.uniform(0.2, 3.0, size=m)
+    state.rss = rss_by_group(state, design)
     return state
 
 
@@ -297,12 +299,52 @@ class TestChainMechanics:
         assert np.all(tr.draws["phi"] == 123.0)
 
     @pytest.mark.parametrize("reffect_prior", ["horseshoe", "laplace", "student-t"])
-    def test_mid_chain_failure_names_chain_and_iteration(self, design, reffect_prior):
-        # phi < 0 gives a negative omega rate, GIG coefficient or scale
-        with pytest.raises(NumericalError, match=r"^chain 2, iteration \d+: "):
+    def test_mid_chain_failure_names_chain_and_iteration(self, design, reffect_prior,
+                                                         monkeypatch):
+        # phi turns NaN in iteration 7, so that sweep's omega block meets a
+        # NaN Gamma rate, GIG coefficient or nu weight row
+        message = {"horseshoe": "Gamma shape and rate", "laplace": "GIG",
+                   "student-t": "log weights"}[reffect_prior]
+        calls = []
+        real = gibbs.step_global_scales
+
+        def failing(state, *args, **kwargs):
+            real(state, *args, **kwargs)
+            calls.append(None)
+            if len(calls) == 7:
+                state.phi = math.nan
+
+        monkeypatch.setattr(gibbs, "step_global_scales", failing)
+        with pytest.raises(NumericalError, match=rf"^chain 2, iteration 7: .*{message}"):
             run_chain(design, ModelSpec(variant=1, year_offset=2009.5),
                       PriorConfig(reffect_prior=reffect_prior), n_iter=40, burn_in=10,
-                      seed=3, stream_id=2, fixed={"phi": -1.0})
+                      seed=3, stream_id=2)
+
+    @pytest.mark.parametrize("fixed,match", [
+        ({"phi": -1.0}, "fixed phi must be finite and > 0"),
+        ({"tau": 0.0}, "fixed tau"), ({"tau": float("inf")}, "fixed tau"),
+        ({"phi": float("nan")}, "fixed phi"), ({"phi": "2"}, "fixed phi"),
+        ({"beta": 1.0}, "pins only tau and phi"), ({"omega": 2.0}, "pins only tau and phi")])
+    def test_fixed_validated_before_sampling(self, design, fixed, match, monkeypatch):
+        # gamma/gamma never reads phi in a draw, so a bad pin used to run to the end
+        monkeypatch.setattr(gibbs, "sweep", lambda *a, **k: pytest.fail("sampled"))
+        priors = PriorConfig(error_prior="gamma", reffect_prior="gamma")
+        with pytest.raises(ValidationError, match=match):
+            run_chain(design, ModelSpec(variant=1, year_offset=2009.5), priors,
+                      n_iter=40, burn_in=10, seed=3, fixed=fixed)
+
+    @pytest.mark.parametrize("error_prior", ["half-cauchy", "gamma"])
+    def test_rss_computed_once_per_sweep(self, design, error_prior, monkeypatch):
+        priors = PriorConfig(error_prior=error_prior)
+        state = initialize_state(design, priors)
+        rng = np.random.default_rng(5)
+        seen = []
+        monkeypatch.setattr(gibbs, "rss_by_group",
+                            lambda st, d: seen.append(st.beta.copy()) or rss_by_group(st, d))
+        sweep(state, design, priors, rng)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], state.beta)  # after the beta step
+        np.testing.assert_array_equal(state.rss, rss_by_group(state, design))
 
     def test_gamma_priors_keep_locals_at_one(self, design):
         priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
@@ -350,15 +392,8 @@ class TestChainMechanics:
 
     def test_initialize_state_finite(self, design):
         state = initialize_state(design, PriorConfig())
-        state.check()
+        assert np.all(np.isfinite(state.beta)) and np.all(np.isfinite(state.u))
+        for v in (state.omega, state.lam, state.rho, state.varrho):
+            assert np.all(np.isfinite(v)) and np.all(v > 0)
         assert 1e-6 <= state.tau <= 1e6 and 1e-6 <= state.phi <= 1e6
-
-    def test_state_check_catches_bad_values(self, design):
-        state = initialize_state(design, PriorConfig())
-        state.tau = float("nan")
-        with pytest.raises(ValidationError):
-            state.check()
-        state.tau = 1.0
-        state.omega = np.array([1.0] * (design.m - 1) + [-2.0])
-        with pytest.raises(ValidationError):
-            state.check()
+        np.testing.assert_array_equal(state.rss, rss_by_group(state, design))

@@ -227,14 +227,14 @@ class TestFittedCompleteness:
 class TestPredictNewUnit:
     def test_zero_beta_gives_half(self):
         tr = make_trace(scalar_draws(np.ones(40)))
-        res = predict_new_unit([tr], np.ones((3, 2)), mode="fixed_only")
+        res = predict_new_unit([tr], np.ones((3, 2)), [3], mode="fixed_only")
         np.testing.assert_allclose(res.mean, 0.5, atol=1e-15)
         np.testing.assert_allclose(res.q2_5, 0.5, atol=1e-15)
 
     def test_fixed_only_matches_manual(self, fit):
         panel, spec, traces = fit
         rows = np.ones((1, spec.p))
-        res = predict_new_unit(traces, rows, mode="fixed_only")
+        res = predict_new_unit(traces, rows, [1], mode="fixed_only")
         beta = np.concatenate([t.draws["beta"] for t in traces])
         vals = 1.0 / (1.0 + np.exp(-(beta @ rows[0])))
         assert res.mean[0] == pytest.approx(vals.mean(), abs=1e-12)
@@ -242,8 +242,8 @@ class TestPredictNewUnit:
     def test_integrate_widens_intervals(self, fit):
         panel, spec, traces = fit
         rows = np.ones((1, spec.p))
-        fo = predict_new_unit(traces, rows, mode="fixed_only")
-        ir = predict_new_unit(traces, rows, mode="integrate_reffect")
+        fo = predict_new_unit(traces, rows, [1], mode="fixed_only")
+        ir = predict_new_unit(traces, rows, [1], mode="integrate_reffect")
         assert (ir.q97_5[0] - ir.q2_5[0]) >= (fo.q97_5[0] - fo.q2_5[0])
 
     def test_huge_phi_collapses_to_fixed_only(self):
@@ -252,23 +252,61 @@ class TestPredictNewUnit:
         draws["beta"] = rng.normal(size=(200, 2))
         draws["phi"] = np.full(200, 1e16)
         tr = make_trace(draws)
-        fo = predict_new_unit([tr], np.ones((1, 2)), mode="fixed_only")
-        ir = predict_new_unit([tr], np.ones((1, 2)), mode="integrate_reffect")
+        fo = predict_new_unit([tr], np.ones((1, 2)), [1], mode="fixed_only")
+        ir = predict_new_unit([tr], np.ones((1, 2)), [1], mode="integrate_reffect")
         assert ir.mean[0] == pytest.approx(fo.mean[0], abs=1e-6)
 
     def test_deterministic(self, fit):
         panel, spec, traces = fit
         rows = np.ones((2, spec.p))
-        a = predict_new_unit(traces, rows)
-        b = predict_new_unit(traces, rows)
+        a = predict_new_unit(traces, rows, [2])
+        b = predict_new_unit(traces, rows, [2])
         np.testing.assert_array_equal(a.mean, b.mean)
 
     def test_bad_mode_and_shape(self, fit):
         panel, spec, traces = fit
         with pytest.raises(ValidationError):
-            predict_new_unit(traces, np.ones((1, spec.p)), mode="marginal")
+            predict_new_unit(traces, np.ones((1, spec.p)), [1], mode="marginal")
         with pytest.raises(SpecMismatchError):
-            predict_new_unit(traces, np.ones((1, spec.p + 1)))
+            predict_new_unit(traces, np.ones((1, spec.p + 1)), [1])
+        for sizes in ([], [2], [1, 1], [0, 3], [4, -1]):
+            with pytest.raises(ValidationError, match="partition"):
+                predict_new_unit(traces, np.ones((3, spec.p)), sizes)
+
+    @pytest.mark.parametrize("mode", ["integrate_reffect", "fixed_only"])
+    def test_panel_equals_unit_by_unit(self, fit, mode):
+        # one call over the whole design gives, unit by unit, the bits of
+        # predicting each unit as a single group
+        panel, spec, traces = fit
+        design = build_matrices(panel, spec, for_fit=False)
+        whole = predict_new_unit(traces, design.X, design.sizes, mode=mode)
+        assert whole.mode == mode and whole.mean.shape == (design.n,)
+        lo = 0
+        for size in design.sizes:
+            alone = predict_new_unit(traces, design.X[lo:lo + size], [size], mode=mode)
+            for field in ("mean", "q2_5", "q97_5"):
+                np.testing.assert_array_equal(getattr(whole, field)[lo:lo + size],
+                                              getattr(alone, field))
+            lo += size
+
+    def test_new_unit_effects_shared_across_units(self, fit):
+        # the same row in two units gets the same draws, so the same bands
+        panel, spec, traces = fit
+        row = build_matrices(panel, spec, for_fit=False).X[:1]
+        res = predict_new_unit(traces, np.vstack([row] * 4), [2, 2])
+        for field in ("mean", "q2_5", "q97_5"):
+            assert len(set(getattr(res, field))) == 1
+
+    def test_prediction_stream_opened_once_per_chain(self, fit, monkeypatch):
+        panel, spec, traces = fit
+        design = build_matrices(panel, spec, for_fit=False)
+        opened = []
+        generator = inference.RngStream.generator
+        monkeypatch.setattr(inference.RngStream, "generator",
+                            lambda self: opened.append(self.stream_id) or generator(self))
+        predict_new_unit(traces, design.X, design.sizes)
+        assert design.m > 1
+        assert opened == [inference.PREDICT_STREAM_BASE + t.chain_id for t in traces]
 
 
 class TestShrinkageAndDeviances:

@@ -235,7 +235,7 @@ class TestLocalPrior:
         traces = [run_chain(panel, spec, priors, n_iter=30, burn_in=10, thin=1, seed=5,
                             stream_id=k)
                   for k in range(2)]
-        inference.predict_new_unit(traces, build_matrices(panel, spec).X[:3])
+        inference.predict_new_unit(traces, build_matrices(panel, spec).X[:3], [3])
         assert [(fam, size) for fam, size, _ in calls] == [(family, 20)] * 2
         for *_, nu in calls:
             if family == "student-t":
