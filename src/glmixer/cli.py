@@ -121,7 +121,7 @@ def cmd_fit(args) -> None:
 def cmd_predict(args) -> None:
     traces, manifest = artifacts.load_fit(args.artifact)
     spec = ModelSpec.from_dict(manifest["spec"])
-    panel = load_panel(args.input, allow_missing_completeness=True)
+    panel = _filter_sex(load_panel(args.input, allow_missing_completeness=True), spec.sex)
     design = build_matrices(panel, spec, for_fit=False)
     mode = "fixed_only" if args.mode == "fixed-only" else "integrate_reffect"
     prediction = predict_new_unit(traces, design.X, design.sizes, mode=mode)

@@ -138,9 +138,11 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec, for_fit: bool = True) -
     ybar = np.zeros(m)
     XtX_g = np.zeros((m, p, p))
     Xty_g = np.zeros((m, p))
-    for g in range(m):
-        sel = group_idx == g
-        Xg, yg = X[sel], y[sel]
+    # each group's rows are contiguous, in group order
+    hi = 0
+    for g, n_g in enumerate(sizes):
+        lo, hi = hi, hi + n_g
+        Xg, yg = X[lo:hi], y[lo:hi]
         xbar[g] = Xg.mean(axis=0)
         ybar[g] = yg.mean()
         XtX_g[g] = Xg.T @ Xg

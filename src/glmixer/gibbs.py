@@ -27,6 +27,7 @@ from .design import GroupedDesign, ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
 from .kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
                       draw_mvn_from_precision)
+from .special import lgam
 
 ERROR_PRIORS = ("gamma", "half-cauchy")
 REFFECT_PRIORS = ("gamma", "student-t", "horseshoe", "laplace")
@@ -105,10 +106,8 @@ class PriorConfig:
         """Support-only terms of the nu_i conditional as (|support|, 1)
         columns, computed once per config: log prior, log Student-t
         normalizer, (nu + 1) / 2 and nu."""
-        # imported here so that only `fit` (and check-theory) loads scipy
-        from scipy.special import gammaln
-
         df = np.asarray(self.nu_support, dtype=np.float64)
+        gammaln = np.vectorize(lgam, otypes=[np.float64])
         terms = (nu_log_prior(self),
                  gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi),
                  (df + 1.0) / 2.0, df)

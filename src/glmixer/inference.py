@@ -18,6 +18,7 @@ from .design import ModelSpec, build_matrices, pooled_crossprod
 from .errors import NumericalError, SpecMismatchError, ValidationError
 from .gibbs import nu_log_prior
 from .kernels import RngStream, draw_local_prior
+from .special import ndtri
 
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
@@ -97,22 +98,30 @@ def _block_ess(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_rhat(x: np.ndarray) -> np.ndarray:
-    """Rank-normalized split R-hat of each parameter of a C-contiguous
-    (D, C, K) block; 1.0 for constant draws."""
-    # imported here so that only `fit` (and check-theory) loads scipy
-    from scipy.special import ndtri
+def _rank_normal_scores(c: int, k: int) -> np.ndarray:
+    """The normal scores ndtri((r - 0.375) / (S + 0.25)) of the ranks
+    r = 1..S of the S = C * 2 * (K // 2) split draws of C chains of K
+    kept draws."""
+    s = c * 2 * (k // 2)
+    return np.array([ndtri((r - 0.375) / (s + 0.25)) for r in range(1, s + 1)])
 
+
+def _block_rhat(x: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Rank-normalized split R-hat of each parameter of a C-contiguous
+    (D, C, K) block; 1.0 for constant draws. `scores` is
+    `_rank_normal_scores(C, K)`."""
     d, _, k = x.shape
     if k < 4:
         return np.ones(d)
     half = k // 2
     split = np.concatenate([x[:, :, :half], x[:, :, half:2 * half]], axis=1)
     flat = split.reshape(d, -1)
+    # a stable sort gives every draw its own rank, so each row's ranks are
+    # a permutation of 1..S and its scores a permutation of `scores`
     order = np.argsort(flat, axis=1, kind="stable")
-    ranks = np.empty(flat.shape)
-    np.put_along_axis(ranks, order, np.arange(1.0, flat.shape[1] + 1.0)[None, :], axis=1)
-    z = ndtri((ranks - 0.375) / (flat.shape[1] + 0.25)).reshape(split.shape)
+    z = np.empty(flat.shape)
+    np.put_along_axis(z, order, scores[None, :], axis=1)
+    z = z.reshape(split.shape)
     k2 = split.shape[2]
     w = z.var(axis=-1, ddof=1).mean(axis=-1)
     b = k2 * z.mean(axis=-1).var(axis=-1, ddof=1)
@@ -133,7 +142,8 @@ def effective_sample_size(chains: np.ndarray) -> float:
 
 def split_rhat(chains: np.ndarray) -> float:
     """Rank-normalized split R-hat; 1.0 for constant draws."""
-    return float(_block_rhat(_as_block(chains))[0])
+    x = _as_block(chains)
+    return float(_block_rhat(x, _rank_normal_scores(*x.shape[1:]))[0])
 
 
 def summarize(traces) -> PosteriorSummary:
@@ -155,6 +165,7 @@ def summarize(traces) -> PosteriorSummary:
     priors = traces[0].priors
     names = {"tau": priors.tau_name, "phi": priors.phi_name}
     step = max(1, BLOCK_FFT_VALUES // (c << (2 * k - 1).bit_length()))
+    scores = _rank_normal_scores(c, k)
     rows = []
     for key in traces[0].draws:
         name = names.get(key, key)
@@ -168,7 +179,7 @@ def summarize(traces) -> PosteriorSummary:
             sd = pooled.std(axis=-1, ddof=1) if c * k > 1 else np.zeros(x.shape[0])
             q = np.quantile(pooled, [0.025, 0.5, 0.975], axis=-1, method="linear")
             for j, vals in enumerate(zip(mean.tolist(), sd.tolist(), *q.tolist(),
-                                         _block_ess(x).tolist(), _block_rhat(x).tolist())):
+                                         _block_ess(x).tolist(), _block_rhat(x, scores).tolist())):
                 rows.append(SummaryRow(name, lo + j, *vals))
     return PosteriorSummary(rows=tuple(rows))
 

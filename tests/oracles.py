@@ -75,6 +75,23 @@ def gig_neg_half_by_masks(rng, a, b):
     return out
 
 
+def group_aggregates_by_masks(X, y, group_idx, m):
+    """(xbar, ybar, XtX_g, Xty_g) of each group, selecting its rows with a
+    boolean mask over all n rows, as the design builder did before it
+    sliced contiguous row blocks."""
+    p = X.shape[1]
+    xbar, ybar = np.zeros((m, p)), np.zeros(m)
+    XtX_g, Xty_g = np.zeros((m, p, p)), np.zeros((m, p))
+    for g in range(m):
+        sel = group_idx == g
+        Xg, yg = X[sel], y[sel]
+        xbar[g] = Xg.mean(axis=0)
+        ybar[g] = yg.mean()
+        XtX_g[g] = Xg.T @ Xg
+        Xty_g[g] = Xg.T @ yg
+    return xbar, ybar, XtX_g, Xty_g
+
+
 def quantiles_from_pdf(pdf, probs, lower=0.0, upper=np.inf):
     """Quantiles of an unnormalized density by bisection on the quadrature CDF."""
     total, _ = quad(pdf, lower, upper, limit=200)

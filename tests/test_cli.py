@@ -278,6 +278,28 @@ class TestPredictAndMetrics:
         assert set(report["stratified"]) == {
             "(0,30%)", "[30%,60%)", "[60%,80%)", "[80%,90%)", "[90%,100%]"}
 
+    def test_predict_keeps_only_the_fits_sex(self, tmp_path):
+        # a female fit predicts a female + male panel: only the 40 female
+        # rows are predicted, with the bytes of the female panel alone
+        panels = {}
+        for sex, seed in (("female", "3"), ("male", "4")):
+            assert main(["simulate", "--m", "4", "--n-obs", "10", "--sex", sex,
+                         "--seed", seed, "--out", str(tmp_path / sex)]) == 0
+            panels[sex] = (tmp_path / sex / "panel.csv").read_text().splitlines()
+        both = tmp_path / "both.csv"
+        both.write_text("\n".join(panels["female"] + panels["male"][1:]) + "\n")
+        fit = tmp_path / "fit"
+        assert main(["fit", "--input", str(both), "--sex", "female",
+                     "--out", str(fit)] + FIT_ARGS) == 0
+        for name, panel in (("pred_both", both), ("pred_female", tmp_path / "female" / "panel.csv")):
+            assert main(["predict", "--artifact", str(fit), "--input", str(panel),
+                         "--out", str(tmp_path / name)]) == 0
+        pred = (tmp_path / "pred_both" / "predictions.csv").read_bytes()
+        assert len(pred.decode().splitlines()) == 1 + 40
+        assert pred == (tmp_path / "pred_female" / "predictions.csv").read_bytes()
+        assert main(["predict", "--artifact", str(fit), "--input",
+                     str(tmp_path / "male" / "panel.csv"), "--out", str(tmp_path / "pm")]) == 2
+
     def test_predict_deterministic(self, sim_dir, fit_dir, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -443,15 +465,30 @@ class TestWorkerCount:
         assert _worker_count(4) == 2
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # no scipy module at all: only fit (scipy.special) and check-theory
-    # (scipy.integrate) import it, inside the functions that use it
+def _scipy_loaded_after(code):
+    """Exit code of a fresh interpreter that runs `code` and then exits 1
+    if any scipy module is loaded, 0 otherwise."""
     src = str(Path(glmixer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, glmixer.cli; "
-            "sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    code += "; sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))"
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # no scipy module at all: only check-theory (scipy.integrate) imports
+    # it, inside the function that uses it
+    assert _scipy_loaded_after("import sys, glmixer.cli") == 0
+
+
+def test_student_t_fit_loads_no_scipy(sim_dir, tmp_path):
+    # summarize's normal scores and the Student-t nu normalizer come from
+    # glmixer.special, not scipy.special
+    args = ["fit", "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path / "fit"),
+            "--local-prior", "student-t"] + FIT_ARGS
+    assert _scipy_loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0") == 0
+    assert (tmp_path / "fit" / "summary.csv").exists()
 
 
 class TestDiagnose:

@@ -7,6 +7,8 @@ from glmixer.data import Observation, build_panel
 from glmixer.design import ModelSpec, build_matrices, build_row
 from glmixer.errors import ValidationError
 
+from oracles import group_aggregates_by_masks
+
 
 def obs(uid="U1", year=2000, c=0.5, reg_cdr=5.0, pct65=0.1, u5mr=0.05, c5q0=0.8):
     return Observation(uid, year, "both", c, reg_cdr, pct65, u5mr, c5q0)
@@ -82,6 +84,19 @@ class TestBuildMatrices:
             np.testing.assert_allclose(d.ybar[g], d.y[sel].mean(), atol=1e-14)
             np.testing.assert_allclose(d.XtX_g[g], d.X[sel].T @ d.X[sel], atol=1e-12)
             np.testing.assert_allclose(d.Xty_g[g], d.X[sel].T @ d.y[sel], atol=1e-12)
+
+    def test_group_aggregates_equal_masked_oracle(self):
+        # unequal group sizes, so a slice off by one row would show
+        rng = np.random.default_rng(2)
+        panel = build_panel([
+            obs(uid=f"U{i}", year=2000 + t, c=rng.uniform(0.2, 0.95),
+                reg_cdr=rng.uniform(2, 12), pct65=rng.uniform(0.01, 0.2),
+                u5mr=rng.uniform(0.005, 0.15), c5q0=rng.uniform(0.4, 1.0))
+            for i, n_i in enumerate((9, 12, 8, 15, 10)) for t in range(n_i)])
+        d = build_matrices(panel, ModelSpec(variant=1, year_offset=2005.0))
+        want = group_aggregates_by_masks(d.X, d.y, d.group_idx, d.m)
+        for got, ref in zip((d.xbar, d.ybar, d.XtX_g, d.Xty_g), want):
+            np.testing.assert_array_equal(got, ref)
 
     def test_y_is_logit_completeness(self):
         panel = build_panel([obs(year=2000 + t, c=0.8) for t in range(8)])
