@@ -70,10 +70,12 @@ def run_chains(design, spec, priors, *, n_iter, burn_in, thin, seed, chains):
 
 
 def _filter_sex(panel: PanelDataset, sex: str) -> PanelDataset:
+    """The panel's observations of `sex`; the panel itself when that is
+    all of them, since a loaded panel is already grouped and sorted."""
     obs = [o for o in panel.observations() if o.sex == sex]
     if not obs:
         raise ValidationError(f"no observations with sex = {sex!r}")
-    return build_panel(obs)
+    return panel if len(obs) == panel.n else build_panel(obs)
 
 
 # ---------------------------------------------------------------------------

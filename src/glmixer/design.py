@@ -8,6 +8,7 @@ persisted in fit artifacts so predictions reuse the fit-time rows exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,7 +69,14 @@ def build_row(obs: Observation, spec: ModelSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupedDesign:
-    """Stacked design with per-group bookkeeping precomputed for the sampler."""
+    """Stacked design with per-group sufficient statistics for the sampler.
+
+    A Gibbs sweep reads only the per-group statistics (`sizes`, `xbar`,
+    `ybar`, `XtX_g`, `Xty_g`, `yty_g`) and the per-design constants
+    below, never the n rows `X`, `y`, `group_idx`. The constants are
+    computed on first use and kept, so they cost once per fit; they
+    depend on the covariates and sizes only, not on y.
+    """
 
     X: np.ndarray          # (n, p)
     y: np.ndarray          # (n,) logit completeness
@@ -79,6 +87,7 @@ class GroupedDesign:
     ybar: np.ndarray       # (m,)
     XtX_g: np.ndarray      # (m, p, p)
     Xty_g: np.ndarray      # (m, p)
+    yty_g: np.ndarray      # (m,) per-group sums of y^2
 
     @property
     def m(self) -> int:
@@ -86,11 +95,24 @@ class GroupedDesign:
 
     @property
     def p(self) -> int:
-        return self.X.shape[1]
+        return self.XtX_g.shape[-1]
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
-        return self.X.shape[0]
+        return int(self.sizes.sum())
+
+    @functools.cached_property
+    def xtx_eigh(self):
+        """(eigenvalues in ascending order, eigenvectors as columns) of
+        the pooled X'X = sum_g XtX_g."""
+        return np.linalg.eigh(self.XtX_g.sum(axis=0))
+
+    @functools.cached_property
+    def lambda_shape(self):
+        """n_i/2 + 1, the shape of each lambda_i conditional: one float
+        when every n_i is equal (a balanced panel), else an (m,) array."""
+        shape = 0.5 * self.sizes + 1.0
+        return float(shape[0]) if np.all(shape == shape[0]) else shape
 
 
 def pooled_crossprod(X: np.ndarray) -> np.ndarray:
@@ -138,6 +160,7 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec, for_fit: bool = True) -
     ybar = np.zeros(m)
     XtX_g = np.zeros((m, p, p))
     Xty_g = np.zeros((m, p))
+    yty_g = np.zeros(m)
     # each group's rows are contiguous, in group order
     hi = 0
     for g, n_g in enumerate(sizes):
@@ -147,7 +170,8 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec, for_fit: bool = True) -
         ybar[g] = yg.mean()
         XtX_g[g] = Xg.T @ Xg
         Xty_g[g] = Xg.T @ yg
+        yty_g[g] = yg @ yg
     return GroupedDesign(
         X=X, y=y, group_idx=group_idx, sizes=sizes_arr, unit_ids=tuple(unit_ids),
-        xbar=xbar, ybar=ybar, XtX_g=XtX_g, Xty_g=Xty_g,
+        xbar=xbar, ybar=ybar, XtX_g=XtX_g, Xty_g=Xty_g, yty_g=yty_g,
     )

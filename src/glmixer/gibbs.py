@@ -11,6 +11,10 @@ material's printed steps disagree with that derivation (the beta
 covariance factor, the tau/phi Gamma shapes, and the Student-t omega
 rate), the derived forms are used: they are the ones with the model as
 stationary distribution, which the getting-it-right tests verify.
+
+A sweep reads only the design's per-group sufficient statistics and its
+per-fit constants (see `GroupedDesign`), never the n data rows: the beta
+conditional and the residual sums of squares are closed forms in them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .design import GroupedDesign, ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
 from .kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
-                      draw_mvn_from_precision)
+                      draw_mvn_from_precision, draw_mvn_whitened)
 from .special import lgam
 
 ERROR_PRIORS = ("gamma", "half-cauchy")
@@ -190,30 +194,56 @@ def step_u(state: ChainState, design: GroupedDesign, rng) -> None:
     state.u = mean + np.sqrt(var) * rng.standard_normal(design.m)
 
 
+def _beta_rhs(state: ChainState, design: GroupedDesign) -> np.ndarray:
+    """b = tau sum_i lam_i (X_i'y_i - u_i n_i xbar_i), from the per-group sums."""
+    lam = state.lam
+    return state.tau * (lam @ design.Xty_g - (lam * state.u * design.sizes) @ design.xbar)
+
+
 def beta_conditional(state: ChainState, design: GroupedDesign, prior_precision: float = 0.0):
     """Precision matrix P and right-hand side b of the beta conditional
-    N(P^-1 b, P^-1), with P = tau sum_ij lam_i x x' (+ prior precision)."""
-    lam = state.lam
-    P = state.tau * np.einsum("i,ijk->jk", lam, design.XtX_g)
-    rhs = state.tau * (
-        lam[:, None] * (design.Xty_g - state.u[:, None] * design.sizes[:, None] * design.xbar)
-    ).sum(axis=0)
+    N(P^-1 b, P^-1), with P = tau sum_i lam_i X_i'X_i (+ prior precision),
+    as one mat-vec over the flattened XtX_g."""
+    m, p = design.m, design.p
+    P = state.tau * (state.lam @ design.XtX_g.reshape(m, p * p)).reshape(p, p)
     if prior_precision > 0.0:
-        P = P + prior_precision * np.eye(design.p)
-    return rhs, P
+        P = P + prior_precision * np.eye(p)
+    return _beta_rhs(state, design), P
 
 
 def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng) -> None:
     """Draw beta, then refresh state.rss: u was drawn just before and the
-    later steps of a sweep change neither, so one RSS serves tau and lambda."""
-    rhs, P = beta_conditional(state, design, priors.beta_prior_precision)
-    state.beta = draw_mvn_from_precision(rng, rhs, P)
-    state.rss = rss_by_group(state, design)
+    later steps of a sweep change neither, so one RSS serves tau and lambda.
+
+    Under gamma errors lam = 1, so P = tau X'X + kappa I = V diag(tau Lambda
+    + kappa) V' with the design's once-per-fit eigendecomposition X'X =
+    V Lambda V', and W = (V / sqrt(tau Lambda + kappa))' whitens it without
+    a factorization. Otherwise P is factored each sweep.
+    """
+    if priors.error_prior == "gamma":
+        evals, evecs = design.xtx_eigh
+        W = (evecs / np.sqrt(state.tau * evals + priors.beta_prior_precision)).T
+        state.beta = draw_mvn_whitened(rng, _beta_rhs(state, design), W)
+    else:
+        rhs, P = beta_conditional(state, design, priors.beta_prior_precision)
+        state.beta = draw_mvn_from_precision(rng, rhs, P)
+    state.rss = rss_closed_form(state.beta, state.u, design)
 
 
-def rss_by_group(state: ChainState, design: GroupedDesign) -> np.ndarray:
-    r = design.y - design.X @ state.beta - state.u[design.group_idx]
-    return np.bincount(design.group_idx, weights=r * r, minlength=design.m)
+def rss_closed_form(beta: np.ndarray, u: np.ndarray, design: GroupedDesign) -> np.ndarray:
+    """Per-group residual sums of squares sum_j (y_ij - x_ij'beta - u_i)^2
+    from the per-group sums:
+
+        y'y - 2 beta'X'y + beta'X'X beta + n u (u - 2 (ybar - xbar'beta)),
+
+    with beta'X'X beta as one mat-vec of the flattened XtX_g against
+    beta beta'. Clipped at 0, because cancellation can leave a tiny
+    negative value where every residual is near zero."""
+    m, p = design.m, design.p
+    rss = (design.yty_g - 2.0 * (design.Xty_g @ beta)
+           + design.XtX_g.reshape(m, p * p) @ (beta[:, None] * beta).ravel())
+    rss += design.sizes * u * (u - 2.0 * (design.ybar - design.xbar @ beta))
+    return np.maximum(rss, 0.0, out=rss)
 
 
 def tau_conditional(state: ChainState, design: GroupedDesign, priors: PriorConfig):
@@ -243,15 +273,16 @@ def step_global_scales(state: ChainState, design: GroupedDesign, priors: PriorCo
 
 
 def lambda_conditional(state: ChainState, design: GroupedDesign):
-    """(shape, rate) vectors of lam_i ~ Gamma(n_i/2 + 1, (tau/2) RSS_i + rho_i),
-    with RSS from state.rss."""
-    return 0.5 * design.sizes + 1.0, 0.5 * state.tau * state.rss + state.rho
+    """(shape, rate) of lam_i ~ Gamma(n_i/2 + 1, (tau/2) RSS_i + rho_i),
+    with RSS from state.rss. The shape is the design's per-fit constant:
+    one float for a balanced panel, else one entry per unit."""
+    return design.lambda_shape, 0.5 * state.tau * state.rss + state.rho
 
 
 def step_lambda_halfcauchy(state: ChainState, design: GroupedDesign, rng) -> None:
     """Auxiliary two-Gamma update with stationary prior (1 + lam)^-2."""
     shape, rate = lambda_conditional(state, design)
-    state.lam = draw_gamma(rng, shape, rate)
+    state.lam = draw_gamma(rng, shape, rate, size=design.m)
     state.rho = draw_gamma(rng, 2.0, state.lam + 1.0, size=design.m)
 
 

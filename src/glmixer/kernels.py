@@ -67,8 +67,22 @@ def draw_gamma(rng, shape, rate, size=None):
     return out
 
 
+def draw_mvn_whitened(rng, b, W):
+    """Draw W'(W b + z), z ~ N(0, I): for any W with W'W = P^-1 this is
+    a draw from N(P^-1 b, P^-1), at the cost of two mat-vecs.
+
+    A non-finite W (from a precision that is not positive definite, or
+    NaN) raises NumericalError.
+    """
+    if not np.isfinite(W).all():
+        raise NumericalError("whitening matrix is not finite: the precision "
+                             "matrix is not positive definite")
+    return W.T @ (W @ b + rng.standard_normal(W.shape[0]))
+
+
 def draw_mvn_from_precision(rng, b, P):
-    """Draw from N(P^-1 b, P^-1) via one Cholesky factorization.
+    """Draw from N(P^-1 b, P^-1) as `draw_mvn_whitened` with W = L^-1,
+    where P = L L' is the Cholesky factorization: W'W = (L L')^-1 = P^-1.
 
     On factorization failure, jitter 1e-10 * trace(P)/p is added to the
     diagonal and the factorization retried once.
@@ -88,11 +102,7 @@ def draw_mvn_from_precision(rng, b, P):
             raise NumericalError(
                 f"precision matrix not positive definite even after jitter {jitter:g}"
             ) from exc
-    # mean solves P mu = b; draw = mu + L^-T z
-    w = np.linalg.solve(L, b)
-    mu = np.linalg.solve(L.T, w)
-    z = rng.standard_normal(p)
-    return mu + np.linalg.solve(L.T, z)
+    return draw_mvn_whitened(rng, b, np.linalg.inv(L))
 
 
 def _gig_psi(x, alpha, lam):

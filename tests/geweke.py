@@ -37,15 +37,17 @@ def make_design(X, y, gidx):
     ybar = np.zeros(m)
     XtX_g = np.zeros((m, P, P))
     Xty_g = np.zeros((m, P))
+    yty_g = np.zeros(m)
     for g in range(m):
         sel = gidx == g
         xbar[g] = X[sel].mean(axis=0)
         ybar[g] = y[sel].mean()
         XtX_g[g] = X[sel].T @ X[sel]
         Xty_g[g] = X[sel].T @ y[sel]
+        yty_g[g] = y[sel] @ y[sel]
     return GroupedDesign(X=X, y=y, group_idx=gidx, sizes=sizes,
                          unit_ids=tuple(f"G{g}" for g in range(m)),
-                         xbar=xbar, ybar=ybar, XtX_g=XtX_g, Xty_g=Xty_g)
+                         xbar=xbar, ybar=ybar, XtX_g=XtX_g, Xty_g=Xty_g, yty_g=yty_g)
 
 
 def draw_prior_state(rng, priors):
@@ -165,6 +167,7 @@ def _set_y(design, y):
     object.__setattr__(design, "ybar", yg.mean(axis=1))
     object.__setattr__(design, "Xty_g",
                        np.einsum("gij,gi->gj", design.X.reshape(M, N_I, P), yg))
+    object.__setattr__(design, "yty_g", (yg * yg).sum(axis=1))
 
 
 def successive_sample(rng, priors, X, gidx, n):

@@ -76,12 +76,12 @@ def gig_neg_half_by_masks(rng, a, b):
 
 
 def group_aggregates_by_masks(X, y, group_idx, m):
-    """(xbar, ybar, XtX_g, Xty_g) of each group, selecting its rows with a
-    boolean mask over all n rows, as the design builder did before it
-    sliced contiguous row blocks."""
+    """(xbar, ybar, XtX_g, Xty_g, yty_g) of each group, selecting its rows
+    with a boolean mask over all n rows, as the design builder did before
+    it sliced contiguous row blocks."""
     p = X.shape[1]
     xbar, ybar = np.zeros((m, p)), np.zeros(m)
-    XtX_g, Xty_g = np.zeros((m, p, p)), np.zeros((m, p))
+    XtX_g, Xty_g, yty_g = np.zeros((m, p, p)), np.zeros((m, p)), np.zeros(m)
     for g in range(m):
         sel = group_idx == g
         Xg, yg = X[sel], y[sel]
@@ -89,7 +89,16 @@ def group_aggregates_by_masks(X, y, group_idx, m):
         ybar[g] = yg.mean()
         XtX_g[g] = Xg.T @ Xg
         Xty_g[g] = Xg.T @ yg
-    return xbar, ybar, XtX_g, Xty_g
+        yty_g[g] = yg @ yg
+    return xbar, ybar, XtX_g, Xty_g, yty_g
+
+
+def rss_by_group(state, design):
+    """Per-group residual sums of squares at state.beta and state.u as the
+    direct sum over all n data rows: the reference for the sampler's
+    closed form in the per-group sums."""
+    r = design.y - design.X @ state.beta - state.u[design.group_idx]
+    return np.bincount(design.group_idx, weights=r * r, minlength=design.m)
 
 
 def quantiles_from_pdf(pdf, probs, lower=0.0, upper=np.inf):

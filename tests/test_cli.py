@@ -300,6 +300,22 @@ class TestPredictAndMetrics:
         assert main(["predict", "--artifact", str(fit), "--input",
                      str(tmp_path / "male" / "panel.csv"), "--out", str(tmp_path / "pm")]) == 2
 
+    def test_unfiltered_panel_not_rebuilt(self, sim_dir, fit_dir, pred_csv, tmp_path,
+                                          monkeypatch):
+        # with no observation dropped, fit and predict use the loaded panel
+        # as it is, and their outputs keep the bytes of a rebuilt panel's
+        panel = cli.load_panel(sim_dir / "panel.csv")
+        assert cli._filter_sex(panel, "both") is panel
+        monkeypatch.setattr(cli, "_filter_sex",
+                            lambda p, sex: cli.build_panel(list(p.observations())))
+        assert main(["fit", "--input", str(sim_dir / "panel.csv"),
+                     "--out", str(tmp_path / "fit")] + FIT_ARGS) == 0
+        assert main(["predict", "--artifact", str(tmp_path / "fit"), "--input",
+                     str(sim_dir / "panel.csv"), "--out", str(tmp_path / "pred")]) == 0
+        for name in os.listdir(fit_dir):
+            assert (tmp_path / "fit" / name).read_bytes() == (fit_dir / name).read_bytes()
+        assert (tmp_path / "pred" / "predictions.csv").read_bytes() == pred_csv.read_bytes()
+
     def test_predict_deterministic(self, sim_dir, fit_dir, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -84,6 +84,7 @@ class TestBuildMatrices:
             np.testing.assert_allclose(d.ybar[g], d.y[sel].mean(), atol=1e-14)
             np.testing.assert_allclose(d.XtX_g[g], d.X[sel].T @ d.X[sel], atol=1e-12)
             np.testing.assert_allclose(d.Xty_g[g], d.X[sel].T @ d.y[sel], atol=1e-12)
+            np.testing.assert_allclose(d.yty_g[g], d.y[sel] @ d.y[sel], atol=1e-12)
 
     def test_group_aggregates_equal_masked_oracle(self):
         # unequal group sizes, so a slice off by one row would show
@@ -95,8 +96,24 @@ class TestBuildMatrices:
             for i, n_i in enumerate((9, 12, 8, 15, 10)) for t in range(n_i)])
         d = build_matrices(panel, ModelSpec(variant=1, year_offset=2005.0))
         want = group_aggregates_by_masks(d.X, d.y, d.group_idx, d.m)
-        for got, ref in zip((d.xbar, d.ybar, d.XtX_g, d.Xty_g), want):
+        for got, ref in zip((d.xbar, d.ybar, d.XtX_g, d.Xty_g, d.yty_g), want):
             np.testing.assert_array_equal(got, ref)
+
+    def test_per_fit_constants(self):
+        panel = random_panel(np.random.default_rng(3), m=3, n_i=10)
+        d = build_matrices(panel, ModelSpec(variant=1, year_offset=2004.5))
+        evals, evecs = d.xtx_eigh
+        np.testing.assert_allclose((evecs * evals) @ evecs.T, d.X.T @ d.X,
+                                   rtol=1e-12, atol=1e-9)
+        assert np.all(np.diff(evals) >= 0.0) and evals[0] > 0.0
+        assert d.xtx_eigh is d.xtx_eigh  # computed once per design
+        assert d.lambda_shape == 6.0 and isinstance(d.lambda_shape, float)
+
+    def test_lambda_shape_unbalanced(self):
+        panel = build_panel([obs(uid=f"U{i}", year=2000 + t) for i, n_i in enumerate((9, 12))
+                             for t in range(n_i)])
+        d = build_matrices(panel, ModelSpec(variant=1), for_fit=False)
+        np.testing.assert_array_equal(d.lambda_shape, [5.5, 7.0])
 
     def test_y_is_logit_completeness(self):
         panel = build_panel([obs(year=2000 + t, c=0.8) for t in range(8)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,17 @@ from scipy.special import gammaln
 from glmixer import gibbs
 from glmixer.design import ModelSpec, build_matrices
 from glmixer.errors import NumericalError, ValidationError
-from glmixer.gibbs import (NU_WEIGHTS, PriorConfig, beta_conditional,
-                           initialize_state, lambda_conditional,
+from glmixer.gibbs import (ERROR_PRIORS, NU_WEIGHTS, REFFECT_PRIORS, PriorConfig,
+                           beta_conditional, initialize_state, lambda_conditional,
                            nu_log_prior, nu_log_weights,
                            omega_conditional_horseshoe,
                            omega_conditional_student_t, phi_conditional,
-                           rss_by_group, run_chain, sweep, tau_conditional,
+                           rss_closed_form, run_chain, step_beta,
+                           step_lambda_halfcauchy, sweep, tau_conditional,
                            u_conditional)
 from glmixer.simulate import SimConfig, simulate_panel
+
+from oracles import group_aggregates_by_masks, rss_by_group
 
 
 def small_panel(seed=0, m=4, n_i=10):
@@ -38,6 +42,13 @@ def make_state(design, rng=None, priors=None):
     state.varrho = rng.uniform(0.2, 3.0, size=m)
     state.rss = rss_by_group(state, design)
     return state
+
+
+def with_y(design, y):
+    """The design with response y and every per-group sum recomputed."""
+    sums = group_aggregates_by_masks(design.X, y, design.group_idx, design.m)
+    return dataclasses.replace(
+        design, y=y, **dict(zip(("xbar", "ybar", "XtX_g", "Xty_g", "yty_g"), sums)))
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +162,25 @@ class TestBetaConditional:
         _, P1 = beta_conditional(state, design, 2.5)
         np.testing.assert_allclose(P1 - P0, 2.5 * np.eye(design.p), atol=1e-12)
 
+    @pytest.mark.parametrize("kappa", [0.0, 2.5])
+    def test_gamma_error_draw_matches_conditional(self, design, kappa):
+        # the eigendecomposition draw at fixed (u, tau) against the moments
+        # of beta_conditional's N(P^-1 b, P^-1): L'(beta - mean) ~ N(0, I)
+        priors = PriorConfig(error_prior="gamma", beta_prior_precision=kappa)
+        state = make_state(design, np.random.default_rng(43))
+        state.lam = np.ones(design.m)
+        rhs, P = beta_conditional(state, design, kappa)
+        mean = np.linalg.solve(P, rhs)
+        L = np.linalg.cholesky(P)
+        rng = np.random.default_rng(47)
+        n = 20_000
+        z = np.empty((n, design.p))
+        for k in range(n):
+            step_beta(state, design, priors, rng)
+            z[k] = L.T @ (state.beta - mean)
+        assert np.max(np.abs(z.mean(axis=0))) < 4.0 / math.sqrt(n)
+        assert np.max(np.abs(np.cov(z.T) - np.eye(design.p))) < 0.04
+
 
 class TestScaleConditionals:
     def test_tau_brute_force(self, design):
@@ -191,14 +221,33 @@ class TestScaleConditionals:
         np.testing.assert_allclose(rate, 0.5 * state.tau * rss + state.rho, atol=1e-12)
 
     def test_rss_matches_direct_sum(self, design):
-        state = make_state(design, np.random.default_rng(19))
-        rss = rss_by_group(state, design)
-        direct = np.zeros(design.m)
-        for j in range(design.n):
-            g = design.group_idx[j]
-            e = design.y[j] - design.X[j] @ state.beta - state.u[g]
-            direct[g] += e * e
-        np.testing.assert_allclose(rss, direct, atol=1e-10)
+        # the drawn state on the simulated panel, then data refitted to it:
+        # near-boundary, completeness about 1 - 1e-6, so y'y is ~200 n_i
+        # while RSS is ~0.01 n_i; large-tau, residual sd 1e-3 (tau = 1e6)
+        for mean_logit, noise_sd in ((None, None), (14.0, 0.1), (2.0, 1e-3)):
+            state = make_state(design, np.random.default_rng(19))
+            data = design
+            if mean_logit is not None:
+                fit = design.X @ state.beta + state.u[design.group_idx]
+                state.beta[0] += mean_logit - fit.mean()
+                noise = noise_sd * np.random.default_rng(23).standard_normal(design.n)
+                data = with_y(design, fit + (mean_logit - fit.mean()) + noise)
+            rss = rss_closed_form(state.beta, state.u, data)
+            direct = np.zeros(data.m)
+            for j in range(data.n):
+                g = data.group_idx[j]
+                e = data.y[j] - data.X[j] @ state.beta - state.u[g]
+                direct[g] += e * e
+            np.testing.assert_allclose(rss, direct, atol=1e-10)
+
+    def test_rss_clipped_at_zero(self, design):
+        # exact fits: every residual is 0, and the unclipped closed form
+        # cancels to about -1e-12 for roughly half of the groups
+        for seed in range(5):
+            state = make_state(design, np.random.default_rng(seed))
+            exact = with_y(design, design.X @ state.beta + state.u[design.group_idx])
+            rss = rss_closed_form(state.beta, state.u, exact)
+            assert np.all(rss >= 0.0) and np.all(rss < 1e-10)
 
 
 class TestOmegaConditionals:
@@ -320,6 +369,26 @@ class TestChainMechanics:
                       PriorConfig(reffect_prior=reffect_prior), n_iter=40, burn_in=10,
                       seed=3, stream_id=2)
 
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_nan_precision_stops_the_beta_step(self, design, error_prior, monkeypatch):
+        # tau turns NaN after iteration 4's u step, so that sweep's beta
+        # step meets a NaN precision, under either error prior's draw
+        calls = []
+        real = gibbs.step_u
+
+        def failing(state, *args):
+            real(state, *args)
+            calls.append(None)
+            if len(calls) == 4:
+                state.tau = math.nan
+
+        monkeypatch.setattr(gibbs, "step_u", failing)
+        with pytest.raises(NumericalError,
+                           match=r"^chain 1, iteration 4: whitening matrix is not finite"):
+            run_chain(design, ModelSpec(variant=1, year_offset=2009.5),
+                      PriorConfig(error_prior=error_prior), n_iter=20, burn_in=5,
+                      seed=3, stream_id=1)
+
     @pytest.mark.parametrize("fixed,match", [
         ({"phi": -1.0}, "fixed phi must be finite and > 0"),
         ({"tau": 0.0}, "fixed tau"), ({"tau": float("inf")}, "fixed tau"),
@@ -339,12 +408,46 @@ class TestChainMechanics:
         state = initialize_state(design, priors)
         rng = np.random.default_rng(5)
         seen = []
-        monkeypatch.setattr(gibbs, "rss_by_group",
-                            lambda st, d: seen.append(st.beta.copy()) or rss_by_group(st, d))
+        real = gibbs.rss_closed_form
+        monkeypatch.setattr(gibbs, "rss_closed_form",
+                            lambda beta, u, d: seen.append(beta.copy()) or real(beta, u, d))
         sweep(state, design, priors, rng)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], state.beta)  # after the beta step
-        np.testing.assert_array_equal(state.rss, rss_by_group(state, design))
+        np.testing.assert_allclose(state.rss, rss_by_group(state, design), atol=1e-10)
+
+    @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_sweep_reads_no_data_rows(self, design, error_prior, reffect_prior):
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior,
+                             beta_prior_precision=0.5)
+        rows_gone = dataclasses.replace(design, X=None, y=None, group_idx=None)
+        states = []
+        for d in (design, rows_gone):
+            state = initialize_state(design, priors)
+            rng = np.random.default_rng(31)
+            for _ in range(3):
+                sweep(state, d, priors, rng)
+            states.append(state)
+        for field in dataclasses.fields(states[0]):
+            np.testing.assert_array_equal(getattr(states[0], field.name),
+                                          getattr(states[1], field.name))
+
+    def test_balanced_lambda_draw_equals_per_unit_array_draw(self, design):
+        # the per-fit scalar shape gives the doubles, and leaves the
+        # generator where, the (m,) array of equal shapes did
+        state = make_state(design, np.random.default_rng(37))
+        assert isinstance(design.lambda_shape, float)
+        rate = 0.5 * state.tau * state.rss + state.rho
+        ref = np.random.default_rng(41)
+        want = ref.standard_gamma(0.5 * design.sizes + 1.0) / rate
+        rng = np.random.default_rng(41)
+        state.lam = np.full(design.m, np.nan)
+        step_lambda_halfcauchy(state, design, rng)
+        np.testing.assert_array_equal(state.lam, want)
+        want_rho = ref.standard_gamma(2.0, size=design.m) / (want + 1.0)
+        np.testing.assert_array_equal(state.rho, want_rho)
+        assert rng.random() == ref.random()
 
     def test_gamma_priors_keep_locals_at_one(self, design):
         priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",

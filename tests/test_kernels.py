@@ -13,7 +13,8 @@ from glmixer.design import ModelSpec, build_matrices
 from glmixer.errors import NumericalError, ValidationError
 from glmixer.gibbs import PriorConfig, run_chain
 from glmixer.kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
-                             draw_local_prior, draw_mvn_from_precision)
+                             draw_local_prior, draw_mvn_from_precision,
+                             draw_mvn_whitened)
 
 from oracles import (categorical_by_searchsorted, ecdf_sup_distance, gamma_pdf,
                      gig_half_mean, gig_neg_half_by_masks, gig_pdf)
@@ -83,6 +84,39 @@ class TestMvnFromPrecision:
     def test_not_pd_after_jitter(self):
         with pytest.raises(NumericalError):
             draw_mvn_from_precision(rng(), np.zeros(2), -np.eye(2))
+
+
+class TestMvnWhitened:
+    P = np.array([[2.0, 0.8, 0.1], [0.8, 1.5, -0.3], [0.1, -0.3, 0.7]])
+    b = np.array([1.0, -2.0, 0.5])
+
+    @pytest.mark.parametrize("factor", ["cholesky", "eigh"])
+    def test_matches_precision_moments(self, factor):
+        if factor == "cholesky":
+            W = np.linalg.inv(np.linalg.cholesky(self.P))
+        else:
+            evals, evecs = np.linalg.eigh(self.P)
+            W = (evecs / np.sqrt(evals)).T
+        cov = np.linalg.inv(self.P)  # independent dense inverse
+        np.testing.assert_allclose(W.T @ W, cov, atol=1e-13)
+        g = rng(12)
+        n = 10 ** 5
+        draws = np.array([draw_mvn_whitened(g, self.b, W) for _ in range(n)])
+        se = np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(draws.mean(axis=0) - cov @ self.b) < 4.0 * se)
+        assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.02
+
+    def test_precision_draw_is_cholesky_whitened_draw(self):
+        W = np.linalg.inv(np.linalg.cholesky(self.P))
+        np.testing.assert_array_equal(draw_mvn_from_precision(rng(13), self.b, self.P),
+                                      draw_mvn_whitened(rng(13), self.b, W))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_w(self, bad):
+        W = np.eye(3)
+        W[1, 2] = bad
+        with pytest.raises(NumericalError):
+            draw_mvn_whitened(rng(), self.b, W)
 
 
 class TestGig:
