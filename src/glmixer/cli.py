@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O.
 All randomness flows from one --seed: chain k uses stream_id k and
-prediction sampling uses stream_id 1e6 + k. GLMIXER_THREADS caps the
-number of concurrent chain workers. Partially written output
-directories are removed on failure.
+prediction sampling uses stream_id 1e6 + k. `fit` samples its chains in
+lockstep in one process, so chain k's draws do not depend on --chains.
+Partially written output directories are removed on failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -25,7 +24,7 @@ from .data import load_panel, build_panel, read_csv_rows, PanelDataset
 from .design import ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
 from .gibbs import (DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER,
-                    DEFAULT_THIN, PriorConfig, run_chain)
+                    DEFAULT_THIN, PriorConfig, run_chains)
 from .inference import predict_new_unit, summarize, theorem2_curve
 from .metrics import metric_report
 from .simulate import SimConfig, simulate_panel
@@ -34,39 +33,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-
-def _worker_count(requested: int) -> int:
-    cap = os.environ.get("GLMIXER_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ValidationError(f"GLMIXER_THREADS must be an integer, got {cap!r}")
-        if cap < 1:
-            raise ValidationError("GLMIXER_THREADS must be >= 1")
-        return min(requested, cap)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(requested, cpus)
-
-
-def _chain_job(args):
-    design, spec, priors, n_iter, burn_in, thin, seed, stream_id = args
-    return run_chain(design, spec, priors, n_iter=n_iter, burn_in=burn_in,
-                     thin=thin, seed=seed, stream_id=stream_id)
-
-
-def run_chains(design, spec, priors, *, n_iter, burn_in, thin, seed, chains):
-    jobs = [(design, spec, priors, n_iter, burn_in, thin, seed, k)
-            for k in range(chains)]
-    workers = _worker_count(chains)
-    if workers <= 1 or chains <= 1:
-        return [_chain_job(j) for j in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_chain_job, jobs))
 
 
 def _filter_sex(panel: PanelDataset, sex: str) -> PanelDataset:
@@ -189,7 +155,7 @@ def cmd_metrics(args) -> None:
             f"observations have no prediction, {len(extra)} predictions match no observation")
     predicted = np.asarray([by_key[key] for key in observed_keys])
     obs = np.asarray([o.completeness for o in panel.observations()])
-    report = metric_report(predicted, obs, paper_literal=args.paper_literal)
+    report = metric_report(predicted, obs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -309,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="MAE/RMSE/R-square report from predictions")
     p.add_argument("--predictions", required=True, help="predictions CSV")
     p.add_argument("--observed", required=True, help="observed panel CSV")
-    p.add_argument("--paper-literal", action="store_true",
-                   help="evaluate the literal printed R-square variant")
     add_out(p)
     p.set_defaults(func=cmd_metrics)
 

@@ -15,6 +15,11 @@ stationary distribution, which the getting-it-right tests verify.
 A sweep reads only the design's per-group sufficient statistics and its
 per-fit constants (see `GroupedDesign`), never the n data rows: the beta
 conditional and the residual sums of squares are closed forms in them.
+
+`run_chains` samples a fit's chains in lockstep in one process: each step
+runs once on (C, .) arrays, and chain k draws from RngStream(seed, k)
+alone, in the order a lone run of it would, so chain k's draws do not
+depend on how many chains run.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -30,7 +35,8 @@ import numpy as np
 from .design import GroupedDesign, ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
 from .kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
-                      draw_mvn_from_precision, draw_mvn_whitened)
+                      draw_mvn_whitened, draw_standard, matvec, vecmat,
+                      whitening_from_precision)
 from .special import lgam
 
 ERROR_PRIORS = ("gamma", "half-cauchy")
@@ -137,6 +143,8 @@ class PriorConfig:
 
 @dataclass
 class ChainState:
+    """One chain's state; C chains in lockstep add a leading axis to each field."""
+
     beta: np.ndarray       # (p,)
     u: np.ndarray          # (m,)
     tau: float             # global error precision (zeta_eps under common Gamma)
@@ -147,7 +155,7 @@ class ChainState:
     varrho: np.ndarray     # (m,) Horseshoe auxiliaries for omega
     nu: np.ndarray         # (m,) int, Student-t degrees of freedom
     rss: np.ndarray        # (m,) per-unit residual sums of squares at beta and u,
-                           # refreshed by step_beta for the tau and lambda steps
+                           # refreshed by the beta step for the tau and lambda steps
 
 
 @dataclass(frozen=True)
@@ -171,7 +179,13 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# conditional-parameter helpers (pure, unit-testable) and the draw steps
+# conditional-parameter helpers (pure, unit-testable) and the draw steps, for
+# one chain or C in lockstep (see ChainState), each chain with its own bits
+
+
+def _col(x, axes=1):
+    """A per-chain scalar: one chain's number, or (C,) with `axes` axes added."""
+    return x.reshape(x.shape + (1,) * axes) if isinstance(x, np.ndarray) else x
 
 
 def u_conditional(state: ChainState, design: GroupedDesign):
@@ -182,22 +196,24 @@ def u_conditional(state: ChainState, design: GroupedDesign):
     gamma_i / (n_i lam_i tau).
     """
     n_i = design.sizes
-    lt = state.lam * state.tau
-    of = state.omega * state.phi
+    lt = state.lam * _col(state.tau)
+    of = state.omega * _col(state.phi)
     gamma = lt / (lt + of / n_i)
-    resid = design.ybar - design.xbar @ state.beta
+    resid = design.ybar - matvec(design.xbar, state.beta)
     return gamma * resid, gamma / (n_i * lt), gamma
 
 
-def step_u(state: ChainState, design: GroupedDesign, rng) -> None:
+def step_u(state: ChainState, design: GroupedDesign, rng, z=None) -> None:
+    """u from its conditional; the normals are z["u"] (see `sweep`) or rng's."""
     mean, var, _ = u_conditional(state, design)
-    state.u = mean + np.sqrt(var) * rng.standard_normal(design.m)
+    state.u = mean + np.sqrt(var) * (rng.standard_normal(design.m) if z is None else z["u"])
 
 
 def _beta_rhs(state: ChainState, design: GroupedDesign) -> np.ndarray:
     """b = tau sum_i lam_i (X_i'y_i - u_i n_i xbar_i), from the per-group sums."""
     lam = state.lam
-    return state.tau * (lam @ design.Xty_g - (lam * state.u * design.sizes) @ design.xbar)
+    return _col(state.tau) * (vecmat(lam, design.Xty_g)
+                              - vecmat(lam * state.u * design.sizes, design.xbar))
 
 
 def beta_conditional(state: ChainState, design: GroupedDesign, prior_precision: float = 0.0):
@@ -205,13 +221,15 @@ def beta_conditional(state: ChainState, design: GroupedDesign, prior_precision: 
     N(P^-1 b, P^-1), with P = tau sum_i lam_i X_i'X_i (+ prior precision),
     as one mat-vec over the flattened XtX_g."""
     m, p = design.m, design.p
-    P = state.tau * (state.lam @ design.XtX_g.reshape(m, p * p)).reshape(p, p)
+    XtX = vecmat(state.lam, design.XtX_g.reshape(m, p * p))
+    P = _col(state.tau, 2) * XtX.reshape(XtX.shape[:-1] + (p, p))
     if prior_precision > 0.0:
         P = P + prior_precision * np.eye(p)
     return _beta_rhs(state, design), P
 
 
-def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng) -> None:
+def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng,
+              z=None) -> None:
     """Draw beta, then refresh state.rss: u was drawn just before and the
     later steps of a sweep change neither, so one RSS serves tau and lambda.
 
@@ -220,13 +238,15 @@ def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng
     V Lambda V', and W = (V / sqrt(tau Lambda + kappa))' whitens it without
     a factorization. Otherwise P is factored each sweep.
     """
+    noise = None if z is None else z["beta"]
     if priors.error_prior == "gamma":
         evals, evecs = design.xtx_eigh
-        W = (evecs / np.sqrt(state.tau * evals + priors.beta_prior_precision)).T
-        state.beta = draw_mvn_whitened(rng, _beta_rhs(state, design), W)
+        scale = np.sqrt(_col(state.tau) * evals + priors.beta_prior_precision)
+        W = np.swapaxes(evecs / scale[..., None, :], -1, -2)
+        state.beta = draw_mvn_whitened(rng, _beta_rhs(state, design), W, noise)
     else:
         rhs, P = beta_conditional(state, design, priors.beta_prior_precision)
-        state.beta = draw_mvn_from_precision(rng, rhs, P)
+        state.beta = draw_mvn_whitened(rng, rhs, whitening_from_precision(P), noise)
     state.rss = rss_closed_form(state.beta, state.u, design)
 
 
@@ -240,50 +260,54 @@ def rss_closed_form(beta: np.ndarray, u: np.ndarray, design: GroupedDesign) -> n
     beta beta'. Clipped at 0, because cancellation can leave a tiny
     negative value where every residual is near zero."""
     m, p = design.m, design.p
-    rss = (design.yty_g - 2.0 * (design.Xty_g @ beta)
-           + design.XtX_g.reshape(m, p * p) @ (beta[:, None] * beta).ravel())
-    rss += design.sizes * u * (u - 2.0 * (design.ybar - design.xbar @ beta))
+    outer = (beta[..., :, None] * beta[..., None, :]).reshape(beta.shape[:-1] + (p * p,))
+    rss = (design.yty_g - 2.0 * matvec(design.Xty_g, beta)
+           + matvec(design.XtX_g.reshape(m, p * p), outer))
+    rss += design.sizes * u * (u - 2.0 * (design.ybar - matvec(design.xbar, beta)))
     return np.maximum(rss, 0.0, out=rss)
 
 
 def tau_conditional(state: ChainState, design: GroupedDesign, priors: PriorConfig):
     """(shape, rate) of the error global precision:
-    Gamma(n/2 + a, (1/2) sum_i lam_i RSS_i + b), with RSS from state.rss."""
+    Gamma(n/2 + a, (1/2) sum_i lam_i RSS_i + b), with RSS from state.rss;
+    the sum is a (1 x m) (m x 1) product, per chain."""
     a, b = priors.tau_hyper
-    rate = 0.5 * float(state.lam @ state.rss) + b
-    return 0.5 * design.n + a, rate
+    return 0.5 * design.n + a, 0.5 * vecmat(state.lam, state.rss[..., None])[..., 0] + b
 
 
 def phi_conditional(state: ChainState, priors: PriorConfig):
     """(shape, rate) of the effect global precision:
     Gamma(m/2 + a, (1/2) sum_i omega_i u_i^2 + b)."""
     a, b = priors.phi_hyper
-    rate = 0.5 * float(state.omega @ (state.u * state.u)) + b
-    return 0.5 * state.u.shape[0] + a, rate
+    u2 = (state.u * state.u)[..., None]
+    return 0.5 * state.u.shape[-1] + a, 0.5 * vecmat(state.omega, u2)[..., 0] + b
+
+
+def _gamma(rng, z, name, shape, rate, size=None):
+    """Gamma(shape, rate) draws from the sweep's standard draws z[name], or rng's."""
+    return draw_gamma(rng, shape, rate, size, None if z is None else z[name])
 
 
 def step_global_scales(state: ChainState, design: GroupedDesign, priors: PriorConfig,
-                       rng, fixed=()) -> None:
+                       rng, fixed=(), z=None) -> None:
     if "tau" not in fixed:
-        shape, rate = tau_conditional(state, design, priors)
-        state.tau = draw_gamma(rng, shape, rate)
+        state.tau = _gamma(rng, z, "tau", *tau_conditional(state, design, priors))
     if "phi" not in fixed:
-        shape, rate = phi_conditional(state, priors)
-        state.phi = draw_gamma(rng, shape, rate)
+        state.phi = _gamma(rng, z, "phi", *phi_conditional(state, priors))
 
 
 def lambda_conditional(state: ChainState, design: GroupedDesign):
     """(shape, rate) of lam_i ~ Gamma(n_i/2 + 1, (tau/2) RSS_i + rho_i),
     with RSS from state.rss. The shape is the design's per-fit constant:
     one float for a balanced panel, else one entry per unit."""
-    return design.lambda_shape, 0.5 * state.tau * state.rss + state.rho
+    return design.lambda_shape, 0.5 * _col(state.tau) * state.rss + state.rho
 
 
-def step_lambda_halfcauchy(state: ChainState, design: GroupedDesign, rng) -> None:
+def step_lambda_halfcauchy(state: ChainState, design: GroupedDesign, rng, z=None) -> None:
     """Auxiliary two-Gamma update with stationary prior (1 + lam)^-2."""
     shape, rate = lambda_conditional(state, design)
-    state.lam = draw_gamma(rng, shape, rate, size=design.m)
-    state.rho = draw_gamma(rng, 2.0, state.lam + 1.0, size=design.m)
+    state.lam = _gamma(rng, z, "lam", shape, rate, size=design.m)
+    state.rho = _gamma(rng, z, "rho", 2.0, state.lam + 1.0, size=design.m)
 
 
 def nu_log_prior(priors: PriorConfig) -> np.ndarray:
@@ -298,8 +322,8 @@ def nu_log_prior(priors: PriorConfig) -> np.ndarray:
 
 
 def nu_log_weights(u: np.ndarray, phi: float, priors: PriorConfig) -> np.ndarray:
-    """(m, |support|) log weights of the nu_i conditional: log prior plus
-    the log Student-t density of u_i at scale sqrt(1/phi).
+    """(m, |support|) log weights of one chain's nu_i conditional: log prior
+    plus the log Student-t density of u_i at scale sqrt(1/phi).
 
     Computed support-major, so every operation runs along the m units, and
     returned as the transposed view."""
@@ -320,43 +344,100 @@ def omega_conditional_student_t(phiu2, nu):
     return 0.5 * np.asarray(nu) + 0.5, 0.5 * np.asarray(phiu2) + 0.5 * np.asarray(nu)
 
 
-def step_omega(state: ChainState, priors: PriorConfig, rng) -> None:
+def _each_chain(rng, draw, *args):
+    """draw(g, *rows) stacked over each chain's Generator g and rows of args
+    (a failing chain is the error's `row`); draw(rng, *args) for one chain."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng, *args)
+    out = []
+    for c, g in enumerate(rng):
+        try:
+            out.append(draw(g, *(a[c] for a in args)))
+        except (GlmixerError, ArithmeticError, ValueError) as exc:
+            exc.row = c
+            raise
+    return np.stack(out)
+
+
+def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
     """Local random-effect precisions by family.
 
     Horseshoe: omega ~ Gamma(1, phi u^2/2 + varrho), varrho ~ Gamma(1, omega+1).
     Laplace: omega ~ GIG(-1/2, phi u^2, 2).
     Student-t: nu_i from its collapsed conditional (before omega, so the
     pair is a valid blocked draw), then omega ~ Gamma(nu/2 + 1/2,
-    phi u^2/2 + nu/2).
+    phi u^2/2 + nu/2). These two draw from each chain's own Generator.
     """
-    m = state.u.shape[0]
-    phiu2 = state.phi * state.u * state.u
+    m = state.u.shape[-1]
+    phiu2 = _col(state.phi) * state.u * state.u
     if priors.reffect_prior == "horseshoe":
         shape, rate = omega_conditional_horseshoe(phiu2, state.varrho)
-        state.omega = draw_gamma(rng, shape, rate, size=m)
-        state.varrho = draw_gamma(rng, 1.0, state.omega + 1.0, size=m)
+        state.omega = _gamma(rng, z, "omega", shape, rate, size=m)
+        state.varrho = _gamma(rng, z, "varrho", 1.0, state.omega + 1.0, size=m)
     elif priors.reffect_prior == "laplace":
-        state.omega = draw_gig(rng, -0.5, phiu2, 2.0)
+        state.omega = _each_chain(rng, lambda g, a: draw_gig(g, -0.5, a, 2.0), phiu2)
     elif priors.reffect_prior == "student-t":
-        idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors))
-        support = np.asarray(priors.nu_support)
-        state.nu = support[idx]
+        idx = _each_chain(rng, lambda g, u, phi: draw_categorical_log(
+            g, nu_log_weights(u, phi, priors)), state.u, state.phi)
+        state.nu = np.asarray(priors.nu_support)[idx]
         shape, rate = omega_conditional_student_t(phiu2, state.nu.astype(np.float64))
-        state.omega = draw_gamma(rng, shape, rate)
+        state.omega = _each_chain(rng, draw_gamma, shape, rate)
     # common Gamma: omega stays 1 and phi is the common zeta_u
 
 
-def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng,
-          fixed=()) -> None:
-    """One full Gibbs cycle in the fixed order u, beta, global scales,
-    lambda/rho (Half-Cauchy errors only), omega block."""
-    step_u(state, design, rng)
-    step_beta(state, design, priors, rng)
-    step_global_scales(state, design, priors, rng, fixed=fixed)
+def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=()):
+    """The conditionals' (per-fit constant) shapes of a sweep's standard
+    Gamma draws in draw order, and {name: index or slice} of each draw."""
+    m = design.m
+    blocks = {"tau": [0.5 * design.n + priors.tau_hyper[0]],
+              "phi": [0.5 * m + priors.phi_hyper[0]]}
+    blocks = {k: v for k, v in blocks.items() if k not in fixed}
     if priors.error_prior == "half-cauchy":
-        step_lambda_halfcauchy(state, design, rng)
-    if priors.reffect_prior != "gamma":
-        step_omega(state, priors, rng)
+        blocks.update(lam=np.broadcast_to(design.lambda_shape, (m,)), rho=np.full(m, 2.0))
+    if priors.reffect_prior == "horseshoe":
+        blocks.update(omega=np.ones(m), varrho=np.ones(m))
+    ends = np.cumsum([len(v) for v in blocks.values()], dtype=int)
+    at = {k: e - 1 if k in ("tau", "phi") else slice(e - m, e) for k, e in zip(blocks, ends)}
+    return np.concatenate([np.empty(0), *blocks.values()]), at
+
+
+def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng,
+          fixed=(), layout=None) -> None:
+    """One full Gibbs cycle in the fixed order u, beta, global scales (less
+    the `fixed` ones), lambda/rho (Half-Cauchy errors only), omega block.
+
+    rng is one chain's Generator, which each step draws from in turn, or
+    a sequence of one Generator per chain: then each chain's normals and
+    rate-free standard Gammas come first, two calls on its Generator, and
+    are the doubles the steps would draw (`layout`: `_sweep_layout`'s).
+    A failed draw's error gets the `step` it failed in and the failing
+    chain's `row`.
+    """
+    z, step = None, "u"
+    try:
+        if not isinstance(rng, np.random.Generator):
+            shapes, at = layout or _sweep_layout(design, priors, fixed)
+            zn, zg = draw_standard(rng, design.m + design.p, shapes)
+            if state.u.ndim == 1:  # a lone chain, held without the chain axis
+                (rng,), zn, zg = rng, zn[0], zg[0]
+            z = {"u": zn[..., :design.m], "beta": zn[..., design.m:],
+                 **{name: zg[..., where] for name, where in at.items()}}
+        step_u(state, design, rng, z)
+        step = "beta"
+        step_beta(state, design, priors, rng, z)
+        step = "scales"
+        step_global_scales(state, design, priors, rng, fixed, z)
+        if priors.error_prior == "half-cauchy":
+            step = "lambda"
+            step_lambda_halfcauchy(state, design, rng, z)
+        if priors.reffect_prior != "gamma":
+            step = "omega"
+            step_omega(state, priors, rng, z)
+    except (GlmixerError, ArithmeticError, ValueError) as exc:
+        exc.step = step
+        if state.u.ndim == 1:
+            exc.row = 0
+        raise
 
 
 def initialize_state(design: GroupedDesign, priors: PriorConfig, rng=None) -> ChainState:
@@ -391,14 +472,24 @@ def run_chain(panel_or_design, spec: ModelSpec, priors: PriorConfig,
               n_iter: int = DEFAULT_N_ITER, burn_in: int = DEFAULT_BURN_IN,
               thin: int = DEFAULT_THIN, seed: int = 0, stream_id: int = 0,
               fixed: Optional[dict] = None) -> Trace:
-    """Run one chain and return its Trace.
+    """`run_chains` on the one stream RngStream(seed, stream_id)."""
+    return run_chains(panel_or_design, spec, priors, n_iter=n_iter, burn_in=burn_in,
+                      thin=thin, seed=seed, chains=(stream_id,), fixed=fixed)[0]
+
+
+def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
+               n_iter: int = DEFAULT_N_ITER, burn_in: int = DEFAULT_BURN_IN,
+               thin: int = DEFAULT_THIN, seed: int = 0, chains=DEFAULT_CHAINS,
+               fixed: Optional[dict] = None) -> list:
+    """The Traces of `chains` chains on streams 0, 1, ... (or on the stream
+    ids given), sampled in lockstep in this process. Chain k draws from
+    RngStream(seed, k) alone, so its Trace does not depend on the others.
 
     `fixed` pins the global precisions tau and/or phi (e.g. {"phi": 100.0})
     for diagnostics and oracle tests; pinned values must be finite and
-    > 0, are set before sampling and never redrawn. Deterministic given
-    (seed, stream_id). A draw that fails mid-chain (every kernel checks
-    its parameters) raises NumericalError naming the chain and the
-    iteration.
+    > 0, are set before sampling and never redrawn. A failed draw (every
+    kernel checks its parameters) raises NumericalError naming the lowest
+    failing chain, the iteration and the step.
     """
     if not (n_iter > burn_in >= 0):
         raise ValidationError(f"need n_iter > burn_in >= 0, got {n_iter}, {burn_in}")
@@ -414,32 +505,39 @@ def run_chain(panel_or_design, spec: ModelSpec, priors: PriorConfig,
         design = panel_or_design
     else:
         design = build_matrices(panel_or_design, spec)
-    rng = RngStream(seed=seed, stream_id=stream_id).generator()
-    state = initialize_state(design, priors, rng)
+    stream_ids = range(chains) if isinstance(chains, numbers.Integral) else tuple(chains)
+    n_chains = len(stream_ids)
+    rngs = [RngStream(seed=seed, stream_id=k).generator() for k in stream_ids]
+    start = initialize_state(design, priors)
+    # a lone chain is held without the chain axis, which its sweep runs faster on
+    state = start if n_chains == 1 else ChainState(**{
+        f.name: np.repeat(np.asarray(getattr(start, f.name))[None], n_chains, axis=0)
+        for f in fields(ChainState)})
     for name, value in fixed.items():
-        setattr(state, name, float(value))
+        setattr(state, name, float(value) if n_chains == 1 else np.full(n_chains, float(value)))
+    layout = _sweep_layout(design, priors, fixed)
     kept = (n_iter - burn_in) // thin
     # trace key -> ChainState attribute, in the order of the chain file's columns
     recorded = {"beta": "beta", "u": "u", "tau": "tau", "phi": "phi",
                 "omega": "omega", "lambda": "lam"}
     if priors.reffect_prior == "student-t":
         recorded["nu"] = "nu"
-    draws = {key: np.empty((kept, *np.shape(getattr(state, attr))),
+    draws = {key: np.empty((n_chains, kept, *np.shape(getattr(start, attr))),
                            dtype=np.intp if key == "nu" else np.float64)
              for key, attr in recorded.items()}
     k = 0
     for t in range(1, n_iter + 1):
         try:
-            sweep(state, design, priors, rng, fixed=fixed)
+            sweep(state, design, priors, rngs, fixed, layout)
         except (GlmixerError, ArithmeticError, ValueError) as exc:
             # the kernels' own checks, or math and numpy meeting a bad state
-            raise NumericalError(f"chain {stream_id}, iteration {t}: {exc}") from exc
+            raise NumericalError(f"chain {stream_ids[getattr(exc, 'row', 0)]}, iteration {t}, "
+                                 f"step {exc.step}: {exc}") from exc
         if t > burn_in and (t - burn_in) % thin == 0:
             for key, attr in recorded.items():
-                draws[key][k] = getattr(state, attr)
+                draws[key][:, k] = getattr(state, attr)
             k += 1
-    return Trace(
-        draws=draws, seed=seed, chain_id=stream_id, n_iter=n_iter,
-        burn_in=burn_in, thin=thin, priors=priors, spec=spec,
-        unit_ids=design.unit_ids, sizes=tuple(int(s) for s in design.sizes),
-    )
+    return [Trace(draws={key: d[c] for key, d in draws.items()}, seed=seed, chain_id=chain,
+                  n_iter=n_iter, burn_in=burn_in, thin=thin, priors=priors, spec=spec,
+                  unit_ids=design.unit_ids, sizes=tuple(int(s) for s in design.sizes))
+            for c, chain in enumerate(stream_ids)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PanelDataset
-from .design import ModelSpec, build_matrices, pooled_crossprod
+from .design import ModelSpec, build_matrices
 from .errors import NumericalError, SpecMismatchError, ValidationError
 from .gibbs import nu_log_prior
 from .kernels import RngStream, draw_local_prior
@@ -287,7 +287,7 @@ def predict_new_unit(traces, rows: np.ndarray, sizes,
 
 
 # ---------------------------------------------------------------------------
-# shrinkage factors and deviances
+# shrinkage factors
 
 def shrinkage_factors(traces, sizes=None):
     """Per-group shrinkage factor draws gamma_i = lam_i tau / (lam_i tau
@@ -302,19 +302,6 @@ def shrinkage_factors(traces, sizes=None):
         parts.append(lt / (lt + of / n_i))
     draws = np.concatenate(parts)
     return draws, draws.mean(axis=0)
-
-
-def deviances(panel: PanelDataset, spec: ModelSpec):
-    """Per-group (country-level, country-year-level) deviances around the
-    pooled OLS fit: (ybar_i - xbar_i' b)^2 and sum_j (y_ij - x_ij' b)^2 / n_i."""
-    design = build_matrices(panel, spec, for_fit=False)
-    xtx = pooled_crossprod(design.X)
-    beta_hat = np.linalg.solve(xtx, design.X.T @ design.y)
-    country = (design.ybar - design.xbar @ beta_hat) ** 2
-    r = design.y - design.X @ beta_hat
-    country_year = np.bincount(design.group_idx, weights=r * r,
-                               minlength=design.m) / design.sizes
-    return country, country_year
 
 
 # ---------------------------------------------------------------------------

@@ -47,62 +47,112 @@ def _finite_positive(x, allow_zero=False) -> bool:
     return (lo >= 0.0 if allow_zero else lo > 0.0) and hi < math.inf  # False on NaN
 
 
-def draw_gamma(rng, shape, rate, size=None):
+def draw_gamma(rng, shape, rate, size=None, z=None):
     """Gamma(shape, rate) draws, density ~ x^(shape-1) exp(-rate x), as
-    ``rng.standard_gamma(shape, size) / rate``.
+    ``rng.standard_gamma(shape, size) / rate``, or as z / rate for standard
+    Gamma(shape) draws z already made (see `draw_standard`).
 
     Shape and rate broadcast; a float comes back for scalar parameters
     without `size`. A non-positive or non-finite shape or rate raises
     ValidationError. The check is on the draws: every such parameter
     gives a draw that is 0, negative, infinite or NaN, or makes numpy
     raise, while valid shapes (>= 0.5 in this package) do not underflow.
+    The error names the shape and rate of the first bad row (the lowest
+    chain, for draws with a leading chain axis) and has that row as `row`.
     """
+    if z is None:
+        try:
+            z = rng.standard_gamma(shape, size)
+        except ValueError:  # numpy on a shape < 0
+            z = np.full(np.broadcast_shapes(np.shape(shape), np.shape(rate)), math.nan)
     try:
-        out = rng.standard_gamma(shape, size) / rate
-    except (ValueError, ZeroDivisionError):  # numpy on a shape < 0; a float rate of 0
+        out = z / rate
+    except ZeroDivisionError:  # a float rate of 0
         out = math.nan
     if not _finite_positive(out):
-        raise ValidationError(
+        rows = np.atleast_1d(out)
+        ok = ((rows > 0.0) & (rows < math.inf)).reshape(len(rows), -1).all(axis=1)
+        row = int(np.argmin(ok))
+        shape, rate = (np.broadcast_to(x, rows.shape)[row] for x in (shape, rate))
+        err = ValidationError(
             f"Gamma shape and rate must be finite and > 0, got shape={shape!r}, rate={rate!r}")
+        err.row = row
+        raise err
     return out
 
 
-def draw_mvn_whitened(rng, b, W):
-    """Draw W'(W b + z), z ~ N(0, I): for any W with W'W = P^-1 this is
-    a draw from N(P^-1 b, P^-1), at the cost of two mat-vecs.
+def draw_standard(rngs, n_normal, gamma_shapes):
+    """The rate-free variates of C chains, two calls on each chain's
+    Generator: row c holds rngs[c]'s `n_normal` N(0, 1) draws, and its
+    standard Gamma draws of the given shapes. A Generator yields the same
+    doubles in the same order in one call as in several, so a sweep draws
+    them up front and scales them afterwards (`draw_gamma`'s z)."""
+    zn = np.empty((len(rngs), n_normal))
+    zg = np.empty((len(rngs), len(gamma_shapes)))
+    for c, g in enumerate(rngs):
+        g.standard_normal(out=zn[c])
+        if len(gamma_shapes):
+            g.standard_gamma(gamma_shapes, out=zg[c])
+    return zn, zg
 
-    A non-finite W (from a precision that is not positive definite, or
-    NaN) raises NumericalError.
-    """
+
+def matvec(A, x):
+    """A x for x (k,) or for each row of x (C, k), as stacked (k, 1)
+    matmuls: each row gets the bits of the one-chain ``A @ x_row``, which
+    an einsum or a (C, k) @ (k, n) product does not promise."""
+    return A @ x if x.ndim == 1 else np.matmul(A, x[..., None])[..., 0]
+
+
+def vecmat(x, A):
+    """x A for x (k,) or for each row of x (C, k); bitwise ``x_row @ A``
+    (see `matvec`)."""
+    return x @ A if x.ndim == 1 else np.matmul(x[..., None, :], A)[..., 0, :]
+
+
+def draw_mvn_whitened(rng, b, W, z=None):
+    """W'(W b + z) for standard normal z (rng's unless given): for any W with
+    W'W = P^-1 a draw from N(P^-1 b, P^-1), at the cost of two mat-vecs;
+    b, W and z may carry a leading chain axis. A non-finite W (from a
+    precision that is not positive definite, or NaN) raises NumericalError;
+    its `row` is the lowest such chain."""
     if not np.isfinite(W).all():
-        raise NumericalError("whitening matrix is not finite: the precision "
+        err = NumericalError("whitening matrix is not finite: the precision "
                              "matrix is not positive definite")
-    return W.T @ (W @ b + rng.standard_normal(W.shape[0]))
+        err.row = int(np.argmin(np.isfinite(W).all(axis=(-2, -1)))) if W.ndim > 2 else 0
+        raise err
+    return vecmat(matvec(W, b) + (rng.standard_normal(W.shape[-1]) if z is None else z), W)
+
+
+def whitening_from_precision(P, row=0):
+    """W = L^-1 from the Cholesky factorization P = L L', so W'W = P^-1; P
+    may carry a leading chain axis. A matrix that fails to factor gets
+    jitter 1e-10 * trace(P)/p on its diagonal and one retry; a second
+    failure raises NumericalError with that chain as its `row`."""
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        if P.ndim > 2:
+            return np.stack([whitening_from_precision(Pc, c) for c, Pc in enumerate(P)])
+        jitter = MVN_JITTER_REL * np.trace(P) / P.shape[0]
+        try:
+            L = np.linalg.cholesky(P + jitter * np.eye(P.shape[0]))
+        except np.linalg.LinAlgError as exc:
+            err = NumericalError(
+                f"precision matrix not positive definite even after jitter {jitter:g}")
+            err.row = row
+            raise err from exc
+    return np.linalg.inv(L)
 
 
 def draw_mvn_from_precision(rng, b, P):
-    """Draw from N(P^-1 b, P^-1) as `draw_mvn_whitened` with W = L^-1,
-    where P = L L' is the Cholesky factorization: W'W = (L L')^-1 = P^-1.
-
-    On factorization failure, jitter 1e-10 * trace(P)/p is added to the
-    diagonal and the factorization retried once.
-    """
+    """Draw from N(P^-1 b, P^-1) as `draw_mvn_whitened` with the W of
+    `whitening_from_precision`."""
     b = np.asarray(b, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
     p = b.shape[0]
     if P.shape != (p, p):
         raise ValidationError(f"precision matrix shape {P.shape} incompatible with b of length {p}")
-    try:
-        L = np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        jitter = MVN_JITTER_REL * np.trace(P) / p
-        try:
-            L = np.linalg.cholesky(P + jitter * np.eye(p))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"precision matrix not positive definite even after jitter {jitter:g}"
-            ) from exc
-    return draw_mvn_whitened(rng, b, np.linalg.inv(L))
+    return draw_mvn_whitened(rng, b, whitening_from_precision(P))
 
 
 def _gig_psi(x, alpha, lam):

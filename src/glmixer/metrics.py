@@ -38,23 +38,13 @@ def mae_rmse(predicted, observed):
     return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
 
 
-def r_square(observed, fixed_only_pred, paper_literal: bool = False):
-    """1 - SS_res / SS_tot against the fixed-effect-only predictions.
-
-    `paper_literal` evaluates the printed variant with the total sum of
-    squares in the numerator over an unsquared residual sum; it is kept
-    only for comparison and is not a proper R-square.
-    """
+def r_square(observed, fixed_only_pred):
+    """1 - SS_res / SS_tot against the fixed-effect-only predictions."""
     obs, pred = _paired(observed, fixed_only_pred, min_len=2)
     cbar = obs.mean()
     ss_tot = float(np.sum((obs - cbar) ** 2))
     if ss_tot == 0.0:
         raise ValidationError("observed vector has zero variance; R-square undefined")
-    if paper_literal:
-        denom = float(np.sum(obs - pred))
-        if denom == 0.0:
-            raise ValidationError("literal-form denominator is zero")
-        return 1.0 - ss_tot / denom
     ss_res = float(np.sum((obs - pred) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -115,11 +105,10 @@ class MetricReport:
         }
 
 
-def metric_report(predicted, observed, fixed_only_pred=None,
-                  paper_literal: bool = False) -> MetricReport:
+def metric_report(predicted, observed, fixed_only_pred=None) -> MetricReport:
     mae, rmse = mae_rmse(predicted, observed)
     fixed = predicted if fixed_only_pred is None else fixed_only_pred
-    r2 = r_square(observed, fixed, paper_literal=paper_literal)
+    r2 = r_square(observed, fixed)
     strat = stratified(predicted, observed)
     mae_u, mse_u, count = subnational_report(predicted, observed)
     return MetricReport(mae=mae, rmse=rmse, r_square=r2, stratified=strat,

@@ -13,16 +13,11 @@ from hypothesis import strategies as st
 import glmixer
 from glmixer import cli, inference
 from glmixer.artifacts import MANIFEST_DIGEST, load_fit, manifest_digest
-from glmixer.cli import _worker_count, main
+from glmixer.cli import main
 from glmixer.inference import summarize
 
 FIT_ARGS = ["--iters", "80", "--burn-in", "20", "--thin", "2",
             "--chains", "2", "--seed", "7"]
-
-
-@pytest.fixture(autouse=True)
-def serial(monkeypatch):
-    monkeypatch.setenv("GLMIXER_THREADS", "1")
 
 
 @pytest.fixture(scope="module")
@@ -218,11 +213,6 @@ class TestFit:
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "fit")] + FIT_ARGS) == 4
 
-    def test_bad_threads_env_exits_2(self, sim_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("GLMIXER_THREADS", "zero")
-        assert main(["fit", "--input", str(sim_dir / "panel.csv"),
-                     "--out", str(tmp_path / "fit")] + FIT_ARGS) == 2
-
     @pytest.mark.parametrize("flag,value", [
         ("--chains", "0"), ("--iters", "0"), ("--thin", "0"), ("--burn-in", "-1")])
     def test_bad_counts_exit_2(self, sim_dir, tmp_path, capsys, flag, value):
@@ -246,18 +236,19 @@ class TestFit:
         assert main(["fit", "--input", str(bad), "--out", str(out)] + FIT_ARGS) == 2
         assert not out.exists()
 
-    def test_process_pool_matches_serial(self, sim_dir, tmp_path, monkeypatch):
-        args = ["--iters", "30", "--burn-in", "10", "--thin", "1", "--chains", "2",
-                "--seed", "11"]
+    def test_chain_file_does_not_depend_on_chain_count(self, sim_dir, tmp_path):
+        # chains run in lockstep, each on its own stream: chain 0 of a
+        # four-chain fit is the one-chain fit's chain, byte for byte
+        args = ["--iters", "30", "--burn-in", "10", "--thin", "1", "--seed", "11"]
         trees = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("GLMIXER_THREADS", threads)
-            out = tmp_path / f"fit{threads}"
-            assert main(["fit", "--input", str(sim_dir / "panel.csv"),
+        for chains in ("1", "4"):
+            out = tmp_path / f"fit{chains}"
+            assert main(["fit", "--input", str(sim_dir / "panel.csv"), "--chains", chains,
                          "--out", str(out)] + args) == 0
             trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert sorted(trees[0]) == ["chain_0.csv", "chain_1.csv", "manifest.json", "summary.csv"]
-        assert trees[0] == trees[1]
+        assert sorted(trees[1]) == ["chain_0.csv", "chain_1.csv", "chain_2.csv",
+                                    "chain_3.csv", "manifest.json", "summary.csv"]
+        assert trees[0]["chain_0.csv"] == trees[1]["chain_0.csv"]
 
 
 class TestPredictAndMetrics:
@@ -460,25 +451,6 @@ class TestPredictAndMetrics:
                          "--out", str(tmp_path / name)]) == 0
             reports.append((tmp_path / name / "metrics.csv").read_bytes())
         assert reports[0] == reports[1]
-
-
-class TestWorkerCount:
-    def test_sized_from_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv("GLMIXER_THREADS")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert _worker_count(4) == 1
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("GLMIXER_THREADS")
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _worker_count(4) == 3
-
-    def test_env_cap_wins(self, monkeypatch):
-        monkeypatch.setenv("GLMIXER_THREADS", "2")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert _worker_count(4) == 2
 
 
 def _scipy_loaded_after(code):

@@ -51,6 +51,21 @@ def with_y(design, y):
         design, y=y, **dict(zip(("xbar", "ybar", "XtX_g", "Xty_g", "yty_g"), sums)))
 
 
+def nan_on_call(real, call, name, rows=None):
+    """`real`, but its `call`-th call first sets state.<name> to NaN, in the
+    given chain rows of a lockstep state or everywhere."""
+    calls = []
+
+    def hooked(state, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            value = np.array(getattr(state, name), dtype=np.float64)
+            value[rows if rows is not None else ...] = math.nan
+            setattr(state, name, value)
+        return real(state, *args, **kwargs)
+    return hooked
+
+
 @pytest.fixture(scope="module")
 def design():
     return build_matrices(small_panel(), ModelSpec(variant=1, year_offset=2009.5))
@@ -314,6 +329,38 @@ class TestNuPrior:
         assert w3[:5].sum() > w1[:5].sum()
 
 
+class TestLockstep:
+    @pytest.mark.parametrize("fixed", [None, {"tau": 3.0}, {"phi": 2.0}])
+    @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_each_chain_is_its_one_chain_run(self, design, error_prior, reffect_prior, fixed):
+        spec = ModelSpec(variant=1, year_offset=2009.5)
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+        kw = dict(n_iter=25, burn_in=5, thin=2, seed=9, fixed=fixed)
+        lockstep = gibbs.run_chains(design, spec, priors, chains=4, **kw)
+        for k, trace in enumerate(lockstep):
+            alone = run_chain(design, spec, priors, stream_id=k, **kw)
+            assert trace.chain_id == k
+            assert trace.draws.keys() == alone.draws.keys()
+            for key, value in alone.draws.items():
+                assert trace.draws[key].dtype == value.dtype
+                assert trace.draws[key].tobytes() == value.tobytes(), (k, key)
+
+    def test_one_chain_sweep_is_a_lockstep_row(self, design):
+        # the Geweke harness sweeps a one-chain state with one Generator
+        priors = PriorConfig(reffect_prior="student-t")
+        single = initialize_state(design, priors)
+        rngs = [np.random.default_rng(s) for s in (5, 6)]
+        batch = gibbs.ChainState(**{f.name: np.stack([getattr(single, f.name)] * 2)
+                                    for f in dataclasses.fields(single)})
+        one_rng = np.random.default_rng(6)
+        for _ in range(3):
+            sweep(single, design, priors, one_rng)
+            sweep(batch, design, priors, rngs)
+        for f in dataclasses.fields(single):
+            np.testing.assert_array_equal(getattr(batch, f.name)[1], getattr(single, f.name))
+
+
 class TestChainMechanics:
     def test_deterministic(self, design):
         kw = dict(spec=ModelSpec(variant=1, year_offset=2009.5),
@@ -364,7 +411,8 @@ class TestChainMechanics:
                 state.phi = math.nan
 
         monkeypatch.setattr(gibbs, "step_global_scales", failing)
-        with pytest.raises(NumericalError, match=rf"^chain 2, iteration 7: .*{message}"):
+        with pytest.raises(NumericalError,
+                           match=rf"^chain 2, iteration 7, step omega: .*{message}"):
             run_chain(design, ModelSpec(variant=1, year_offset=2009.5),
                       PriorConfig(reffect_prior=reffect_prior), n_iter=40, burn_in=10,
                       seed=3, stream_id=2)
@@ -384,10 +432,29 @@ class TestChainMechanics:
 
         monkeypatch.setattr(gibbs, "step_u", failing)
         with pytest.raises(NumericalError,
-                           match=r"^chain 1, iteration 4: whitening matrix is not finite"):
+                           match=r"^chain 1, iteration 4, step beta: whitening matrix is not finite"):
             run_chain(design, ModelSpec(variant=1, year_offset=2009.5),
                       PriorConfig(error_prior=error_prior), n_iter=20, burn_in=5,
                       seed=3, stream_id=1)
+
+    @pytest.mark.parametrize("priors,hook,name,step,message", [
+        (PriorConfig(error_prior="gamma"), "u_conditional", "tau", "beta", "whitening"),
+        (PriorConfig(), "u_conditional", "tau", "beta", "whitening"),
+        (PriorConfig(), "tau_conditional", "lam", "scales", "Gamma shape and rate"),
+        (PriorConfig(), "lambda_conditional", "phi", "omega", "Gamma shape and rate"),
+        (PriorConfig(reffect_prior="laplace"), "lambda_conditional", "phi", "omega", "GIG"),
+        (PriorConfig(reffect_prior="student-t"), "lambda_conditional", "phi", "omega",
+         "log weights")])
+    def test_lockstep_failure_names_the_lowest_bad_chain(self, design, priors, hook, name,
+                                                         step, message, monkeypatch):
+        # chains 3 and 1 of four turn NaN in iteration 5 at the hook; the
+        # next checked draw of the sweep fails, and the error names chain 1
+        monkeypatch.setattr(gibbs, hook, nan_on_call(getattr(gibbs, hook), 5, name,
+                                                     rows=[3, 1]))
+        with pytest.raises(NumericalError,
+                           match=rf"^chain 1, iteration 5, step {step}: .*{message}"):
+            gibbs.run_chains(design, ModelSpec(variant=1, year_offset=2009.5), priors,
+                             n_iter=20, burn_in=5, seed=3, chains=4)
 
     @pytest.mark.parametrize("fixed,match", [
         ({"phi": -1.0}, "fixed phi must be finite and > 0"),

@@ -8,7 +8,7 @@ from glmixer.design import ModelSpec, build_matrices
 from glmixer.errors import SpecMismatchError, ValidationError
 from glmixer import inference
 from glmixer.gibbs import PriorConfig, Trace, run_chain
-from glmixer.inference import (deviances, effective_sample_size,
+from glmixer.inference import (effective_sample_size,
                                fitted_completeness, predict_new_unit,
                                shrinkage_factors, split_rhat, summarize,
                                theorem2_curve)
@@ -326,17 +326,6 @@ class TestShrinkageAndDeviances:
         g, mean = shrinkage_factors(traces)
         assert np.all((g > 0) & (g < 1))
         assert g.shape == (sum(t.kept for t in traces), panel.m)
-
-    def test_deviances_brute_force(self, fit):
-        panel, spec, traces = fit
-        country, country_year = deviances(panel, spec)
-        design = build_matrices(panel, spec, for_fit=False)
-        beta_hat, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
-        for g in range(design.m):
-            sel = design.group_idx == g
-            r = design.y[sel] - design.X[sel] @ beta_hat
-            assert country[g] == pytest.approx(r.mean() ** 2, abs=1e-10)
-            assert country_year[g] == pytest.approx(float(r @ r) / sel.sum(), abs=1e-10)
 
 
 class TestTheorem2Curve:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import glmixer
-from glmixer import inference, simulate
+from glmixer import gibbs, inference, simulate
 from glmixer.design import ModelSpec, build_matrices
 from glmixer.errors import NumericalError, ValidationError
-from glmixer.gibbs import PriorConfig, run_chain
+from glmixer.gibbs import ERROR_PRIORS, REFFECT_PRIORS, PriorConfig, run_chain
 from glmixer.kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
                              draw_local_prior, draw_mvn_from_precision,
-                             draw_mvn_whitened)
+                             draw_mvn_whitened, draw_standard)
 
 from oracles import (categorical_by_searchsorted, ecdf_sup_distance, gamma_pdf,
                      gig_half_mean, gig_neg_half_by_masks, gig_pdf)
@@ -54,6 +55,51 @@ class TestGamma:
 
     def test_scalar_type(self):
         assert isinstance(draw_gamma(rng(), 2.0, 2.0), float)
+
+
+class TestDrawStandard:
+    @pytest.mark.parametrize("sizes", [(20, 20, 20, 20, 20), (20, 7, 12, 20, 3)])
+    @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_two_calls_equal_the_steps_calls(self, error_prior, reffect_prior, sizes):
+        # a sweep's rate-free variates as the steps drew them one call at a
+        # time (u, beta, tau, phi, lambda, rho, omega, varrho), against the
+        # sweep's two calls per chain with its shape list
+        panel, truth = simulate.simulate_panel(simulate.SimConfig(m=5, n_i=20, seed=2))
+        design = build_matrices(panel, ModelSpec.from_dict(truth["spec"]))
+        design = dataclasses.replace(design, sizes=np.asarray(sizes))
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior,
+                             a_tau=0.7, a_zeta_eps=0.9, a_phi=1.3, a_zeta_u=2.1)
+        m, p, n = design.m, design.p, sum(sizes)
+        rows = []
+        for k in range(3):
+            ref = rng(31, k)
+            normals = [ref.standard_normal(m), ref.standard_normal(p)]
+            gammas = [[ref.standard_gamma(0.5 * n + priors.tau_hyper[0])],
+                      [ref.standard_gamma(0.5 * m + priors.phi_hyper[0])]]
+            if error_prior == "half-cauchy":
+                gammas += [ref.standard_gamma(0.5 * np.asarray(sizes) + 1.0),
+                           ref.standard_gamma(2.0, size=m)]
+            if reffect_prior == "horseshoe":
+                gammas += [ref.standard_gamma(1.0, size=m), ref.standard_gamma(1.0, size=m)]
+            rows.append((np.concatenate(normals), np.concatenate(gammas), ref.random()))
+        shapes, _ = gibbs._sweep_layout(design, priors)
+        gens = [rng(31, k) for k in range(3)]
+        zn, zg = draw_standard(gens, m + p, shapes)
+        for k, (want_n, want_g, after) in enumerate(rows):
+            assert zn[k].tobytes() == want_n.tobytes()
+            assert zg[k].tobytes() == want_g.tobytes()
+            assert gens[k].random() == after  # each stream left where the steps left it
+
+    def test_scaled_gammas_name_lowest_bad_chain(self):
+        z = np.ones((4, 3))
+        rate = np.full((4, 3), 2.0)
+        rate[3, 0] = np.nan
+        rate[1, 2] = -1.0
+        with pytest.raises(ValidationError, match=r"rate=array\(\[ 2\.,  2\., -1\.\]\)") as exc:
+            draw_gamma(None, 1.0, rate, z=z)
+        assert exc.value.row == 1
+        np.testing.assert_array_equal(draw_gamma(None, 1.0, 4.0, z=z), np.full((4, 3), 0.25))
 
 
 class TestMvnFromPrecision:

@@ -61,15 +61,6 @@ class TestRSquare:
         with pytest.raises(ValidationError):
             r_square([0.5, 0.5], [0.4, 0.6])
 
-    def test_paper_literal_differs(self):
-        obs = [0.2, 0.5, 0.9]
-        pred = [0.25, 0.45, 0.8]
-        standard = r_square(obs, pred)
-        literal = r_square(obs, pred, paper_literal=True)
-        ss_tot = sum((o - sum(obs) / 3) ** 2 for o in obs)
-        assert literal == pytest.approx(1.0 - ss_tot / sum(o - p for o, p in zip(obs, pred)))
-        assert literal != pytest.approx(standard)
-
     @given(st.lists(st.tuples(frac, frac), min_size=3, max_size=40))
     def test_brute_force(self, data):
         pred, obs = split(data)
