@@ -6,6 +6,10 @@ check the manifest and the files they read against it.
 
 Floats are written with repr (shortest round-trip) so identical runs
 produce byte-identical files; no timestamps anywhere.
+
+Importing this module loads no numpy: only the trace-file writer and
+`load_fit` import numpy, the sampler's types and the design, so the
+manifest, digest, summary and prediction-CSV paths run without them.
 """
 
 from __future__ import annotations
@@ -14,15 +18,16 @@ import csv
 import hashlib
 import json
 import os
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .data import PanelDataset, read_csv_rows
-from .design import ModelSpec
 from .errors import ValidationError
-from .gibbs import PriorConfig, Trace
-from .inference import PosteriorSummary
+
+if TYPE_CHECKING:
+    from .design import ModelSpec
+    from .gibbs import PriorConfig, Trace
+    from .inference import PosteriorSummary
 
 MANIFEST_NAME = "manifest.json"
 SUMMARY_NAME = "summary.csv"
@@ -84,6 +89,8 @@ def _sha256(path) -> str:
 def write_trace_csv(trace: Trace, columns, header: str, path) -> None:
     """One header row, then one row of repr floats per kept draw, built
     TRACE_CHUNK_ROWS rows at a time."""
+    import numpy as np
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, trace.kept, TRACE_CHUNK_ROWS):
@@ -206,6 +213,11 @@ def _verified_path(outdir, manifest: dict, name: str) -> str:
 def load_fit(outdir):
     """Rebuild (traces, manifest) from a fit artifact directory, checking
     every chain file against the manifest: digest, header, row count."""
+    import numpy as np
+
+    from .design import ModelSpec
+    from .gibbs import PriorConfig, Trace
+
     manifest = _read_manifest(outdir)
     where = os.path.join(outdir, MANIFEST_NAME)
     try:

@@ -5,6 +5,11 @@ All randomness flows from one --seed: chain k uses stream_id k and
 prediction sampling uses stream_id 1e6 + k. `fit` samples its chains in
 lockstep in one process, so chain k's draws do not depend on --chains.
 Partially written output directories are removed on failure.
+
+Importing this module loads no numpy: each command that computes
+(simulate, fit, predict, metrics, check-theory) imports its numpy-backed
+modules when it runs, so `diagnose`, `--help` and argument errors start
+without them.
 """
 
 from __future__ import annotations
@@ -17,17 +22,10 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
 from . import artifacts
 from .data import load_panel, build_panel, read_csv_rows, PanelDataset
-from .design import ModelSpec, build_matrices
+from .defaults import DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER, DEFAULT_THIN
 from .errors import GlmixerError, NumericalError, ValidationError
-from .gibbs import (DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER,
-                    DEFAULT_THIN, PriorConfig, run_chains)
-from .inference import predict_new_unit, summarize, theorem2_curve
-from .metrics import metric_report
-from .simulate import SimConfig, simulate_panel
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -44,10 +42,18 @@ def _filter_sex(panel: PanelDataset, sex: str) -> PanelDataset:
     return panel if len(obs) == panel.n else build_panel(obs)
 
 
+def run_chains(*args, **kwargs) -> list:
+    """`gibbs.run_chains`, imported on first call."""
+    from .gibbs import run_chains
+    return run_chains(*args, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_simulate(args) -> None:
+    from .simulate import SimConfig, simulate_panel
+
     config = SimConfig(m=args.m, n_i=args.n_obs, variant=args.model, sex=args.sex,
                        beta=tuple(args.beta) if args.beta else None,
                        tau=args.tau, phi=args.phi,
@@ -68,6 +74,12 @@ def _check_counts(args) -> None:
 
 
 def cmd_fit(args) -> None:
+    import numpy as np
+
+    from .design import ModelSpec, build_matrices
+    from .gibbs import PriorConfig
+    from .inference import summarize
+
     _check_counts(args)
     panel = load_panel(args.input, clamp_policy=args.clamp_policy)
     panel = _filter_sex(panel, args.sex)
@@ -87,6 +99,9 @@ def cmd_fit(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    from .design import ModelSpec, build_matrices
+    from .inference import predict_new_unit
+
     traces, manifest = artifacts.load_fit(args.artifact)
     spec = ModelSpec.from_dict(manifest["spec"])
     panel = _filter_sex(load_panel(args.input, allow_missing_completeness=True), spec.sex)
@@ -142,6 +157,10 @@ def _read_predictions(path) -> dict:
 
 
 def cmd_metrics(args) -> None:
+    import numpy as np
+
+    from .metrics import metric_report
+
     by_key = _read_predictions(args.predictions)
     panel = load_panel(args.observed)
     # join on (unit_id, row): row is the position within the unit, as
@@ -175,6 +194,10 @@ def cmd_metrics(args) -> None:
 
 
 def cmd_check_theory(args) -> None:
+    import numpy as np
+
+    from .inference import theorem2_curve
+
     grid = np.logspace(args.log10_min, args.log10_max, args.grid_points)
     curve = theorem2_curve(args.prior, args.eps, n_i=args.n_obs,
                            resid_mean=args.resid, lam_tau=args.lam_tau,

@@ -19,7 +19,10 @@ conditional and the residual sums of squares are closed forms in them.
 `run_chains` samples a fit's chains in lockstep in one process: each step
 runs once on (C, .) arrays, and chain k draws from RngStream(seed, k)
 alone, in the order a lone run of it would, so chain k's draws do not
-depend on how many chains run.
+depend on how many chains run. Each chain's normals and rate-free Gammas
+are drawn up front, and the Student-t nu categorical is one call for all
+chains. Laplace's Wald draws and Student-t's uniforms (inside that call)
+and omega Gammas are drawn chain by chain.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from .defaults import DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER, DEFAULT_THIN
 from .design import GroupedDesign, ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
 from .kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
@@ -45,11 +49,6 @@ NU_WEIGHTS = ("algorithm3", "prose")
 
 INIT_SCALE_MIN = 1e-6
 INIT_SCALE_MAX = 1e6
-
-DEFAULT_N_ITER = 20000
-DEFAULT_BURN_IN = 10000
-DEFAULT_THIN = 2
-DEFAULT_CHAINS = 4
 
 
 @dataclass(frozen=True)
@@ -321,16 +320,25 @@ def nu_log_prior(priors: PriorConfig) -> np.ndarray:
     return np.log(l) - np.log(l + priors.k_nu)
 
 
-def nu_log_weights(u: np.ndarray, phi: float, priors: PriorConfig) -> np.ndarray:
-    """(m, |support|) log weights of one chain's nu_i conditional: log prior
-    plus the log Student-t density of u_i at scale sqrt(1/phi).
+def nu_log_weights(u: np.ndarray, phi, priors: PriorConfig) -> np.ndarray:
+    """(m, |support|) log weights of one chain's nu_i conditional, or
+    (C, m, |support|) for C chains' u (C, m) and phi (C,): log prior plus
+    the log Student-t density of u_i at scale sqrt(1/phi).
 
-    Computed support-major, so every operation runs along the m units, and
-    returned as the transposed view."""
-    log_prior, log_norm, half_df1, df = priors._nu_t_terms
-    scale = math.sqrt(1.0 / phi)
-    z = u / scale
-    return (log_prior + ((log_norm - np.log(scale)) - half_df1 * np.log1p(z * z / df))).T
+    Built support-major with in-place ops, so every operation runs along
+    the units (and chains), and returned as the view with the support last."""
+    terms = priors._nu_t_terms
+    if u.ndim > 1:
+        terms = [t[..., None] for t in terms]
+    log_prior, log_norm, half_df1, df = terms
+    scale = np.sqrt(1.0 / phi)
+    z = u / _col(scale)
+    w = z * z / df
+    np.log1p(w, out=w)
+    w *= half_df1
+    np.subtract(log_norm - _col(np.log(scale)), w, out=w)
+    w += log_prior
+    return w.transpose(*range(1, w.ndim), 0)
 
 
 def omega_conditional_horseshoe(phiu2, varrho):
@@ -366,7 +374,10 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
     Laplace: omega ~ GIG(-1/2, phi u^2, 2).
     Student-t: nu_i from its collapsed conditional (before omega, so the
     pair is a valid blocked draw), then omega ~ Gamma(nu/2 + 1/2,
-    phi u^2/2 + nu/2). These two draw from each chain's own Generator.
+    phi u^2/2 + nu/2). These draw from each chain's own Generator, not
+    from the sweep's up-front standard draws. The nu categorical is one
+    call for all chains, with one uniform call per chain; Laplace's Wald
+    draws and Student-t's omega Gammas run chain by chain.
     """
     m = state.u.shape[-1]
     phiu2 = _col(state.phi) * state.u * state.u
@@ -377,8 +388,8 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
     elif priors.reffect_prior == "laplace":
         state.omega = _each_chain(rng, lambda g, a: draw_gig(g, -0.5, a, 2.0), phiu2)
     elif priors.reffect_prior == "student-t":
-        idx = _each_chain(rng, lambda g, u, phi: draw_categorical_log(
-            g, nu_log_weights(u, phi, priors)), state.u, state.phi)
+        idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors),
+                                   overwrite=True)
         state.nu = np.asarray(priors.nu_support)[idx]
         shape, rate = omega_conditional_student_t(phiu2, state.nu.astype(np.float64))
         state.omega = _each_chain(rng, draw_gamma, shape, rate)
@@ -386,19 +397,28 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
 
 
 def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=()):
-    """The conditionals' (per-fit constant) shapes of a sweep's standard
-    Gamma draws in draw order, and {name: index or slice} of each draw."""
+    """A sweep's standard Gamma draws in draw order as runs (shape, slice)
+    of one per-fit constant conditional shape: a float, or one shape per
+    unit for lambda on an unbalanced panel; equal float runs are merged.
+    Also {name: index or slice} of each draw."""
     m = design.m
-    blocks = {"tau": [0.5 * design.n + priors.tau_hyper[0]],
-              "phi": [0.5 * m + priors.phi_hyper[0]]}
+    blocks = {"tau": (0.5 * design.n + priors.tau_hyper[0], 1),
+              "phi": (0.5 * m + priors.phi_hyper[0], 1)}
     blocks = {k: v for k, v in blocks.items() if k not in fixed}
     if priors.error_prior == "half-cauchy":
-        blocks.update(lam=np.broadcast_to(design.lambda_shape, (m,)), rho=np.full(m, 2.0))
+        blocks.update(lam=(design.lambda_shape, m), rho=(2.0, m))
     if priors.reffect_prior == "horseshoe":
-        blocks.update(omega=np.ones(m), varrho=np.ones(m))
-    ends = np.cumsum([len(v) for v in blocks.values()], dtype=int)
-    at = {k: e - 1 if k in ("tau", "phi") else slice(e - m, e) for k, e in zip(blocks, ends)}
-    return np.concatenate([np.empty(0), *blocks.values()]), at
+        blocks.update(omega=(1.0, m), varrho=(1.0, m))
+    runs, at, end = [], {}, 0
+    for name, (shape, count) in blocks.items():
+        at[name] = end if name in ("tau", "phi") else slice(end, end + count)
+        last = runs[-1][0] if runs else None
+        if isinstance(shape, float) and isinstance(last, float) and last == shape:
+            runs[-1] = (shape, slice(runs[-1][1].start, end + count))
+        else:
+            runs.append((shape, slice(end, end + count)))
+        end += count
+    return tuple(runs), at
 
 
 def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng,
@@ -408,16 +428,17 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng,
 
     rng is one chain's Generator, which each step draws from in turn, or
     a sequence of one Generator per chain: then each chain's normals and
-    rate-free standard Gammas come first, two calls on its Generator, and
-    are the doubles the steps would draw (`layout`: `_sweep_layout`'s).
+    rate-free standard Gammas come first, one normal call and one Gamma
+    call per run of equal shapes on its Generator, and are the doubles the
+    steps would draw (`layout`: `_sweep_layout`'s).
     A failed draw's error gets the `step` it failed in and the failing
     chain's `row`.
     """
     z, step = None, "u"
     try:
         if not isinstance(rng, np.random.Generator):
-            shapes, at = layout or _sweep_layout(design, priors, fixed)
-            zn, zg = draw_standard(rng, design.m + design.p, shapes)
+            runs, at = layout or _sweep_layout(design, priors, fixed)
+            zn, zg = draw_standard(rng, design.m + design.p, runs)
             if state.u.ndim == 1:  # a lone chain, held without the chain axis
                 (rng,), zn, zg = rng, zn[0], zg[0]
             z = {"u": zn[..., :design.m], "beta": zn[..., design.m:],

@@ -6,6 +6,13 @@ pin each one against an independent oracle; the sampler, `simulate` and
 those tests pin the code that runs. All draws flow through a
 numpy Generator owned by exactly one chain; `RngStream` fixes the
 (seed, stream_id) -> sequence mapping.
+
+For chains in lockstep, `draw_standard` (a sweep's normals and rate-free
+Gammas) and `draw_categorical_log` (the Student-t nu draw) take all chains
+in one call; inside, each chain still draws from its own Generator,
+including the nu uniforms. Laplace's Wald draws (`draw_gig`) and
+Student-t's omega Gammas (`draw_gamma` with a Generator) are called chain
+by chain.
 """
 
 from __future__ import annotations
@@ -22,6 +29,11 @@ from .errors import NumericalError, ValidationError
 GIG_TINY = 1e-30
 
 MVN_JITTER_REL = 1e-10
+
+# Entries per support point from which a categorical CDF is built with one
+# add per support point: numpy's accumulate along the support axis pays
+# per column, the adds per call. Both add in the same order (same bits).
+CDF_ADD_ROWS_MIN = 128
 
 
 @dataclass(frozen=True)
@@ -81,18 +93,22 @@ def draw_gamma(rng, shape, rate, size=None, z=None):
     return out
 
 
-def draw_standard(rngs, n_normal, gamma_shapes):
-    """The rate-free variates of C chains, two calls on each chain's
-    Generator: row c holds rngs[c]'s `n_normal` N(0, 1) draws, and its
-    standard Gamma draws of the given shapes. A Generator yields the same
-    doubles in the same order in one call as in several, so a sweep draws
-    them up front and scales them afterwards (`draw_gamma`'s z)."""
+def draw_standard(rngs, n_normal, gamma_runs):
+    """The rate-free variates of C chains, on each chain's Generator in
+    turn: row c holds rngs[c]'s `n_normal` N(0, 1) draws, one call, and
+    its standard Gamma draws, one call per run (shape, slice) of
+    `gamma_runs`, with a float shape for the whole slice or one shape per
+    entry. A Generator yields the same doubles in the same order in one
+    call as in several, so a sweep draws them up front and scales them
+    afterwards (`draw_gamma`'s z). A float shape avoids numpy's
+    array-shape path, which adds some microseconds per call at any length."""
     zn = np.empty((len(rngs), n_normal))
-    zg = np.empty((len(rngs), len(gamma_shapes)))
+    zg = np.empty((len(rngs), gamma_runs[-1][1].stop if gamma_runs else 0))
     for c, g in enumerate(rngs):
         g.standard_normal(out=zn[c])
-        if len(gamma_shapes):
-            g.standard_gamma(gamma_shapes, out=zg[c])
+        row = zg[c]
+        for shape, where in gamma_runs:
+            g.standard_gamma(shape, out=row[where])
     return zn, zg
 
 
@@ -281,22 +297,49 @@ def draw_gig(rng, p, a, b, size=None):
     return float(out[0]) if scalar else out
 
 
-def draw_categorical_log(rng, log_weights, axis=-1):
+def draw_categorical_log(rng, log_weights, axis=-1, overwrite=False):
     """Categorical draw from unnormalized log weights; vectorized over rows.
 
     Log weights are shifted by their row maximum before exponentiation so
-    extreme t-densities cannot underflow every entry at once. One uniform
-    per row; the index is the count of CDF entries <= u, which on the
-    nondecreasing CDF is searchsorted(cdf, u, side="right").
+    extreme t-densities cannot underflow every entry at once. The CDF is
+    built support-major, by sequential adds along the support, which give
+    the bits of `np.cumsum`. One uniform per row; the index is the count
+    of CDF entries <= u, which on the nondecreasing CDF is
+    searchsorted(cdf, u, side="right").
+
+    rng may also be a list of one Generator per chain, for log weights
+    with a leading chain axis: each chain's uniforms are one
+    ``random(size=...)`` call on its own Generator, in chain order, so a
+    chain gets the bits of its one-chain call. A row without a finite
+    maximum raises ValidationError whose `row` is the lowest such chain.
+
+    With `overwrite`, the CDF is built in the memory of `log_weights` (a
+    float64 array the caller no longer needs). At m=300 and four chains
+    the weights take 288 KB; a second array that size, allocated and freed
+    every sweep, makes the allocator hand pages back to the system and
+    fault them in again each time.
     """
-    lw = np.moveaxis(np.asarray(log_weights, dtype=np.float64), axis, -1)
-    top = lw.max(axis=-1, keepdims=True)  # NaN if the row holds a NaN
-    if not np.all(np.isfinite(top)):
-        raise ValidationError("log weights must be < inf and not NaN, with a finite "
+    lw = np.moveaxis(np.asarray(log_weights, dtype=np.float64), axis, 0)
+    top = lw.max(axis=0)  # NaN if the row holds a NaN
+    finite = np.isfinite(top)
+    chains = isinstance(rng, (list, tuple))
+    if not finite.all():
+        err = ValidationError("log weights must be < inf and not NaN, with a finite "
                               "entry in every row")
-    cdf = np.cumsum(np.exp(lw - top), axis=-1)
-    u = rng.random(size=cdf.shape[:-1]) * cdf[..., -1]
-    idx = np.count_nonzero(cdf <= u[..., None], axis=-1)
+        err.row = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1))) if chains else 0
+        raise err
+    cdf = np.subtract(lw, top, out=lw if overwrite else None)
+    np.exp(cdf, out=cdf)
+    if cdf[0].size < CDF_ADD_ROWS_MIN:
+        np.add.accumulate(cdf, axis=0, out=cdf)
+    else:
+        for prev, cur in zip(cdf, cdf[1:]):
+            np.add(prev, cur, out=cur)
+    if chains:
+        u = np.stack([g.random(size=cdf.shape[2:]) for g in rng])
+    else:
+        u = rng.random(size=cdf.shape[1:])
+    idx = np.count_nonzero(cdf <= u * cdf[-1], axis=0)
     return int(idx) if lw.ndim == 1 else idx
 
 

@@ -217,8 +217,7 @@ def test_criterion_8_prior_elicitation_anchors():
                   f"(linear-weight variant gives P = {float(np.cumsum(w_alt)[1]):.4f})")
 
 
-def test_criterion_9_end_to_end_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("GLMIXER_THREADS", "1")
+def test_criterion_9_end_to_end_determinism(tmp_path):
     artifacts = {}
     for run in ("run1", "run2"):
         base = tmp_path / run

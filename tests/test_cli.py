@@ -327,8 +327,8 @@ class TestPredictAndMetrics:
     def test_predict_is_one_call_with_one_stream_per_chain(self, sim_dir, fit_dir, tmp_path,
                                                            monkeypatch):
         calls, opened = [], []
-        predict = cli.predict_new_unit
-        monkeypatch.setattr(cli, "predict_new_unit",
+        predict = inference.predict_new_unit
+        monkeypatch.setattr(inference, "predict_new_unit",
                             lambda *a, **k: calls.append(list(a[2])) or predict(*a, **k))
         generator = inference.RngStream.generator
         monkeypatch.setattr(inference.RngStream, "generator",
@@ -453,20 +453,32 @@ class TestPredictAndMetrics:
         assert reports[0] == reports[1]
 
 
-def _scipy_loaded_after(code):
+def _loaded_after(code, package):
     """Exit code of a fresh interpreter that runs `code` and then exits 1
-    if any scipy module is loaded, 0 otherwise."""
+    if any module of `package` is loaded, 0 otherwise."""
     src = str(Path(glmixer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code += "; sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))"
+    code += f"; sys.exit(int(any(m.split('.')[0] == {package!r} for m in sys.modules)))"
     return subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode
+
+
+def test_cli_import_loads_no_numpy():
+    assert _loaded_after("import sys, glmixer.cli", "numpy") == 0
+
+
+def test_diagnose_loads_no_numpy(fit_dir, tmp_path):
+    # diagnose copies summary.csv's ESS and R-hat: no numpy-backed module runs
+    args = ["diagnose", "--artifact", str(fit_dir), "--out", str(tmp_path / "diag")]
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "numpy") == 0
+    assert (tmp_path / "diag" / "diagnostics.csv").exists()
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # no scipy module at all: only check-theory (scipy.integrate) imports
     # it, inside the function that uses it
-    assert _scipy_loaded_after("import sys, glmixer.cli") == 0
+    assert _loaded_after("import sys, glmixer.cli", "scipy") == 0
 
 
 def test_student_t_fit_loads_no_scipy(sim_dir, tmp_path):
@@ -474,8 +486,8 @@ def test_student_t_fit_loads_no_scipy(sim_dir, tmp_path):
     # glmixer.special, not scipy.special
     args = ["fit", "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path / "fit"),
             "--local-prior", "student-t"] + FIT_ARGS
-    assert _scipy_loaded_after(
-        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0") == 0
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "scipy") == 0
     assert (tmp_path / "fit" / "summary.csv").exists()
 
 

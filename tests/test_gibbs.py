@@ -311,6 +311,18 @@ class TestNuPrior:
             np.testing.assert_array_equal(nu_log_weights(u, phi, priors),
                                           nu_log_prior(priors)[None, :] + log_t)
 
+    @pytest.mark.parametrize("priors", [
+        PriorConfig(reffect_prior="student-t"),
+        PriorConfig(reffect_prior="student-t", nu_weight="prose", nu_support=(2, 4, 9))])
+    def test_chain_rows_equal_one_chain_weights(self, priors):
+        g = np.random.default_rng(3)
+        u = g.standard_normal((4, 25)) * np.array([[1e-3], [1.0], [10.0], [1e3]])
+        phi = np.array([0.5, 4.0, 1e-3, 7e5])
+        batched = nu_log_weights(u, phi, priors)
+        assert batched.shape == (4, 25, len(priors.nu_support))
+        for c in range(4):
+            assert batched[c].tobytes() == nu_log_weights(u[c], float(phi[c]), priors).tobytes()
+
     def test_algorithm3_prior_median_and_tail(self):
         w = np.exp(nu_log_prior(PriorConfig()))
         w /= w.sum()

@@ -58,13 +58,15 @@ class TestGamma:
 
 
 class TestDrawStandard:
-    @pytest.mark.parametrize("sizes", [(20, 20, 20, 20, 20), (20, 7, 12, 20, 3)])
+    @pytest.mark.parametrize("sizes", [(20, 20, 20, 20, 20), (20, 7, 12, 20, 3),
+                                       (20, 7, 12, 9, 3)])
     @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
     @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
     def test_two_calls_equal_the_steps_calls(self, error_prior, reffect_prior, sizes):
         # a sweep's rate-free variates as the steps drew them one call at a
         # time (u, beta, tau, phi, lambda, rho, omega, varrho), against the
-        # sweep's two calls per chain with its shape list
+        # sweep's calls per chain on its runs of equal shapes; the last sizes
+        # differ for every unit, so lambda is one array-shape call
         panel, truth = simulate.simulate_panel(simulate.SimConfig(m=5, n_i=20, seed=2))
         design = build_matrices(panel, ModelSpec.from_dict(truth["spec"]))
         design = dataclasses.replace(design, sizes=np.asarray(sizes))
@@ -268,6 +270,51 @@ class TestCategoricalLogMatchesSearchsorted:
         lw = np.array([[-np.inf, 0.0, -np.inf, 0.0], [0.0, 0.0, 0.0, 0.0]])
         np.testing.assert_array_equal(draw_categorical_log(FixedUniform(u), lw),
                                       categorical_by_searchsorted(FixedUniform(u), lw))
+
+    @settings(max_examples=100, deadline=None)
+    @given(lw=LOG_WEIGHT_ROWS, chains=st.sampled_from([1, 2, 4]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_chain_axis_matches_per_chain_oracle(self, lw, chains, seed):
+        # chain c's rows are lw rolled by c, drawn on its own Generator
+        lw[~np.isfinite(lw).any(axis=1), 0] = 0.0
+        stacked = np.stack([np.roll(lw, c, axis=0) for c in range(chains)])
+        got = draw_categorical_log([rng(seed, c) for c in range(chains)], stacked)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.stack(
+            [categorical_by_searchsorted(rng(seed, c), stacked[c]) for c in range(chains)]))
+        # building the CDF in the weights' own memory draws the same
+        np.testing.assert_array_equal(got, draw_categorical_log(
+            [rng(seed, c) for c in range(chains)], stacked.copy(), overwrite=True))
+
+    @pytest.mark.parametrize("chains,rows", [(1, 300), (4, 40), (4, 300)])
+    def test_wide_rows_match_per_chain_oracle(self, chains, rows):
+        # at CDF_ADD_ROWS_MIN entries per support point and more the CDF is
+        # built by one add per support point instead of numpy's accumulate
+        lw = rng(5).standard_normal((chains, rows, 30)) * 4.0
+        lw[:, ::7, 3] = -np.inf
+        want = np.stack([categorical_by_searchsorted(rng(8, c), lw[c]) for c in range(chains)])
+        for weights, overwrite in ((lw, False), (lw.copy(), True),
+                                   (np.moveaxis(np.moveaxis(lw, -1, 0).copy(), 0, -1), True)):
+            got = draw_categorical_log([rng(8, c) for c in range(chains)], weights,
+                                       overwrite=overwrite)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("chains", [1, 2, 4])
+    @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.75])
+    def test_chain_axis_uniform_on_cdf_entries(self, chains, u):
+        lw = np.array([[-np.inf, 0.0, -np.inf, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        values = [(u + 0.25 * c) % 1.0 for c in range(chains)]
+        got = draw_categorical_log([FixedUniform(v) for v in values], np.stack([lw] * chains))
+        np.testing.assert_array_equal(got, np.stack(
+            [categorical_by_searchsorted(FixedUniform(v), lw) for v in values]))
+
+    def test_chain_axis_names_lowest_bad_chain(self):
+        lw = np.zeros((4, 3, 5))
+        lw[3, 0, :] = -np.inf
+        lw[2, 1, 3] = np.nan
+        with pytest.raises(ValidationError, match="finite entry in every row") as exc:
+            draw_categorical_log([rng(0, c) for c in range(4)], lw)
+        assert exc.value.row == 2
 
     def test_one_dimensional_matches_first_row(self):
         lw = np.array([0.3, -np.inf, 1.2, 1.2])
