@@ -388,8 +388,7 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
     elif priors.reffect_prior == "laplace":
         state.omega = _each_chain(rng, lambda g, a: draw_gig(g, -0.5, a, 2.0), phiu2)
     elif priors.reffect_prior == "student-t":
-        idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors),
-                                   overwrite=True)
+        idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors))
         state.nu = np.asarray(priors.nu_support)[idx]
         shape, rate = omega_conditional_student_t(phiu2, state.nu.astype(np.float64))
         state.omega = _each_chain(rng, draw_gamma, shape, rate)

@@ -30,11 +30,6 @@ GIG_TINY = 1e-30
 
 MVN_JITTER_REL = 1e-10
 
-# Entries per support point from which a categorical CDF is built with one
-# add per support point: numpy's accumulate along the support axis pays
-# per column, the adds per call. Both add in the same order (same bits).
-CDF_ADD_ROWS_MIN = 128
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -297,7 +292,7 @@ def draw_gig(rng, p, a, b, size=None):
     return float(out[0]) if scalar else out
 
 
-def draw_categorical_log(rng, log_weights, axis=-1, overwrite=False):
+def draw_categorical_log(rng, log_weights, axis=-1):
     """Categorical draw from unnormalized log weights; vectorized over rows.
 
     Log weights are shifted by their row maximum before exponentiation so
@@ -313,9 +308,9 @@ def draw_categorical_log(rng, log_weights, axis=-1, overwrite=False):
     chain gets the bits of its one-chain call. A row without a finite
     maximum raises ValidationError whose `row` is the lowest such chain.
 
-    With `overwrite`, the CDF is built in the memory of `log_weights` (a
-    float64 array the caller no longer needs). At m=300 and four chains
-    the weights take 288 KB; a second array that size, allocated and freed
+    A float64 array `log_weights` is overwritten: the CDF is built in its
+    memory (pass a copy to keep the weights). At m=300 and four chains the
+    weights take 288 KB; a second array that size, allocated and freed
     every sweep, makes the allocator hand pages back to the system and
     fault them in again each time.
     """
@@ -328,13 +323,11 @@ def draw_categorical_log(rng, log_weights, axis=-1, overwrite=False):
                               "entry in every row")
         err.row = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1))) if chains else 0
         raise err
-    cdf = np.subtract(lw, top, out=lw if overwrite else None)
+    cdf = np.subtract(lw, top, out=lw)
     np.exp(cdf, out=cdf)
-    if cdf[0].size < CDF_ADD_ROWS_MIN:
-        np.add.accumulate(cdf, axis=0, out=cdf)
-    else:
-        for prev, cur in zip(cdf, cdf[1:]):
-            np.add(prev, cur, out=cur)
+    rows = cdf if cdf.ndim > 1 else cdf[:, None]
+    for prev, cur in zip(rows, rows[1:]):
+        np.add(prev, cur, out=cur)
     if chains:
         u = np.stack([g.random(size=cdf.shape[2:]) for g in rng])
     else:

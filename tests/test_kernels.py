@@ -226,7 +226,7 @@ class TestCategorical:
     def test_log_space_matches(self):
         g = rng(19)
         logw = np.log([1.0, 2.0, 7.0]) - 700.0  # would underflow naively
-        draws = np.array([draw_categorical_log(g, logw) for _ in range(10 ** 5)])
+        draws = np.array([draw_categorical_log(g, logw.copy()) for _ in range(10 ** 5)])
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, [0.1, 0.2, 0.7], atol=0.01)
 
@@ -259,7 +259,7 @@ class TestCategoricalLogMatchesSearchsorted:
     @given(lw=LOG_WEIGHT_ROWS, seed=st.integers(0, 2 ** 32 - 1))
     def test_rows_match_oracle(self, lw, seed):
         lw[~np.isfinite(lw).any(axis=1), 0] = 0.0
-        got = draw_categorical_log(rng(seed), lw)
+        got = draw_categorical_log(rng(seed), lw.copy())
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, categorical_by_searchsorted(rng(seed), lw))
 
@@ -268,7 +268,7 @@ class TestCategoricalLogMatchesSearchsorted:
         # CDFs [0, 1, 1, 2] and [1, 2, 3, 4]: u * total lands exactly on
         # entries, where counting entries <= u and side="right" must agree
         lw = np.array([[-np.inf, 0.0, -np.inf, 0.0], [0.0, 0.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(draw_categorical_log(FixedUniform(u), lw),
+        np.testing.assert_array_equal(draw_categorical_log(FixedUniform(u), lw.copy()),
                                       categorical_by_searchsorted(FixedUniform(u), lw))
 
     @settings(max_examples=100, deadline=None)
@@ -278,25 +278,20 @@ class TestCategoricalLogMatchesSearchsorted:
         # chain c's rows are lw rolled by c, drawn on its own Generator
         lw[~np.isfinite(lw).any(axis=1), 0] = 0.0
         stacked = np.stack([np.roll(lw, c, axis=0) for c in range(chains)])
-        got = draw_categorical_log([rng(seed, c) for c in range(chains)], stacked)
+        got = draw_categorical_log([rng(seed, c) for c in range(chains)], stacked.copy())
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, np.stack(
             [categorical_by_searchsorted(rng(seed, c), stacked[c]) for c in range(chains)]))
-        # building the CDF in the weights' own memory draws the same
-        np.testing.assert_array_equal(got, draw_categorical_log(
-            [rng(seed, c) for c in range(chains)], stacked.copy(), overwrite=True))
 
     @pytest.mark.parametrize("chains,rows", [(1, 300), (4, 40), (4, 300)])
     def test_wide_rows_match_per_chain_oracle(self, chains, rows):
-        # at CDF_ADD_ROWS_MIN entries per support point and more the CDF is
-        # built by one add per support point instead of numpy's accumulate
+        # the CDF is built in the weights' own memory, whatever their layout
         lw = rng(5).standard_normal((chains, rows, 30)) * 4.0
         lw[:, ::7, 3] = -np.inf
         want = np.stack([categorical_by_searchsorted(rng(8, c), lw[c]) for c in range(chains)])
-        for weights, overwrite in ((lw, False), (lw.copy(), True),
-                                   (np.moveaxis(np.moveaxis(lw, -1, 0).copy(), 0, -1), True)):
-            got = draw_categorical_log([rng(8, c) for c in range(chains)], weights,
-                                       overwrite=overwrite)
+        for weights in (lw.copy(), np.moveaxis(np.moveaxis(lw, -1, 0).copy(), 0, -1),
+                        np.asfortranarray(lw)):
+            got = draw_categorical_log([rng(8, c) for c in range(chains)], weights)
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("chains", [1, 2, 4])
@@ -319,7 +314,7 @@ class TestCategoricalLogMatchesSearchsorted:
     def test_one_dimensional_matches_first_row(self):
         lw = np.array([0.3, -np.inf, 1.2, 1.2])
         for seed in range(50):
-            got = draw_categorical_log(rng(seed), lw)
+            got = draw_categorical_log(rng(seed), lw.copy())
             assert isinstance(got, int)
             assert got == categorical_by_searchsorted(rng(seed), lw[None, :])[0]
 
