@@ -198,6 +198,8 @@ def cmd_check_theory(args) -> None:
 
     from .inference import theorem2_curve
 
+    if args.grid_points < 3:  # the tail slope needs at least two points
+        raise ValidationError(f"--grid-points must be >= 3, got {args.grid_points}")
     grid = np.logspace(args.log10_min, args.log10_max, args.grid_points)
     curve = theorem2_curve(args.prior, args.eps, n_i=args.n_obs,
                            resid_mean=args.resid, lam_tau=args.lam_tau,

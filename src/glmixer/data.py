@@ -134,7 +134,7 @@ def read_csv_rows(path) -> list:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _clamp_completeness(c: float, policy: str, eps: float, row_no: int) -> float:
+def _clamp_completeness(c: float, policy: str, row_no: int) -> float:
     if policy == "reject":
         if not (0.0 < c < 1.0):
             raise ValidationError(
@@ -142,14 +142,14 @@ def _clamp_completeness(c: float, policy: str, eps: float, row_no: int) -> float
                 "under the 'reject' policy"
             )
         return c
-    if eps <= c <= 1.0 - eps:
+    if DEFAULT_CLAMP_EPS <= c <= 1.0 - DEFAULT_CLAMP_EPS:
         return c
-    clamped = min(max(c, eps), 1.0 - eps)
+    clamped = min(max(c, DEFAULT_CLAMP_EPS), 1.0 - DEFAULT_CLAMP_EPS)
     log.warning("row %d: completeness %.6g clamped to %.6g", row_no, c, clamped)
     return clamped
 
 
-def load_panel(path, clamp_policy: str = "clamp", clamp_eps: float = DEFAULT_CLAMP_EPS,
+def load_panel(path, clamp_policy: str = "clamp",
                allow_missing_completeness: bool = False) -> PanelDataset:
     """Load a panel CSV.
 
@@ -185,6 +185,7 @@ def load_panel(path, clamp_policy: str = "clamp", clamp_eps: float = DEFAULT_CLA
         try:
             unit_id = row[0].strip()
             period = int(row[1])
+            float(period)  # a year beyond float range overflows here, not in the design
             sex = row[2].strip()
             missing_completeness = row[3].strip() == "" and allow_missing_completeness
             completeness = 0.5 if missing_completeness else float(row[3])
@@ -192,12 +193,12 @@ def load_panel(path, clamp_policy: str = "clamp", clamp_eps: float = DEFAULT_CLA
             pct65 = float(row[5])
             u5mr = float(row[6])
             c5q0 = float(row[7]) if row[7].strip() != "" else None
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: row {row_no}: {exc}") from None
         if not missing_completeness:
             if percent:
                 completeness /= 100.0
-            completeness = _clamp_completeness(completeness, clamp_policy, clamp_eps, row_no)
+            completeness = _clamp_completeness(completeness, clamp_policy, row_no)
         observations.append(
             Observation(unit_id, period, sex, completeness, reg_cdr, pct65, u5mr, c5q0)
         )

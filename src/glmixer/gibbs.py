@@ -386,7 +386,7 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
         state.omega = _gamma(rng, z, "omega", shape, rate, size=m)
         state.varrho = _gamma(rng, z, "varrho", 1.0, state.omega + 1.0, size=m)
     elif priors.reffect_prior == "laplace":
-        state.omega = _each_chain(rng, lambda g, a: draw_gig(g, -0.5, a, 2.0), phiu2)
+        state.omega = _each_chain(rng, lambda g, a: draw_gig(g, a, 2.0), phiu2)
     elif priors.reffect_prior == "student-t":
         idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors))
         state.nu = np.asarray(priors.nu_support)[idx]

@@ -381,6 +381,11 @@ def theorem2_curve(prior: str, eps: float, *, n_i: int, resid_mean: float,
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError(f"eps must lie in (0,1), got {eps}")
+    if n_i < 1:
+        raise ValidationError(f"n_i must be >= 1, got {n_i}")
+    for name, value in (("lam_tau", lam_tau), ("omega_phi", omega_phi)):
+        if not 0.0 < value < math.inf:
+            raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
     if (phi_grid is None) == (tau_grid is None):
         raise ValidationError("provide exactly one of phi_grid / tau_grid")
     if resid_ss is None:

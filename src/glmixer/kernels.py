@@ -3,9 +3,10 @@
 Every distribution the engine needs gets its own entry point so tests can
 pin each one against an independent oracle; the sampler, `simulate` and
 `predict` draw their Gamma, GIG and local-prior variates only here, so
-those tests pin the code that runs. All draws flow through a
-numpy Generator owned by exactly one chain; `RngStream` fixes the
-(seed, stream_id) -> sequence mapping.
+those tests pin the code that runs. The only GIG the program draws is
+Laplace's GIG(-1/2, phi u_i^2, 2), so `draw_gig` draws only GIG(-1/2).
+All draws flow through a numpy Generator owned by exactly one chain;
+`RngStream` fixes the (seed, stream_id) -> sequence mapping.
 
 For chains in lockstep, `draw_standard` (a sweep's normals and rate-free
 Gammas) and `draw_categorical_log` (the Student-t nu draw) take all chains
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-# Below this, a GIG coefficient is treated as zero and the closed-form
-# Gamma / inverse-Gamma limit is used instead.
+# Below this, a GIG(-1/2) coefficient a_i is treated as zero and the
+# closed-form inverse-Gamma limit is used instead; b must reach it.
 GIG_TINY = 1e-30
 
 MVN_JITTER_REL = 1e-10
@@ -166,134 +167,30 @@ def draw_mvn_from_precision(rng, b, P):
     return draw_mvn_whitened(rng, b, whitening_from_precision(P))
 
 
-def _gig_psi(x, alpha, lam):
-    return -alpha * (math.cosh(x) - 1.0) - lam * (math.exp(x) - x - 1.0)
-
-
-def _gig_dpsi(x, alpha, lam):
-    return -alpha * math.sinh(x) - lam * (math.exp(x) - 1.0)
-
-
-def _gig_devroye(rng, lam, omega):
-    """One draw from the two-parameter gig(lam >= 0, omega > 0),
-    density ~ z^(lam-1) exp(-omega (z + 1/z) / 2), via Devroye's
-    log-concave rejection scheme."""
-    alpha = math.sqrt(omega * omega + lam * lam) - lam
-
-    x = -_gig_psi(1.0, alpha, lam)
-    if 0.5 <= x <= 2.0:
-        t = 1.0
-    elif x > 2.0:
-        t = 1.0 if alpha == 0.0 and lam == 0.0 else math.sqrt(2.0 / (alpha + lam))
-    else:
-        t = 1.0 if alpha == 0.0 and lam == 0.0 else math.log(4.0 / (alpha + 2.0 * lam))
-
-    x = -_gig_psi(-1.0, alpha, lam)
-    if 0.5 <= x <= 2.0:
-        s = 1.0
-    elif x > 2.0:
-        s = 1.0 if alpha == 0.0 and lam == 0.0 else math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
-    else:
-        if alpha == 0.0 and lam == 0.0:
-            s = 1.0
-        elif alpha == 0.0:
-            s = 1.0 / lam
-        else:
-            cand = math.log(1.0 + 1.0 / alpha + math.sqrt(1.0 / alpha ** 2 + 2.0 / alpha))
-            s = cand if lam == 0.0 else min(1.0 / lam, cand)
-
-    eta = -_gig_psi(t, alpha, lam)
-    zeta = -_gig_dpsi(t, alpha, lam)
-    theta = -_gig_psi(-s, alpha, lam)
-    xi = _gig_dpsi(-s, alpha, lam)
-    pp = 1.0 / xi
-    r = 1.0 / zeta
-    td = t - r * eta
-    sd = s - pp * theta
-    q = td + sd
-
-    while True:
-        u = rng.random()
-        v = rng.random()
-        w = rng.random()
-        uc = u * (pp + q + r)
-        if uc < q:
-            x = -sd + q * v
-        elif uc < q + r:
-            x = td - r * math.log(v)
-        else:
-            x = -sd + pp * math.log(v)
-        if -sd <= x <= td:
-            bound = 1.0
-        elif x > td:
-            bound = math.exp(-eta - zeta * (x - t))
-        else:
-            bound = math.exp(-theta + xi * (x + s))
-        if w * bound <= math.exp(_gig_psi(x, alpha, lam)):
-            break
-    return math.exp(x) * (lam / omega + math.sqrt(1.0 + (lam / omega) ** 2))
-
-
-def draw_gig(rng, p, a, b, size=None):
-    """GIG(p, a, b) draws, density ~ x^(p-1) exp(-(a x + b / x) / 2).
-
-    Limits: b below GIG_TINY with p > 0 falls back to Gamma(p, a/2);
-    a below GIG_TINY with p < 0 falls back to the inverse-Gamma limit
-    1 / Gamma(-p, b/2). |p| = 1/2 uses the exact inverse-Gaussian
-    representation (vectorized); other p use a scalar rejection sampler.
-    For p = -1/2, `a` may be an array, with one draw per entry: first the
-    inverse-Gaussian entries, then those of the inverse-Gamma limit.
+def draw_gig(rng, a, b):
+    """GIG(-1/2, a_i, b) draws, density ~ x^(-3/2) exp(-(a_i x + b / x) / 2),
+    one per entry of the array `a`: the Laplace omega conditional. First
+    the inverse-Gaussian (Wald) draws of the entries a_i >= GIG_TINY, then
+    the a -> 0 limit 1 / Gamma(1/2, b/2) for the rest. A negative or
+    non-finite a_i, or a b that is not finite and >= GIG_TINY, raises
+    ValidationError.
     """
-    if not (math.isfinite(p) and _finite_positive(a, allow_zero=True)
-            and _finite_positive(b, allow_zero=True)):
-        raise ValidationError(f"GIG needs a finite p and finite a, b >= 0, got p={p}, a={a!r}, b={b}")
-    scalar = size is None and np.ndim(a) == 0
-    if p == -0.5 and b >= GIG_TINY:
-        a_arr = np.asarray(a, dtype=np.float64)
-        if size is not None or scalar:
-            a_arr = np.broadcast_to(a_arr, (1 if scalar else int(size),))
-        out = np.empty(a_arr.shape)
-        tiny = a_arr < GIG_TINY
-        if not tiny.all():
-            out[~tiny] = rng.wald(np.sqrt(b / a_arr[~tiny]), b)
-        if tiny.any():
-            out[tiny] = 1.0 / draw_gamma(rng, 0.5, b / 2.0, size=int(tiny.sum()))
-        return float(out[0]) if scalar else out
-    if np.ndim(a) != 0:
-        raise ValidationError(f"GIG takes an array a only for p = -1/2, got p={p}")
-    if a <= 0.0 and b <= 0.0:
-        raise ValidationError(f"GIG requires a, b > 0 (one may underflow), got a={a}, b={b}")
-    n = 1 if scalar else int(size)
-
-    if b < GIG_TINY:
-        if p > 0:
-            out = draw_gamma(rng, p, a / 2.0, size=n)
-        else:
-            raise ValidationError(f"GIG with b ~ 0 requires p > 0, got p={p}")
-    elif a < GIG_TINY:
-        if p < 0:
-            out = 1.0 / draw_gamma(rng, -p, b / 2.0, size=n)
-        else:
-            raise ValidationError(f"GIG with a ~ 0 requires p < 0, got p={p}")
-    elif p == 0.5:
-        out = 1.0 / rng.wald(math.sqrt(a / b), a, size=n)
-    else:
-        lam, omega, swap = p, math.sqrt(a * b), False
-        if lam < 0:
-            lam, swap = -lam, True
-        scale = math.sqrt(b / a)
-        vals = np.empty(n)
-        for i in range(n):
-            z = _gig_devroye(rng, lam, omega)
-            if swap:
-                z = 1.0 / z
-            vals[i] = scale * z
-        out = vals
-    return float(out[0]) if scalar else out
+    if not (_finite_positive(a, allow_zero=True) and GIG_TINY <= b < math.inf):
+        raise ValidationError(f"GIG(-1/2) needs finite a >= 0 and finite b >= {GIG_TINY:g}, "
+                              f"got a={a!r}, b={b}")
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty(a.shape)
+    tiny = a < GIG_TINY
+    if not tiny.all():
+        out[~tiny] = rng.wald(np.sqrt(b / a[~tiny]), b)
+    if tiny.any():
+        out[tiny] = 1.0 / draw_gamma(rng, 0.5, b / 2.0, size=int(tiny.sum()))
+    return out
 
 
-def draw_categorical_log(rng, log_weights, axis=-1):
-    """Categorical draw from unnormalized log weights; vectorized over rows.
+def draw_categorical_log(rng, log_weights):
+    """Categorical draw from unnormalized log weights along the last axis;
+    vectorized over rows.
 
     Log weights are shifted by their row maximum before exponentiation so
     extreme t-densities cannot underflow every entry at once. The CDF is
@@ -314,7 +211,7 @@ def draw_categorical_log(rng, log_weights, axis=-1):
     every sweep, makes the allocator hand pages back to the system and
     fault them in again each time.
     """
-    lw = np.moveaxis(np.asarray(log_weights, dtype=np.float64), axis, 0)
+    lw = np.moveaxis(np.asarray(log_weights, dtype=np.float64), -1, 0)
     top = lw.max(axis=0)  # NaN if the row holds a NaN
     finite = np.isfinite(top)
     chains = isinstance(rng, (list, tuple))

@@ -8,6 +8,7 @@ place of the non-redistributable source data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,16 @@ class SimConfig:
     reffect_prior: str = "gamma"  # local omega family for heterogeneity
     first_year: int = 2000
     seed: int = 0
+
+    def __post_init__(self):
+        for name, value in (("m", self.m), ("n_i", self.n_i)):
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
+        for name, value in (("tau", self.tau), ("phi", self.phi)):
+            if not 0.0 < value < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+        if self.beta is not None and not np.isfinite(self.beta).all():
+            raise ValidationError(f"true beta must be finite, got {self.beta!r}")
 
     def resolved_beta(self) -> np.ndarray:
         if self.beta is not None:

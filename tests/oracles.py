@@ -56,6 +56,18 @@ def gig_pdf(p, a, b):
     return pdf
 
 
+def horseshoe_omega_pdf(w):
+    """w^(-1/2) (1 + w)^(-1): Beta-prime(1/2, 1/2), the horseshoe's local
+    precision prior, unnormalized."""
+    return 1.0 / (math.sqrt(w) * (1.0 + w)) if w > 0 else 0.0
+
+
+def laplace_omega_pdf(w):
+    """w^(-2) e^(-1/w): 1 / Exp(1), the Laplace local precision prior,
+    unnormalized."""
+    return math.exp(-2.0 * math.log(w) - 1.0 / w) if w > 0 else 0.0
+
+
 def gig_half_mean(a, b):
     """Mean of GIG(-1/2, a, b): sqrt(b/a) (Bessel K_{1/2} = K_{-1/2})."""
     return math.sqrt(b / a)

@@ -13,7 +13,7 @@ from glmixer.design import ModelSpec
 from glmixer.gibbs import (PriorConfig, beta_conditional, initialize_state,
                            nu_log_prior, run_chain)
 from glmixer.inference import shrinkage_factors, theorem2_curve
-from glmixer.kernels import RngStream, draw_gamma, draw_gig
+from glmixer.kernels import RngStream, draw_gamma, draw_gig, draw_local_prior
 from glmixer.metrics import (BAND_LABELS, band_of, mae_rmse, r_square,
                              stratified, subnational_report)
 from glmixer.simulate import SimConfig, simulate_panel
@@ -40,12 +40,15 @@ def test_criterion_1_sampler_oracles():
         draws = draw_gamma(rng, shape, rate, size=n)
         d = oracles.ecdf_sup_distance(draws, oracles.gamma_pdf(shape, rate))
         worst = max(worst, d)
-    for p, a, b in [(-0.5, 2.0, 3.0), (1.3, 1.0, 2.0)]:
-        draws = draw_gig(rng, p, a, b, size=n)
-        d = oracles.ecdf_sup_distance(draws, oracles.gig_pdf(p, a, b))
+    draws = draw_gig(rng, np.full(n, 2.0), 3.0)
+    worst = max(worst, oracles.ecdf_sup_distance(draws, oracles.gig_pdf(-0.5, 2.0, 3.0)))
+    # the local precisions simulate draws for the horseshoe and Laplace priors
+    for family, pdf in [("horseshoe", oracles.horseshoe_omega_pdf),
+                        ("laplace", oracles.laplace_omega_pdf)]:
+        d = oracles.ecdf_sup_distance(draw_local_prior(rng, family, n), pdf)
         worst = max(worst, d)
     a, b = 2.0, 3.0
-    half = draw_gig(rng, -0.5, a, b, size=n)
+    half = draw_gig(rng, np.full(n, a), b)
     se = half.std(ddof=1) / math.sqrt(n)
     mean_err = abs(half.mean() - oracles.gig_half_mean(a, b))
     ok = worst < 0.01 and mean_err < 3.0 * se

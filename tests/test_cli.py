@@ -135,6 +135,14 @@ class TestSimulate:
               "--out", str(tmp_path)])
         assert (tmp_path / "panel.csv").read_bytes() != (sim_dir / "panel.csv").read_bytes()
 
+    @pytest.mark.parametrize("bad", [["--m", "-2"], ["--m", "0"], ["--n-obs", "0"],
+                                     ["--tau", "0"], ["--phi", "nan"]])
+    def test_bad_config_exits_2(self, tmp_path, capsys, bad):
+        out = tmp_path / "sim"
+        assert main(["simulate", *bad, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestFit:
     def test_artifact_files(self, fit_dir):
@@ -235,6 +243,20 @@ class TestFit:
         out = tmp_path / "fit"
         assert main(["fit", "--input", str(bad), "--out", str(out)] + FIT_ARGS) == 2
         assert not out.exists()
+
+    def test_year_beyond_float_range_exits_2(self, sim_dir, fit_dir, tmp_path, capsys):
+        lines = (sim_dir / "panel.csv").read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")
+        assert lines[0].split(",")[1] == "year"
+        fields[1] = str(10 ** 400)
+        bad = tmp_path / "panel.csv"
+        bad.write_text("".join(lines[:3]) + ",".join(fields) + "".join(lines[4:]))
+        for argv in (["fit", "--input", str(bad)] + FIT_ARGS,
+                     ["predict", "--artifact", str(fit_dir), "--input", str(bad)]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--out", str(out)]) == 2
+            assert "row 4: int too large to convert to float" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_chain_file_does_not_depend_on_chain_count(self, sim_dir, tmp_path):
         # chains run in lockstep, each on its own stream: chain 0 of a
@@ -540,4 +562,15 @@ class TestCheckTheory:
     def test_bad_eps_exits_2(self, tmp_path):
         out = tmp_path / "th"
         assert main(["check-theory", "--eps", "1.5", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [["--grid-points", "0"], ["--grid-points", "-1"],
+                                     ["--grid-points", "1"], ["--grid-points", "2"],
+                                     ["--n-obs", "0"], ["--n-obs", "-3"],
+                                     ["--lam-tau", "0"], ["--lam-tau", "-1"],
+                                     ["--lam-tau", "nan"]])
+    def test_bad_input_exits_2(self, tmp_path, capsys, bad):
+        out = tmp_path / "th"
+        assert main(["check-theory", *bad, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()

@@ -74,13 +74,13 @@ class TestLoadPanel:
 
     def test_clamp_boundary(self, tmp_path):
         p = write_csv(tmp_path / "p.csv", GOOD_ROWS + ["D,2000,both,1.0,5,0.1,0.05,0.9"])
-        panel = load_panel(p, clamp_policy="clamp", clamp_eps=1e-4)
+        panel = load_panel(p, clamp_policy="clamp")
         d_obs = [o for o in panel.observations() if o.unit_id == "D"][0]
         assert d_obs.completeness == 0.9999
 
     def test_clamp_band(self, tmp_path):
         p = write_csv(tmp_path / "p.csv", GOOD_ROWS + ["D,2000,both,0.000001,5,0.1,0.05,0.9"])
-        panel = load_panel(p, clamp_eps=1e-4)
+        panel = load_panel(p)
         d_obs = [o for o in panel.observations() if o.unit_id == "D"][0]
         assert d_obs.completeness == 1e-4
 
@@ -102,6 +102,11 @@ class TestLoadPanel:
 
     def test_parse_error_cites_row(self, tmp_path):
         p = write_csv(tmp_path / "p.csv", GOOD_ROWS + ["E,20xx,both,0.5,5,0.1,0.05,0.9"])
+        with pytest.raises(ValidationError, match="row 6"):
+            load_panel(p)
+
+    def test_year_beyond_float_range_cites_row(self, tmp_path):
+        p = write_csv(tmp_path / "p.csv", GOOD_ROWS + [f"E,{10 ** 400},both,0.5,5,0.1,0.05,0.9"])
         with pytest.raises(ValidationError, match="row 6"):
             load_panel(p)
 

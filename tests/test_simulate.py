@@ -55,3 +55,11 @@ class TestSimulatePanel:
     def test_bad_beta_length(self):
         with pytest.raises(ValidationError):
             simulate_panel(SimConfig(m=3, n_i=6, beta=(1.0, 2.0)))
+
+    @pytest.mark.parametrize("bad", [dict(m=0), dict(m=-2), dict(n_i=0),
+                                     dict(tau=0.0), dict(tau=float("nan")),
+                                     dict(phi=-1.0), dict(phi=float("inf")),
+                                     dict(beta=(0.5, 0.15, -0.008, -3.0, -0.45, 0.9, float("nan")))])
+    def test_bad_config(self, bad):
+        with pytest.raises(ValidationError):
+            SimConfig(**bad)
