@@ -6,10 +6,10 @@ prediction sampling uses stream_id 1e6 + k. `fit` samples its chains in
 lockstep in one process, so chain k's draws do not depend on --chains.
 Partially written output directories are removed on failure.
 
-Importing this module loads no numpy: each command that computes
-(simulate, fit, predict, metrics, check-theory) imports its numpy-backed
-modules when it runs, so `diagnose`, `--help` and argument errors start
-without them.
+Importing this module loads no numpy: each command that computes with
+it (simulate, fit, predict, check-theory) imports its numpy-backed
+modules when it runs, so `diagnose`, `metrics`, `--help` and argument
+errors start without them.
 """
 
 from __future__ import annotations
@@ -157,8 +157,6 @@ def _read_predictions(path) -> dict:
 
 
 def cmd_metrics(args) -> None:
-    import numpy as np
-
     from .metrics import metric_report
 
     by_key = _read_predictions(args.predictions)
@@ -172,8 +170,8 @@ def cmd_metrics(args) -> None:
         raise ValidationError(
             f"predictions and observations differ on (unit_id, row): {len(missing)} "
             f"observations have no prediction, {len(extra)} predictions match no observation")
-    predicted = np.asarray([by_key[key] for key in observed_keys])
-    obs = np.asarray([o.completeness for o in panel.observations()])
+    predicted = [by_key[key] for key in observed_keys]
+    obs = [o.completeness for o in panel.observations()]
     report = metric_report(predicted, obs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:

@@ -8,14 +8,12 @@ percent input when the header declares it.
 from __future__ import annotations
 
 import csv
-import logging
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
-
-log = logging.getLogger(__name__)
 
 SEXES = ("both", "female", "male")
 
@@ -71,10 +69,9 @@ class Observation:
                     f"for ({self.unit_id}, {self.period}, {self.sex})"
                 )
             if self.c5q0 > 1.0:
-                log.warning(
-                    "c5q0 = %.4f > 1 for (%s, %d, %s); registered under-five deaths "
-                    "exceed the true estimate", self.c5q0, self.unit_id, self.period, self.sex,
-                )
+                warnings.warn(
+                    f"c5q0 = {self.c5q0:.4f} > 1 for ({self.unit_id}, {self.period}, "
+                    f"{self.sex}); registered under-five deaths exceed the true estimate")
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def _clamp_completeness(c: float, policy: str, row_no: int) -> float:
     if DEFAULT_CLAMP_EPS <= c <= 1.0 - DEFAULT_CLAMP_EPS:
         return c
     clamped = min(max(c, DEFAULT_CLAMP_EPS), 1.0 - DEFAULT_CLAMP_EPS)
-    log.warning("row %d: completeness %.6g clamped to %.6g", row_no, c, clamped)
+    warnings.warn(f"row {row_no}: completeness {c:.6g} clamped to {clamped:.6g}")
     return clamped
 
 

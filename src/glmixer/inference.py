@@ -388,8 +388,16 @@ def theorem2_curve(prior: str, eps: float, *, n_i: int, resid_mean: float,
             raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
     if (phi_grid is None) == (tau_grid is None):
         raise ValidationError("provide exactly one of phi_grid / tau_grid")
+    if not math.isfinite(resid_mean):
+        raise ValidationError(f"resid_mean must be finite, got {resid_mean!r}")
     if resid_ss is None:
-        resid_ss = n_i * resid_mean ** 2
+        try:
+            resid_ss = n_i * resid_mean ** 2
+        except OverflowError:
+            resid_ss = math.inf
+    if not math.isfinite(resid_ss):
+        raise ValidationError(f"resid_ss must be finite, got {resid_ss!r} "
+                              f"(resid_mean = {resid_mean!r}, n_i = {n_i})")
     out = []
     if phi_grid is not None:
         # gamma > eps  <=>  omega < n_i lam_tau (1-eps) / (eps phi)

@@ -2,13 +2,15 @@
 
 MAE / RMSE over observations, the fixed-effect R-square, the
 completeness-band stratification, and the subnational unit-level report.
+Plain Python over at most ~10^4 rows: sums are `math.fsum`, so a
+`metrics` process loads no numpy.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -20,32 +22,53 @@ BAND_LABELS = ("(0,30%)", "[30%,60%)", "[60%,80%)", "[80%,90%)", "[90%,100%]")
 SUBNATIONAL_THRESHOLD = 0.10
 
 
+def _vector(values, name) -> list:
+    """`values` as a list of floats; anything but a flat sequence of
+    numbers is a ValidationError."""
+    if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
+        raise ValidationError(f"{name} must be a vector of numbers")
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a vector of numbers") from None
+
+
 def _paired(predicted, observed, min_len=1):
-    pred = np.asarray(predicted, dtype=np.float64)
-    obs = np.asarray(observed, dtype=np.float64)
-    if pred.shape != obs.shape or pred.ndim != 1:
+    pred = _vector(predicted, "predicted")
+    obs = _vector(observed, "observed")
+    if len(pred) != len(obs):
         raise ValidationError(
-            f"predicted and observed must be equal-length vectors, got {pred.shape} vs {obs.shape}")
-    if pred.size < min_len:
-        raise ValidationError(f"need at least {min_len} observations, got {pred.size}")
+            f"predicted and observed must be equal-length vectors, got {len(pred)} vs {len(obs)}")
+    if len(pred) < min_len:
+        raise ValidationError(f"need at least {min_len} observations, got {len(pred)}")
     return pred, obs
+
+
+def _sum_sq(values) -> float:
+    return math.fsum(v * v for v in values)
+
+
+def _mae_rmse(err) -> tuple:
+    n = len(err)
+    return math.fsum(map(abs, err)) / n, math.sqrt(_sum_sq(err) / n)
 
 
 def mae_rmse(predicted, observed):
     """(MAE, RMSE) = (mean |error|, sqrt(mean squared error))."""
     pred, obs = _paired(predicted, observed)
-    err = pred - obs
-    return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
+    return _mae_rmse([p - o for p, o in zip(pred, obs)])
 
 
 def r_square(observed, fixed_only_pred):
     """1 - SS_res / SS_tot against the fixed-effect-only predictions."""
     obs, pred = _paired(observed, fixed_only_pred, min_len=2)
-    cbar = obs.mean()
-    ss_tot = float(np.sum((obs - cbar) ** 2))
-    if ss_tot == 0.0:
+    cbar = math.fsum(obs) / len(obs)
+    ss_tot = _sum_sq(o - cbar for o in obs)
+    # equal values decide "constant", not ss_tot alone: the mean of equal
+    # values can be off by an ulp, which leaves ss_tot tiny but positive
+    if min(obs) == max(obs) or ss_tot == 0.0:
         raise ValidationError("observed vector has zero variance; R-square undefined")
-    ss_res = float(np.sum((obs - pred) ** 2))
+    ss_res = _sum_sq(o - p for o, p in zip(obs, pred))
     return 1.0 - ss_res / ss_tot
 
 
@@ -53,34 +76,29 @@ def band_of(c: float) -> int:
     """Band index for an observed completeness in (0, 1]."""
     if not (0.0 < c <= 1.0):
         raise ValidationError(f"observed completeness must lie in (0,1], got {c}")
-    return int(np.searchsorted(BAND_EDGES[1:-1], c, side="right"))
+    return bisect_right(BAND_EDGES[1:-1], c)
 
 
 def stratified(predicted, observed):
     """Per-band (MAE_k, RMSE_k, n_k) keyed by band label; every
     observation falls in exactly one band."""
     pred, obs = _paired(predicted, observed)
-    idx = np.searchsorted(BAND_EDGES[1:-1], obs, side="right")
-    out = {}
-    for k, label in enumerate(BAND_LABELS):
-        sel = idx == k
-        n_k = int(sel.sum())
-        if n_k == 0:
-            out[label] = (float("nan"), float("nan"), 0)
-        else:
-            m, r = mae_rmse(pred[sel], obs[sel])
-            out[label] = (m, r, n_k)
-    return out
+    inner_edges = BAND_EDGES[1:-1]
+    errors = [[] for _ in BAND_LABELS]
+    for p, o in zip(pred, obs):
+        errors[bisect_right(inner_edges, o)].append(p - o)
+    return {label: (*_mae_rmse(err), len(err)) if err else (math.nan, math.nan, 0)
+            for label, err in zip(BAND_LABELS, errors)}
 
 
 def subnational_report(predicted, observed, threshold: float = SUBNATIONAL_THRESHOLD):
     """Unit-level (MAE, MSE, count of units with |error| strictly below
     the threshold); MSE is squared, not rooted."""
     pred, obs = _paired(predicted, observed)
-    err = pred - obs
-    mae = float(np.mean(np.abs(err)))
-    mse = float(np.mean(err * err))
-    count = int(np.sum(np.abs(err) < threshold))
+    err = [p - o for p, o in zip(pred, obs)]
+    mae = math.fsum(map(abs, err)) / len(err)
+    mse = _sum_sq(err) / len(err)
+    count = sum(1 for e in err if abs(e) < threshold)
     return mae, mse, count
 
 

@@ -401,6 +401,21 @@ class TestPredictAndMetrics:
         assert main(["metrics", "--predictions", str(pred_csv),
                      "--observed", str(renamed), "--out", str(tmp_path / "met")]) == 2
 
+    def test_metrics_constant_completeness_exits_2(self, sim_dir, pred_csv, tmp_path, capsys):
+        # the first three rows, each observed at 0.1: R-square is undefined,
+        # although the mean of three 0.1s is not exactly 0.1
+        lines = (sim_dir / "panel.csv").read_text().splitlines(keepends=True)
+        constant = tmp_path / "constant.csv"
+        rows = [line.split(",") for line in lines[1:4]]
+        constant.write_text(lines[0] + "".join(",".join(r[:3] + ["0.1"] + r[4:]) for r in rows))
+        preds = tmp_path / "preds.csv"
+        preds.write_text("".join(pred_csv.read_text().splitlines(keepends=True)[:4]))
+        out = tmp_path / "met"
+        assert main(["metrics", "--predictions", str(preds),
+                     "--observed", str(constant), "--out", str(out)]) == 2
+        assert "zero variance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_metrics_duplicate_prediction_exits_2(self, sim_dir, pred_csv, tmp_path):
         lines = pred_csv.read_text().splitlines(keepends=True)
         dup = tmp_path / "dup.csv"
@@ -489,12 +504,26 @@ def test_cli_import_loads_no_numpy():
     assert _loaded_after("import sys, glmixer.cli", "numpy") == 0
 
 
+def test_cli_import_loads_no_logging():
+    # the panel loader's warnings go through warnings, loaded at startup
+    assert _loaded_after("import sys, glmixer.cli", "logging") == 0
+
+
 def test_diagnose_loads_no_numpy(fit_dir, tmp_path):
     # diagnose copies summary.csv's ESS and R-hat: no numpy-backed module runs
     args = ["diagnose", "--artifact", str(fit_dir), "--out", str(tmp_path / "diag")]
     assert _loaded_after(
         f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "numpy") == 0
     assert (tmp_path / "diag" / "diagnostics.csv").exists()
+
+
+def test_metrics_loads_no_numpy(sim_dir, pred_csv, tmp_path):
+    # the report is plain-Python sums over the joined rows
+    args = ["metrics", "--predictions", str(pred_csv), "--observed", str(sim_dir / "panel.csv"),
+            "--out", str(tmp_path / "met")]
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "numpy") == 0
+    assert (tmp_path / "met" / "metrics.json").exists()
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
@@ -568,7 +597,8 @@ class TestCheckTheory:
                                      ["--grid-points", "1"], ["--grid-points", "2"],
                                      ["--n-obs", "0"], ["--n-obs", "-3"],
                                      ["--lam-tau", "0"], ["--lam-tau", "-1"],
-                                     ["--lam-tau", "nan"]])
+                                     ["--lam-tau", "nan"], ["--resid", "1e200"],
+                                     ["--resid", "nan"], ["--resid", "inf"]])
     def test_bad_input_exits_2(self, tmp_path, capsys, bad):
         out = tmp_path / "th"
         assert main(["check-theory", *bad, "--out", str(out)]) == 2

@@ -366,3 +366,10 @@ class TestTheorem2Curve:
             theorem2_curve("horseshoe", 0.5, n_i=5, resid_mean=0.0)
         with pytest.raises(ValidationError):
             theorem2_curve("ridge", 0.5, n_i=5, resid_mean=0.0, phi_grid=[1.0])
+
+    @pytest.mark.parametrize("resid", [dict(resid_mean=1e200), dict(resid_mean=math.nan),
+                                       dict(resid_mean=-math.inf),
+                                       dict(resid_mean=0.0, resid_ss=math.inf)])
+    def test_non_finite_residual_rejected(self, resid):
+        with pytest.raises(ValidationError, match="resid_"):
+            theorem2_curve("horseshoe", 0.5, n_i=5, phi_grid=[1.0], **resid)

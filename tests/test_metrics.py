@@ -36,6 +36,16 @@ class TestMaeRmse:
         with pytest.raises(ValidationError):
             mae_rmse([0.1], [0.1, 0.2])
 
+    @pytest.mark.parametrize("bad", [
+        np.full((2, 3), 0.5), np.full((3, 1), 0.5), [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+        [[0.1, 0.2], [0.3]], [0.1, "high", 0.3], [0.1, None, 0.3], 0.5,
+    ], ids=["array-2x3", "array-3x1", "list-of-lists", "ragged", "text", "none", "scalar"])
+    def test_not_a_vector(self, bad):
+        with pytest.raises(ValidationError, match="vector of numbers"):
+            mae_rmse(bad, [0.1, 0.2, 0.3])
+        with pytest.raises(ValidationError, match="vector of numbers"):
+            mae_rmse([0.1, 0.2, 0.3], bad)
+
     @given(pairs)
     def test_brute_force(self, data):
         pred, obs = split(data)
@@ -60,6 +70,17 @@ class TestRSquare:
     def test_constant_observed_rejected(self):
         with pytest.raises(ValidationError):
             r_square([0.5, 0.5], [0.4, 0.6])
+
+    def test_constant_observed_with_inexact_mean_rejected(self):
+        # three 0.1s average to 0.10000000000000002, so the sum of squared
+        # deviations is 2e-33, not 0
+        assert math.fsum([0.1] * 3) / 3 != 0.1
+        with pytest.raises(ValidationError, match="zero variance"):
+            r_square([0.1] * 3, [0.5] * 3)
+
+    def test_squared_deviations_underflowing_rejected(self):
+        with pytest.raises(ValidationError, match="zero variance"):
+            r_square([1e-200, 2e-200], [0.5, 0.5])
 
     @given(st.lists(st.tuples(frac, frac), min_size=3, max_size=40))
     def test_brute_force(self, data):
