@@ -198,7 +198,11 @@ def cmd_check_theory(args) -> None:
 
     if args.grid_points < 3:  # the tail slope needs at least two points
         raise ValidationError(f"--grid-points must be >= 3, got {args.grid_points}")
-    grid = np.logspace(args.log10_min, args.log10_max, args.grid_points)
+    lo, hi, top = args.log10_min, args.log10_max, math.log10(sys.float_info.max)
+    if not -top < lo < hi < top:  # also rejects NaN
+        raise ValidationError(f"need -{top:.6g} < --log10-min < --log10-max < {top:.6g}, so that "
+                              f"the phi grid is finite and > 0; got {lo!r} and {hi!r}")
+    grid = np.logspace(lo, hi, args.grid_points)
     curve = theorem2_curve(args.prior, args.eps, n_i=args.n_obs,
                            resid_mean=args.resid, lam_tau=args.lam_tau,
                            phi_grid=grid)

@@ -16,13 +16,15 @@ A sweep reads only the design's per-group sufficient statistics and its
 per-fit constants (see `GroupedDesign`), never the n data rows: the beta
 conditional and the residual sums of squares are closed forms in them.
 
-`run_chains` samples a fit's chains in lockstep in one process: each step
-runs once on (C, .) arrays, and chain k draws from RngStream(seed, k)
-alone, in the order a lone run of it would, so chain k's draws do not
-depend on how many chains run. Each chain's normals and rate-free Gammas
-are drawn up front, and the Student-t nu categorical is one call for all
-chains. Laplace's Wald draws and Student-t's uniforms (inside that call)
-and omega Gammas are drawn chain by chain.
+`sweep` has one draw path: one Generator per chain, and each step run
+once on (C, .) arrays (a lone chain may drop the axis). Each chain's
+normals and rate-free Gammas are drawn up front from its own Generator,
+in the order the steps read them; the steps scale them by their rates,
+and each Gamma shape is defined once, in `gamma_shape`. The Student-t nu
+categorical is one call for all chains; Laplace's Wald draws and
+Student-t's uniforms and omega Gammas are drawn chain by chain. Chain k
+of `run_chains` draws from RngStream(seed, k) alone, so its draws do not
+depend on how many chains run. Called alone, a step draws from its rng.
 """
 
 from __future__ import annotations
@@ -90,13 +92,13 @@ class PriorConfig:
 
     # Effective Gamma hyperparameters for the error / effect global
     # precision under the active configuration.
-    @property
+    @functools.cached_property
     def tau_hyper(self):
         if self.error_prior == "gamma":
             return self.a_zeta_eps, self.b_zeta_eps
         return self.a_tau, self.b_tau
 
-    @property
+    @functools.cached_property
     def phi_hyper(self):
         if self.reffect_prior == "gamma":
             return self.a_zeta_u, self.b_zeta_u
@@ -266,20 +268,35 @@ def rss_closed_form(beta: np.ndarray, u: np.ndarray, design: GroupedDesign) -> n
     return np.maximum(rss, 0.0, out=rss)
 
 
+_CONSTANT_SHAPES = {"rho": 2.0, "omega": 1.0, "varrho": 1.0}  # omega, varrho: horseshoe
+
+
+def gamma_shape(name: str, design: GroupedDesign = None, priors: PriorConfig = None):
+    """The shape of the Gamma conditional drawn as `name`, a per-fit constant, defined
+    only here and in `_CONSTANT_SHAPES`: the helpers, steps and `_sweep_layout` read it."""
+    if name == "tau":
+        return 0.5 * design.n + priors.tau_hyper[0]  # n/2 + a
+    if name == "phi":
+        return 0.5 * design.m + priors.phi_hyper[0]  # m/2 + a
+    if name == "lam":
+        return design.lambda_shape  # n_i/2 + 1
+    return _CONSTANT_SHAPES[name]
+
+
 def tau_conditional(state: ChainState, design: GroupedDesign, priors: PriorConfig):
     """(shape, rate) of the error global precision:
     Gamma(n/2 + a, (1/2) sum_i lam_i RSS_i + b), with RSS from state.rss;
     the sum is a (1 x m) (m x 1) product, per chain."""
-    a, b = priors.tau_hyper
-    return 0.5 * design.n + a, 0.5 * vecmat(state.lam, state.rss[..., None])[..., 0] + b
+    rate = 0.5 * vecmat(state.lam, state.rss[..., None])[..., 0] + priors.tau_hyper[1]
+    return gamma_shape("tau", design, priors), rate
 
 
-def phi_conditional(state: ChainState, priors: PriorConfig):
+def phi_conditional(state: ChainState, design: GroupedDesign, priors: PriorConfig):
     """(shape, rate) of the effect global precision:
     Gamma(m/2 + a, (1/2) sum_i omega_i u_i^2 + b)."""
-    a, b = priors.phi_hyper
     u2 = (state.u * state.u)[..., None]
-    return 0.5 * state.u.shape[-1] + a, 0.5 * vecmat(state.omega, u2)[..., 0] + b
+    rate = 0.5 * vecmat(state.omega, u2)[..., 0] + priors.phi_hyper[1]
+    return gamma_shape("phi", design, priors), rate
 
 
 def _gamma(rng, z, name, shape, rate, size=None):
@@ -292,21 +309,21 @@ def step_global_scales(state: ChainState, design: GroupedDesign, priors: PriorCo
     if "tau" not in fixed:
         state.tau = _gamma(rng, z, "tau", *tau_conditional(state, design, priors))
     if "phi" not in fixed:
-        state.phi = _gamma(rng, z, "phi", *phi_conditional(state, priors))
+        state.phi = _gamma(rng, z, "phi", *phi_conditional(state, design, priors))
 
 
 def lambda_conditional(state: ChainState, design: GroupedDesign):
     """(shape, rate) of lam_i ~ Gamma(n_i/2 + 1, (tau/2) RSS_i + rho_i),
     with RSS from state.rss. The shape is the design's per-fit constant:
     one float for a balanced panel, else one entry per unit."""
-    return design.lambda_shape, 0.5 * _col(state.tau) * state.rss + state.rho
+    return gamma_shape("lam", design), 0.5 * _col(state.tau) * state.rss + state.rho
 
 
 def step_lambda_halfcauchy(state: ChainState, design: GroupedDesign, rng, z=None) -> None:
     """Auxiliary two-Gamma update with stationary prior (1 + lam)^-2."""
     shape, rate = lambda_conditional(state, design)
     state.lam = _gamma(rng, z, "lam", shape, rate, size=design.m)
-    state.rho = _gamma(rng, z, "rho", 2.0, state.lam + 1.0, size=design.m)
+    state.rho = _gamma(rng, z, "rho", gamma_shape("rho"), state.lam + 1.0, size=design.m)
 
 
 def nu_log_prior(priors: PriorConfig) -> np.ndarray:
@@ -343,7 +360,7 @@ def nu_log_weights(u: np.ndarray, phi, priors: PriorConfig) -> np.ndarray:
 
 def omega_conditional_horseshoe(phiu2, varrho):
     """(shape, rate) of the Horseshoe omega conditional Gamma(1, phi u^2 / 2 + varrho)."""
-    return 1.0, 0.5 * np.asarray(phiu2) + varrho
+    return gamma_shape("omega"), 0.5 * np.asarray(phiu2) + varrho
 
 
 def omega_conditional_student_t(phiu2, nu):
@@ -384,7 +401,7 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
     if priors.reffect_prior == "horseshoe":
         shape, rate = omega_conditional_horseshoe(phiu2, state.varrho)
         state.omega = _gamma(rng, z, "omega", shape, rate, size=m)
-        state.varrho = _gamma(rng, z, "varrho", 1.0, state.omega + 1.0, size=m)
+        state.varrho = _gamma(rng, z, "varrho", gamma_shape("varrho"), state.omega + 1.0, size=m)
     elif priors.reffect_prior == "laplace":
         state.omega = _each_chain(rng, lambda g, a: draw_gig(g, a, 2.0), phiu2)
     elif priors.reffect_prior == "student-t":
@@ -397,20 +414,20 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
 
 def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=()):
     """A sweep's standard Gamma draws in draw order as runs (shape, slice)
-    of one per-fit constant conditional shape: a float, or one shape per
-    unit for lambda on an unbalanced panel; equal float runs are merged.
-    Also {name: index or slice} of each draw."""
-    m = design.m
-    blocks = {"tau": (0.5 * design.n + priors.tau_hyper[0], 1),
-              "phi": (0.5 * m + priors.phi_hyper[0], 1)}
-    blocks = {k: v for k, v in blocks.items() if k not in fixed}
+    of one `gamma_shape`: a float, or one shape per unit for lambda on an
+    unbalanced panel; equal float runs are merged. Also {name: index or
+    slice} of each draw."""
+    names = [name for name in ("tau", "phi") if name not in fixed]
     if priors.error_prior == "half-cauchy":
-        blocks.update(lam=(design.lambda_shape, m), rho=(2.0, m))
+        names += ["lam", "rho"]
     if priors.reffect_prior == "horseshoe":
-        blocks.update(omega=(1.0, m), varrho=(1.0, m))
+        names += ["omega", "varrho"]
     runs, at, end = [], {}, 0
-    for name, (shape, count) in blocks.items():
-        at[name] = end if name in ("tau", "phi") else slice(end, end + count)
+    for name in names:
+        shape = gamma_shape(name, design, priors)
+        scalar = name in ("tau", "phi")
+        count = 1 if scalar else design.m
+        at[name] = end if scalar else slice(end, end + count)
         last = runs[-1][0] if runs else None
         if isinstance(shape, float) and isinstance(last, float) and last == shape:
             runs[-1] = (shape, slice(runs[-1][1].start, end + count))
@@ -420,39 +437,41 @@ def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=()):
     return tuple(runs), at
 
 
-def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng,
+def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
           fixed=(), layout=None) -> None:
     """One full Gibbs cycle in the fixed order u, beta, global scales (less
     the `fixed` ones), lambda/rho (Half-Cauchy errors only), omega block.
 
-    rng is one chain's Generator, which each step draws from in turn, or
-    a sequence of one Generator per chain: then each chain's normals and
-    rate-free standard Gammas come first, one normal call and one Gamma
-    call per run of equal shapes on its Generator, and are the doubles the
-    steps would draw (`layout`: `_sweep_layout`'s).
+    rngs holds one Generator per chain of `state`; a lone Generator is
+    taken as the one-chain list [rng]. Each chain's normals and rate-free
+    standard Gammas come first, one normal call and one Gamma call per
+    run of equal shapes on its Generator (`layout`: `_sweep_layout`'s);
+    they are the doubles the steps would draw from it in turn, and the
+    steps scale them. A state without the chain axis is one chain.
     A failed draw's error gets the `step` it failed in and the failing
     chain's `row`.
     """
-    z, step = None, "u"
+    if isinstance(rngs, np.random.Generator):
+        rngs = [rngs]
+    step = "u"
     try:
-        if not isinstance(rng, np.random.Generator):
-            runs, at = layout or _sweep_layout(design, priors, fixed)
-            zn, zg = draw_standard(rng, design.m + design.p, runs)
-            if state.u.ndim == 1:  # a lone chain, held without the chain axis
-                (rng,), zn, zg = rng, zn[0], zg[0]
-            z = {"u": zn[..., :design.m], "beta": zn[..., design.m:],
-                 **{name: zg[..., where] for name, where in at.items()}}
-        step_u(state, design, rng, z)
+        runs, at = layout or _sweep_layout(design, priors, fixed)
+        zn, zg = draw_standard(rngs, design.m + design.p, runs)
+        if state.u.ndim == 1:  # a lone chain, held without the chain axis
+            (rngs,), zn, zg = rngs, zn[0], zg[0]
+        z = {"u": zn[..., :design.m], "beta": zn[..., design.m:],
+             **{name: zg[..., where] for name, where in at.items()}}
+        step_u(state, design, rngs, z)
         step = "beta"
-        step_beta(state, design, priors, rng, z)
+        step_beta(state, design, priors, rngs, z)
         step = "scales"
-        step_global_scales(state, design, priors, rng, fixed, z)
+        step_global_scales(state, design, priors, rngs, fixed, z)
         if priors.error_prior == "half-cauchy":
             step = "lambda"
-            step_lambda_halfcauchy(state, design, rng, z)
+            step_lambda_halfcauchy(state, design, rngs, z)
         if priors.reffect_prior != "gamma":
             step = "omega"
-            step_omega(state, priors, rng, z)
+            step_omega(state, priors, rngs, z)
     except (GlmixerError, ArithmeticError, ValueError) as exc:
         exc.step = step
         if state.u.ndim == 1:

@@ -9,6 +9,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,18 +315,17 @@ def _log_prior_omega(prior: str, w: np.ndarray, nu: float = 5.0) -> np.ndarray:
         return -2.0 * np.log(w) - 1.0 / w
     if prior == "student-t":
         return (nu / 2.0 - 1.0) * np.log(w) - nu * w / 2.0
-    if prior == "half-cauchy":
-        return -2.0 * np.log1p(w)
     raise ValidationError(f"unsupported local prior {prior!r} for the rate checker")
 
 
-def _marginal_loglik(obs_var: float, reff_var: float, n_i: int,
+def _marginal_loglik(obs_var: float, reff_prec: float, n_i: int,
                      resid_mean: float, resid_ss: float) -> float:
     """Log density (up to a constant) of an n_i-vector of residuals under
-    covariance obs_var I + reff_var J (compound symmetry)."""
-    a, v = obs_var, reff_var
-    logdet = (n_i - 1.0) * math.log(a) + math.log(a + n_i * v)
-    quad_form = resid_ss / a - v * (n_i * resid_mean) ** 2 / (a * (a + n_i * v))
+    covariance obs_var I + J / reff_prec (compound symmetry). No
+    intermediate overflows while (n_i resid_mean)^2 is finite."""
+    a, q = obs_var, reff_prec
+    logdet = (n_i - 1.0) * math.log(a) + math.log(a + n_i / q)
+    quad_form = resid_ss / a - (n_i * resid_mean) ** 2 / (a * (a * q + n_i))
     return -0.5 * (logdet + quad_form)
 
 
@@ -367,64 +367,39 @@ def _tail_prob(log_f, log_cut: float) -> float:
     return float(min(max(math.exp(log_num - log_den), 0.0), 1.0))
 
 
-def theorem2_curve(prior: str, eps: float, *, n_i: int, resid_mean: float,
-                   resid_ss: float = None, lam_tau: float = 1.0,
-                   omega_phi: float = 1.0, phi_grid=None, tau_grid=None,
-                   nu: float = 5.0) -> np.ndarray:
-    """Concentration curve of the shrinkage factor.
-
-    With `phi_grid`: P(gamma > eps | .) as a function of phi, integrating
-    the local effect scale omega against the group marginal likelihood
-    (errors fixed at precision lam_tau). With `tau_grid`: P(gamma < eps | .)
-    as a function of tau, integrating the local error scale lambda
-    (effects fixed at precision omega_phi). Exactly one grid must be given.
+def theorem2_curve(prior: str, eps: float, *, n_i: int, resid_mean: float, phi_grid,
+                   resid_ss: float = None, lam_tau: float = 1.0, nu: float = 5.0) -> np.ndarray:
+    """Concentration curve of the shrinkage factor: P(gamma > eps | .) as a
+    function of phi on `phi_grid`, integrating the local effect scale omega
+    against the group marginal likelihood (errors fixed at precision
+    lam_tau). The residual's squared group sum (n_i resid_mean)^2 must be
+    finite.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError(f"eps must lie in (0,1), got {eps}")
     if n_i < 1:
         raise ValidationError(f"n_i must be >= 1, got {n_i}")
-    for name, value in (("lam_tau", lam_tau), ("omega_phi", omega_phi)):
-        if not 0.0 < value < math.inf:
-            raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
-    if (phi_grid is None) == (tau_grid is None):
-        raise ValidationError("provide exactly one of phi_grid / tau_grid")
-    if not math.isfinite(resid_mean):
-        raise ValidationError(f"resid_mean must be finite, got {resid_mean!r}")
+    if not 0.0 < lam_tau < math.inf:
+        raise ValidationError(f"lam_tau must be finite and > 0, got {lam_tau!r}")
+    if not abs(n_i * resid_mean) < math.sqrt(sys.float_info.max):  # also rejects NaN
+        raise ValidationError(f"resid_mean must be finite with (n_i resid_mean)^2 finite, "
+                              f"got resid_mean = {resid_mean!r}, n_i = {n_i}")
     if resid_ss is None:
-        try:
-            resid_ss = n_i * resid_mean ** 2
-        except OverflowError:
-            resid_ss = math.inf
+        resid_ss = n_i * resid_mean ** 2
     if not math.isfinite(resid_ss):
-        raise ValidationError(f"resid_ss must be finite, got {resid_ss!r} "
-                              f"(resid_mean = {resid_mean!r}, n_i = {n_i})")
+        raise ValidationError(f"resid_ss must be finite, got {resid_ss!r}")
     out = []
-    if phi_grid is not None:
-        # gamma > eps  <=>  omega < n_i lam_tau (1-eps) / (eps phi)
-        c = n_i * lam_tau * (1.0 - eps) / eps
-        for phi in np.asarray(phi_grid, dtype=np.float64):
-            def log_f(t, phi=phi):
-                # clamp so exp() stays finite; the clipped tails contribute
-                # nothing at double precision
-                w = math.exp(min(max(t, -600.0), 600.0))
-                ll = _marginal_loglik(1.0 / lam_tau, 1.0 / (w * phi), n_i,
-                                      resid_mean, resid_ss)
-                return ll + float(_log_prior_omega(prior, np.asarray(w), nu))
-            try:
-                out.append(_tail_prob(log_f, math.log(c / phi)))
-            except NumericalError as exc:
-                raise NumericalError(f"quadrature failed at phi = {phi:g}: {exc}") from exc
-    else:
-        # gamma < eps  <=>  lambda < eps omega_phi / ((1-eps) n_i tau)
-        c = eps * omega_phi / ((1.0 - eps) * n_i)
-        for tau in np.asarray(tau_grid, dtype=np.float64):
-            def log_f(t, tau=tau):
-                lam = math.exp(min(max(t, -600.0), 600.0))
-                ll = _marginal_loglik(1.0 / (lam * tau), 1.0 / omega_phi, n_i,
-                                      resid_mean, resid_ss)
-                return ll + float(_log_prior_omega(prior, np.asarray(lam)))
-            try:
-                out.append(_tail_prob(log_f, math.log(c / tau)))
-            except NumericalError as exc:
-                raise NumericalError(f"quadrature failed at tau = {tau:g}: {exc}") from exc
+    # gamma > eps  <=>  omega < n_i lam_tau (1-eps) / (eps phi)
+    c = n_i * lam_tau * (1.0 - eps) / eps
+    for phi in np.asarray(phi_grid, dtype=np.float64):
+        def log_f(t, phi=phi):
+            # clamp so exp() stays finite; the clipped tails contribute
+            # nothing at double precision
+            w = math.exp(min(max(t, -600.0), 600.0))
+            ll = _marginal_loglik(1.0 / lam_tau, w * phi, n_i, resid_mean, resid_ss)
+            return ll + float(_log_prior_omega(prior, np.asarray(w), nu))
+        try:
+            out.append(_tail_prob(log_f, math.log(c / phi)))
+        except NumericalError as exc:
+            raise NumericalError(f"quadrature failed at phi = {phi:g}: {exc}") from exc
     return np.asarray(out)

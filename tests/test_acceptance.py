@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from glmixer import gibbs
 from glmixer.cli import main
 from glmixer.design import ModelSpec
 from glmixer.gibbs import (PriorConfig, beta_conditional, initialize_state,
@@ -62,6 +63,16 @@ def test_criterion_2_getting_it_right(error_prior, reffect_prior):
     ok = z.size >= 8 and bool(np.all(np.abs(z) < 4.0))
     report(2, ok, f"getting-it-right {error_prior}/{reffect_prior}: "
                   f"{z.size} statistics, max |z| = {np.max(np.abs(z)):.2f} < 4")
+
+
+def test_criterion_2_fails_a_wrong_tau_shape(monkeypatch):
+    # the gate's power: tau's Gamma shape off by 1/2 in its one definition
+    # reads max |z| about 16 here, and about 42 at n = 100 000
+    real = gibbs.gamma_shape
+    monkeypatch.setattr(gibbs, "gamma_shape",
+                        lambda name, *args: real(name, *args) + (0.5 if name == "tau" else 0.0))
+    z = geweke.geweke_zscores("half-cauchy", "horseshoe", n=16_000, seed=42)
+    assert np.max(np.abs(z)) >= 4.0
 
 
 def test_criterion_3_conjugate_beta_conditional():

@@ -588,6 +588,12 @@ class TestCheckTheory:
         checks = json.loads((tmp_path / "theory_checks.json").read_text())
         assert checks["pass"] is True
 
+    def test_huge_residual_integrates(self, tmp_path):
+        # (n_i resid)^2 = 1e302 is finite; so is every term of the integrand
+        assert main(["check-theory", "--resid", "1e150", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "theory_curve.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == pytest.approx([1.0] * 12, abs=1e-12)
+
     def test_bad_eps_exits_2(self, tmp_path):
         out = tmp_path / "th"
         assert main(["check-theory", "--eps", "1.5", "--out", str(out)]) == 2
@@ -598,7 +604,12 @@ class TestCheckTheory:
                                      ["--n-obs", "0"], ["--n-obs", "-3"],
                                      ["--lam-tau", "0"], ["--lam-tau", "-1"],
                                      ["--lam-tau", "nan"], ["--resid", "1e200"],
-                                     ["--resid", "nan"], ["--resid", "inf"]])
+                                     ["--resid", "nan"], ["--resid", "inf"],
+                                     ["--resid", "1e155"], ["--log10-max", "400"],
+                                     ["--log10-max", "inf"], ["--log10-min", "nan"],
+                                     ["--log10-min", "-400"],
+                                     ["--log10-min", "5", "--log10-max", "1"],
+                                     ["--log10-min", "3", "--log10-max", "3"]])
     def test_bad_input_exits_2(self, tmp_path, capsys, bad):
         out = tmp_path / "th"
         assert main(["check-theory", *bad, "--out", str(out)]) == 2

@@ -212,7 +212,7 @@ class TestScaleConditionals:
     def test_phi_brute_force(self, design):
         priors = PriorConfig(a_phi=0.3, b_phi=0.9)
         state = make_state(design, np.random.default_rng(13))
-        shape, rate = phi_conditional(state, priors)
+        shape, rate = phi_conditional(state, design, priors)
         assert shape == pytest.approx(0.5 * design.m + 0.3, abs=1e-12)
         assert rate == pytest.approx(
             0.9 + 0.5 * sum(state.omega[g] * state.u[g] ** 2 for g in range(design.m)),
@@ -223,7 +223,7 @@ class TestScaleConditionals:
                              a_zeta_eps=2.0, b_zeta_eps=3.0, a_zeta_u=4.0, b_zeta_u=5.0)
         state = make_state(design)
         shape_t, rate_t = tau_conditional(state, design, priors)
-        shape_p, rate_p = phi_conditional(state, priors)
+        shape_p, rate_p = phi_conditional(state, design, priors)
         assert shape_t == pytest.approx(0.5 * design.n + 2.0)
         assert shape_p == pytest.approx(0.5 * design.m + 4.0)
         assert rate_t > 3.0 and rate_p > 5.0
@@ -359,7 +359,8 @@ class TestLockstep:
                 assert trace.draws[key].tobytes() == value.tobytes(), (k, key)
 
     def test_one_chain_sweep_is_a_lockstep_row(self, design):
-        # the Geweke harness sweeps a one-chain state with one Generator
+        # the step timer in bench/pipeline.py sweeps an axis-free one-chain
+        # state with a lone Generator
         priors = PriorConfig(reffect_prior="student-t")
         single = initialize_state(design, priors)
         rngs = [np.random.default_rng(s) for s in (5, 6)]
@@ -371,6 +372,62 @@ class TestLockstep:
             sweep(batch, design, priors, rngs)
         for f in dataclasses.fields(single):
             np.testing.assert_array_equal(getattr(batch, f.name)[1], getattr(single, f.name))
+
+    @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_chain_axis_design_rows_are_one_chain_sweeps(self, design, error_prior,
+                                                         reffect_prior):
+        # the Geweke harness sweeps chains that each redraw their own y, so
+        # ybar, Xty_g and yty_g carry the chain axis: row c must be the
+        # one-chain sweep of chain c on its own design
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+        g = np.random.default_rng(3)
+        names = ("ybar", "Xty_g", "yty_g")
+        own = []
+        for _ in range(3):
+            y_design = with_y(design, design.y + g.standard_normal(design.n))
+            own.append(dataclasses.replace(design, **{k: getattr(y_design, k) for k in names}))
+        stacked = dataclasses.replace(
+            design, **{k: np.stack([getattr(d, k) for d in own]) for k in names})
+        singles = [initialize_state(d, priors) for d in own]
+        batch = gibbs.ChainState(**{f.name: np.stack([getattr(s, f.name) for s in singles])
+                                    for f in dataclasses.fields(gibbs.ChainState)})
+        for _ in range(3):
+            sweep(batch, stacked, priors, [np.random.default_rng(s) for s in (5, 6, 7)])
+        for c, (d, single) in enumerate(zip(own, singles)):
+            for _ in range(3):
+                sweep(single, d, priors, np.random.default_rng(5 + c))
+            for f in dataclasses.fields(single):
+                assert (getattr(batch, f.name)[c].tobytes()
+                        == np.asarray(getattr(single, f.name)).tobytes()), (c, f.name)
+
+    @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_helpers_return_the_shapes_run_chains_scales_by(self, design, error_prior,
+                                                            reffect_prior, monkeypatch):
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+        drawn = []
+        real = gibbs.draw_standard
+        monkeypatch.setattr(gibbs, "draw_standard",
+                            lambda rngs, n, runs: drawn.append(runs) or real(rngs, n, runs))
+        gibbs.run_chains(design, ModelSpec(variant=1, year_offset=2009.5), priors,
+                         n_iter=2, burn_in=1, chains=2)
+        _, at = gibbs._sweep_layout(design, priors)
+
+        def scaled_by(name):  # the shape of the run that holds the draw `name`
+            i = at[name] if isinstance(at[name], int) else at[name].start
+            return next(shape for shape, where in drawn[0] if where.start <= i < where.stop)
+
+        state = make_state(design)
+        helpers = {"tau": tau_conditional(state, design, priors),
+                   "phi": phi_conditional(state, design, priors)}
+        if error_prior == "half-cauchy":
+            helpers["lam"] = lambda_conditional(state, design)
+        if reffect_prior == "horseshoe":
+            helpers["omega"] = omega_conditional_horseshoe(np.ones(design.m), state.varrho)
+        assert set(helpers) <= set(at)
+        for name, (shape, _) in helpers.items():
+            assert scaled_by(name) == shape, name
 
 
 class TestChainMechanics:

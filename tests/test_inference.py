@@ -342,13 +342,6 @@ class TestTheorem2Curve:
                                resid_ss=0.5, phi_grid=phi_grid)
         assert np.all(np.diff(curve) < 0)
 
-    def test_tau_side_monotone(self):
-        tau_grid = np.logspace(0, 4, 8)
-        curve = theorem2_curve("half-cauchy", 0.5, n_i=10, resid_mean=0.1,
-                               resid_ss=0.4, tau_grid=tau_grid)
-        assert np.all((curve >= 0) & (curve <= 1))
-        assert np.all(np.diff(curve) <= 1e-12)
-
     def test_signal_slows_concentration(self):
         # a strong group signal keeps gamma large for bigger phi
         phi_grid = np.array([100.0])
@@ -363,11 +356,10 @@ class TestTheorem2Curve:
             theorem2_curve("horseshoe", 1.5, n_i=5, resid_mean=0.0,
                            phi_grid=[1.0])
         with pytest.raises(ValidationError):
-            theorem2_curve("horseshoe", 0.5, n_i=5, resid_mean=0.0)
-        with pytest.raises(ValidationError):
             theorem2_curve("ridge", 0.5, n_i=5, resid_mean=0.0, phi_grid=[1.0])
 
-    @pytest.mark.parametrize("resid", [dict(resid_mean=1e200), dict(resid_mean=math.nan),
+    @pytest.mark.parametrize("resid", [dict(resid_mean=1e200), dict(resid_mean=1e155),
+                                       dict(resid_mean=math.nan),
                                        dict(resid_mean=-math.inf),
                                        dict(resid_mean=0.0, resid_ss=math.inf)])
     def test_non_finite_residual_rejected(self, resid):
