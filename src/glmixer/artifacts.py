@@ -4,6 +4,12 @@ records the artifact format, the kept count and the sha256 of every chain
 file and of the summary, and a sha256 of its own other fields; readers
 check the manifest and the files they read against it.
 
+`load_fit` reads each chain file once: the sha256, the header and the
+row and field counts all come from those bytes, so every file is checked
+in full. `load_fit(keys=...)` then parses only the columns of the named
+draw keys; `predict` asks for beta and phi, 8 of the 99 columns of the
+default 30-unit Model 1 fit.
+
 Floats are written with repr (shortest round-trip) so identical runs
 produce byte-identical files; no timestamps anywhere.
 
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from typing import TYPE_CHECKING
@@ -78,26 +85,30 @@ def _trace_layout(priors: PriorConfig, spec: ModelSpec, m: int):
     return columns, header
 
 
-def _sha256(path) -> str:
+def _write_hashed(path, chunks) -> str:
+    """Write the byte chunks to `path`; the sha256 of the bytes written."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
     return digest.hexdigest()
 
 
-def write_trace_csv(trace: Trace, columns, header: str, path) -> None:
+def write_trace_csv(trace: Trace, columns, header: str, path) -> str:
     """One header row, then one row of repr floats per kept draw, built
-    TRACE_CHUNK_ROWS rows at a time."""
+    TRACE_CHUNK_ROWS rows at a time; returns the file's sha256."""
     import numpy as np
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
+    def chunks():
+        yield header.encode() + b"\n"
         for lo in range(0, trace.kept, TRACE_CHUNK_ROWS):
             hi = min(lo + TRACE_CHUNK_ROWS, trace.kept)
             block = np.concatenate([trace.draws[key][lo:hi].reshape(hi - lo, width)
                                     for key, width in columns], axis=1, dtype=np.float64)
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
+            yield "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+
+    return _write_hashed(path, chunks())
 
 
 def manifest_digest(manifest: dict) -> str:
@@ -107,28 +118,29 @@ def manifest_digest(manifest: dict) -> str:
                           .encode()).hexdigest()
 
 
-def write_summary_csv(summary: PosteriorSummary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SUMMARY_COLUMNS)
-        for row in summary.rows:
-            w.writerow([row.param, row.index, _fmt(row.mean), _fmt(row.sd),
-                        _fmt(row.q2_5), _fmt(row.q50), _fmt(row.q97_5),
-                        _fmt(row.ess), _fmt(row.rhat)])
+def write_summary_csv(summary: PosteriorSummary, path) -> str:
+    """summary.csv; returns its sha256."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(SUMMARY_COLUMNS)
+    for row in summary.rows:
+        w.writerow([row.param, row.index, _fmt(row.mean), _fmt(row.sd),
+                    _fmt(row.q2_5), _fmt(row.q50), _fmt(row.q97_5),
+                    _fmt(row.ess), _fmt(row.rhat)])
+    return _write_hashed(path, [buf.getvalue().encode()])
 
 
 def write_predictions_csv(prediction, unit_ids, sizes, path) -> None:
     """One line per design row: the unit, the row's position within the
     unit (`sizes[i]` consecutive rows per unit) and the prediction."""
+    keys = [(uid, j) for uid, size in zip(unit_ids, sizes) for j in range(size)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["unit_id", "row", "mode", "mean", "q2.5", "q97.5"])
-        i = 0
-        for uid, size in zip(unit_ids, sizes):
-            for j in range(size):
-                w.writerow([uid, j, prediction.mode, _fmt(prediction.mean[i]),
-                            _fmt(prediction.q2_5[i]), _fmt(prediction.q97_5[i])])
-                i += 1
+        w.writerows([uid, j, prediction.mode, repr(mean), repr(lo), repr(hi)]
+                    for (uid, j), mean, lo, hi in zip(keys, prediction.mean.tolist(),
+                                                      prediction.q2_5.tolist(),
+                                                      prediction.q97_5.tolist()))
 
 
 def write_fit(outdir, traces, summary: PosteriorSummary, *, seed: int,
@@ -137,10 +149,11 @@ def write_fit(outdir, traces, summary: PosteriorSummary, *, seed: int,
     os.makedirs(outdir, exist_ok=True)
     t0 = traces[0]
     columns, header = _trace_layout(t0.priors, t0.spec, len(t0.unit_ids))
-    names = [chain_csv_name(trace.chain_id) for trace in traces]
-    for trace, name in zip(traces, names):
-        write_trace_csv(trace, columns, header, os.path.join(outdir, name))
-    write_summary_csv(summary, os.path.join(outdir, SUMMARY_NAME))
+    digests = {chain_csv_name(trace.chain_id):
+               write_trace_csv(trace, columns, header,
+                               os.path.join(outdir, chain_csv_name(trace.chain_id)))
+               for trace in traces}
+    digests[SUMMARY_NAME] = write_summary_csv(summary, os.path.join(outdir, SUMMARY_NAME))
     manifest = {
         "software": "glmixer",
         "version": __version__,
@@ -156,7 +169,7 @@ def write_fit(outdir, traces, summary: PosteriorSummary, *, seed: int,
         "unit_ids": list(t0.unit_ids),
         "sizes": [int(s) for s in t0.sizes],
         "clamp_policy": clamp_policy,
-        "sha256": {name: _sha256(os.path.join(outdir, name)) for name in names + [SUMMARY_NAME]},
+        "sha256": digests,
     }
     manifest[MANIFEST_DIGEST] = manifest_digest(manifest)
     with open(os.path.join(outdir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
@@ -200,19 +213,60 @@ def _read_manifest(outdir) -> dict:
     return manifest
 
 
-def _verified_path(outdir, manifest: dict, name: str) -> str:
-    """Path of an artifact file whose sha256 matches the manifest's."""
+def _verified_bytes(outdir, manifest: dict, name: str):
+    """(path, bytes) of an artifact file whose sha256 matches the manifest's."""
     path = os.path.join(outdir, name)
     if not os.path.exists(path):
         raise ValidationError(f"missing artifact file {path}")
-    if _sha256(path) != manifest["sha256"][name]:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if hashlib.sha256(data).hexdigest() != manifest["sha256"][name]:
         raise ValidationError(f"{path}: sha256 does not match {MANIFEST_NAME}")
-    return path
+    return path, data
 
 
-def load_fit(outdir):
-    """Rebuild (traces, manifest) from a fit artifact directory, checking
-    every chain file against the manifest: digest, header, row count."""
+def _chain_values(path, data: bytes, header: str, kept: int, width: int, usecols):
+    """The `usecols` columns (sorted, ending with the last) of a chain
+    file's bytes `data`, after checking its header and that it holds
+    `kept` rows of `width` fields.
+
+    The counts come from the bytes: `kept` newline-ended rows after the
+    header and `kept * (width - 1)` field separators in them. The parse
+    reads the last column, so it fails on a row of fewer than `width`
+    fields; with the separator total that leaves every row exactly
+    `width` fields.
+    """
+    import numpy as np
+
+    head = (header + "\n").encode()
+    if not data.startswith(head):
+        raise ValidationError(f"{path}: header does not match {MANIFEST_NAME}")
+    if not data.endswith(b"\n"):
+        raise ValidationError(f"{path}: the last row does not end with a newline")
+    chars = np.frombuffer(data, dtype=np.uint8, offset=len(head))
+    rows = int(np.count_nonzero(chars == ord("\n")))
+    seps = int(np.count_nonzero(chars == ord(",")))
+    if rows != kept or seps != rows * (width - 1):
+        fields = seps / rows + 1 if rows else 0  # per row, on average
+        raise ValidationError(f"{path}: {rows} x {fields:g} values, "
+                              f"manifest says {kept} x {width}")
+    try:
+        values = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1,
+                            usecols=usecols, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    if values.shape[0] != kept:  # blank lines, which loadtxt skips
+        raise ValidationError(f"{path}: {values.shape[0]} rows of values, manifest says {kept}")
+    return values
+
+
+def load_fit(outdir, keys=None):
+    """Rebuild (traces, manifest) from a fit artifact directory.
+
+    `keys` names the draw keys to load (default all); only their columns
+    are parsed. Every chain file is checked against the manifest in full
+    either way: its sha256, header, row count and fields per row.
+    """
     import numpy as np
 
     from .design import ModelSpec
@@ -237,23 +291,23 @@ def load_fit(outdir):
     if kept != (run["n_iter"] - run["burn_in"]) // run["thin"]:
         raise ValidationError(f"{where}: kept {kept} does not follow from n_iter, burn_in, thin")
     columns, header = _trace_layout(priors, spec, len(unit_ids))
-    width = sum(w for _, w in columns)
+    # the loaded keys in the file's order, their columns and the last one
+    loaded, usecols, width = [], [], 0
+    for key, w in columns:
+        if keys is None or key in keys:
+            loaded.append((key, w))
+            usecols.extend(range(width, width + w))
+        width += w
+    if usecols[-1:] != [width - 1]:
+        usecols.append(width - 1)
     traces = []
     for k in range(manifest["chains"]):
-        path = _verified_path(outdir, manifest, chain_csv_name(k))
-        with open(path, "rb") as fh:
-            if fh.readline() != header.encode() + b"\n":
-                raise ValidationError(f"{path}: header does not match {MANIFEST_NAME}")
-        try:
-            body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-        if body.shape != (kept, width):
-            raise ValidationError(f"{path}: {body.shape[0]} x {body.shape[1]} values, "
-                                  f"manifest says {kept} x {width}")
+        path, data = _verified_bytes(outdir, manifest, chain_csv_name(k))
+        values = _chain_values(path, data, header, kept, width, usecols)
+        del data  # one chain file's bytes in memory at a time
         draws, lo = {}, 0
-        for key, w in columns:
-            block = body[:, lo:lo + w]
+        for key, w in loaded:
+            block = values[:, lo:lo + w]
             lo += w
             if key in ("tau", "phi"):
                 draws[key] = block[:, 0].copy()
@@ -269,7 +323,7 @@ def load_fit(outdir):
 def load_summary_rows(outdir) -> list:
     """summary.csv's data rows as dicts of the written field strings, after
     checking the file against the manifest's digest."""
-    path = _verified_path(outdir, _read_manifest(outdir), SUMMARY_NAME)
+    path, _ = _verified_bytes(outdir, _read_manifest(outdir), SUMMARY_NAME)
     rows = read_csv_rows(path)
     if not rows or tuple(rows[0]) != SUMMARY_COLUMNS or any(
             len(row) != len(SUMMARY_COLUMNS) for row in rows[1:]):

@@ -99,17 +99,18 @@ def cmd_fit(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    from .design import ModelSpec, build_matrices
+    from .design import ModelSpec, design_rows
     from .inference import predict_new_unit
 
-    traces, manifest = artifacts.load_fit(args.artifact)
+    # predictions read beta and phi only; every chain file is still checked
+    traces, manifest = artifacts.load_fit(args.artifact, keys=("beta", "phi"))
     spec = ModelSpec.from_dict(manifest["spec"])
     panel = _filter_sex(load_panel(args.input, allow_missing_completeness=True), spec.sex)
-    design = build_matrices(panel, spec, for_fit=False)
+    X, unit_ids, sizes = design_rows(panel, spec)
     mode = "fixed_only" if args.mode == "fixed-only" else "integrate_reffect"
-    prediction = predict_new_unit(traces, design.X, design.sizes, mode=mode)
+    prediction = predict_new_unit(traces, X, sizes, mode=mode)
     os.makedirs(args.out, exist_ok=True)
-    artifacts.write_predictions_csv(prediction, design.unit_ids, design.sizes,
+    artifacts.write_predictions_csv(prediction, unit_ids, sizes,
                                     os.path.join(args.out, artifacts.PREDICTIONS_NAME))
 
 

@@ -4,6 +4,8 @@ Row order is (intercept, RegCDR, RegCDR^2, pct65^2, ln(5q0), [C5q0 if
 Model 1], year - offset). The fraction over 65 enters only through its
 square. Year centering conditions the cross-product matrix; the offset is
 persisted in fit artifacts so predictions reuse the fit-time rows exactly.
+`design_rows` builds a panel's rows; `build_matrices` adds the responses
+and the per-group statistics a fit samples from.
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ def build_row(obs: Observation, spec: ModelSpec) -> np.ndarray:
         base.append(obs.c5q0)
     base.append(obs.period - spec.year_offset)
     return np.asarray(base, dtype=np.float64)
+
+
+def design_rows(panel: PanelDataset, spec: ModelSpec):
+    """(X, unit_ids, sizes) of a panel: its design rows (n, p) in group
+    order, each group's rows contiguous; the unit ids; and the rows per
+    unit (m,). Fitting, fitted values and prediction all build their
+    rows here."""
+    X = np.vstack([build_row(obs, spec) for obs in panel.observations()])
+    return X, panel.unit_ids, np.asarray(panel.n_i, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -129,32 +140,22 @@ def pooled_crossprod(X: np.ndarray) -> np.ndarray:
     return xtx
 
 
-def build_matrices(panel: PanelDataset, spec: ModelSpec, for_fit: bool = True) -> GroupedDesign:
-    """Design rows plus responses y = logit(completeness), grouped by unit.
+def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
+    """`design_rows` plus responses y = logit(completeness) and the
+    per-group statistics a sweep reads.
 
     Fitting requires n_i > p for every group and a numerically
     nonsingular pooled cross-product matrix.
     """
-    rows, ys, gidx, unit_ids, sizes = [], [], [], [], []
-    for g, (uid, obs_list) in enumerate(panel.groups):
-        unit_ids.append(uid)
-        sizes.append(len(obs_list))
-        for obs in obs_list:
-            rows.append(build_row(obs, spec))
-            ys.append(logit(obs.completeness))
-            gidx.append(g)
-    X = np.vstack(rows)
-    y = np.asarray(ys)
-    group_idx = np.asarray(gidx, dtype=np.intp)
-    sizes_arr = np.asarray(sizes, dtype=np.intp)
-    p = X.shape[1]
-    if for_fit:
-        bad = [uid for uid, n_i in zip(unit_ids, sizes) if n_i <= p]
-        if bad:
-            raise ValidationError(
-                f"fitting requires n_i > p = {p} observations per group; violated by {bad}"
-            )
-        pooled_crossprod(X)
+    X, unit_ids, sizes = design_rows(panel, spec)
+    p = spec.p
+    bad = [uid for uid, n_i in zip(unit_ids, sizes.tolist()) if n_i <= p]
+    if bad:
+        raise ValidationError(
+            f"fitting requires n_i > p = {p} observations per group; violated by {bad}"
+        )
+    pooled_crossprod(X)
+    y = np.asarray([logit(obs.completeness) for obs in panel.observations()])
     m = len(sizes)
     xbar = np.zeros((m, p))
     ybar = np.zeros(m)
@@ -163,7 +164,7 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec, for_fit: bool = True) -
     yty_g = np.zeros(m)
     # each group's rows are contiguous, in group order
     hi = 0
-    for g, n_g in enumerate(sizes):
+    for g, n_g in enumerate(sizes.tolist()):
         lo, hi = hi, hi + n_g
         Xg, yg = X[lo:hi], y[lo:hi]
         xbar[g] = Xg.mean(axis=0)
@@ -172,6 +173,7 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec, for_fit: bool = True) -
         Xty_g[g] = Xg.T @ yg
         yty_g[g] = yg @ yg
     return GroupedDesign(
-        X=X, y=y, group_idx=group_idx, sizes=sizes_arr, unit_ids=tuple(unit_ids),
+        X=X, y=y, group_idx=np.repeat(np.arange(m, dtype=np.intp), sizes), sizes=sizes,
+        unit_ids=unit_ids,
         xbar=xbar, ybar=ybar, XtX_g=XtX_g, Xty_g=Xty_g, yty_g=yty_g,
     )

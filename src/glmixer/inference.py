@@ -3,11 +3,15 @@ quadrature checker for the shrinkage-factor concentration rates.
 
 All operations are pure over immutable traces. Empirical quantiles use
 numpy's inclusive linear-interpolation rule so credible intervals are
-bit-reproducible.
+bit-reproducible. Predictions for new units need only the beta and phi
+draws and the design rows; they are evaluated over blocks of whole
+units of bounded size, and each unit gets the bits of predicting it
+alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PanelDataset
-from .design import ModelSpec, build_matrices
+from .design import ModelSpec, design_rows
 from .errors import NumericalError, SpecMismatchError, ValidationError
 from .gibbs import nu_log_prior
 from .kernels import RngStream, draw_local_prior
@@ -23,8 +27,15 @@ from .special import ndtri
 
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
+# The rate curve integrates over log omega clamped to +/-LOG_OMEGA_CLAMP,
+# on a window QUAD_WINDOW log units beyond the cut and the prior's bulk.
+LOG_OMEGA_CLAMP = 600.0
+QUAD_WINDOW = 200.0
 
 PREDICT_STREAM_BASE = 10 ** 6
+# Draws x design rows evaluated at once by predict_new_unit: about 128 KB
+# per work array, so its memory stays flat in the number of units.
+PREDICT_BLOCK_VALUES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +230,14 @@ def fitted_completeness(traces, panel: PanelDataset, spec: ModelSpec) -> FittedC
     for t in traces:
         if t.spec != spec:
             raise SpecMismatchError(f"trace was fitted with spec {t.spec}, data built with {spec}")
-    design = build_matrices(panel, spec, for_fit=False)
-    if traces[0].unit_ids != design.unit_ids:
+    X, unit_ids, sizes = design_rows(panel, spec)
+    if traces[0].unit_ids != unit_ids:
         raise SpecMismatchError("panel unit ids differ from the fitted ones")
     beta = np.concatenate([t.draws["beta"] for t in traces])   # (K, p)
     u = np.concatenate([t.draws["u"] for t in traces])         # (K, m)
-    theta_fixed = beta @ design.X.T                            # (K, n)
+    theta_fixed = beta @ X.T                                   # (K, n)
     return FittedCompleteness(
-        *_completeness_bands(theta_fixed + u[:, design.group_idx]),
+        *_completeness_bands(theta_fixed + np.repeat(u, sizes, axis=1)),
         mean_minus_u=_inv_logit_arr(theta_fixed).mean(axis=0),
     )
 
@@ -264,8 +275,14 @@ def predict_new_unit(traces, rows: np.ndarray, sizes,
     fixed_only uses x'beta per draw; integrate_reffect adds a new-unit
     random effect u* per posterior draw, shared across rows and units.
     Each chain draws its u* once, from its prediction stream (stream_id
-    = 1e6 + chain_id) so fits stay reproducible; the rows are then
-    evaluated one unit's block at a time.
+    = 1e6 + chain_id) so fits stay reproducible.
+
+    The rows are evaluated in blocks of whole units of at most
+    PREDICT_BLOCK_VALUES draws x rows (or one unit, if larger). Each unit
+    keeps its own x'beta product and its own mean over the draws, since
+    the bits of both depend on the width of the array; the inverse logit
+    and the quantiles run once per block. So each unit gets the bits of
+    predicting it alone.
     """
     if mode not in ("fixed_only", "integrate_reffect"):
         raise ValidationError(f"unknown prediction mode {mode!r}")
@@ -278,12 +295,24 @@ def predict_new_unit(traces, rows: np.ndarray, sizes,
         raise ValidationError(f"unit sizes do not partition the {rows.shape[0]} design rows")
     shifts = [_new_unit_effects(t)[:, None] if mode == "integrate_reffect" else 0.0
               for t in traces]
-    bands = np.empty((3, rows.shape[0]))
-    for lo, hi in zip([0, *ends[:-1]], ends):
-        block = rows[lo:hi]
-        theta = np.concatenate([t.draws["beta"] @ block.T + shift       # (K, r) per chain
-                                for t, shift in zip(traces, shifts)])
-        bands[:, lo:hi] = _completeness_bands(theta)
+    k = sum(t.kept for t in traces)
+    ends = ends.tolist()
+    starts = [0, *ends[:-1]]
+    bands = np.empty((3, ends[-1]))
+    first = 0
+    while first < len(ends):
+        lo = starts[first]
+        last = max(first + 1, bisect.bisect_right(ends, lo + PREDICT_BLOCK_VALUES // k))
+        hi = ends[last - 1]
+        units = list(zip(starts[first:last], ends[first:last]))
+        theta = np.concatenate([                                   # (K, hi - lo)
+            np.concatenate([t.draws["beta"] @ rows[a:b].T for a, b in units], axis=1) + shift
+            for t, shift in zip(traces, shifts)])
+        delta = _inv_logit_arr(theta)
+        bands[1:, lo:hi] = np.quantile(delta, [0.025, 0.975], axis=0, method="linear")
+        for a, b in units:
+            bands[0, a:b] = delta[:, a - lo:b - lo].mean(axis=0)
+        first = last
     return PredictionResult(mode, *bands)
 
 
@@ -335,13 +364,13 @@ def _tail_prob(log_f, log_cut: float) -> float:
     # imported here so that loading the CLI does not pay for scipy.integrate
     from scipy.integrate import quad
 
-    # finite window around the cut: the local priors all decay at least
-    # exponentially on the log axis, so +/-200 log units lose nothing at
-    # double precision, and finite bounds keep exp() in range. Each side
-    # is normalized by its own peak so deep-tail probabilities stay
-    # accurate in log space.
-    lo = log_cut - 200.0
-    hi = max(log_cut, 10.0) + 200.0
+    # finite window around the cut and the prior's bulk near log x = 0:
+    # the local priors all decay at least exponentially on the log axis,
+    # so QUAD_WINDOW log units beyond either lose nothing at double
+    # precision. Each side is normalized by its own peak so deep-tail
+    # probabilities stay accurate in log space.
+    lo = min(log_cut, 10.0) - QUAD_WINDOW
+    hi = max(log_cut, 10.0) + QUAD_WINDOW
 
     def piece(a, b):
         grid = np.linspace(a, b, 400)
@@ -373,7 +402,9 @@ def theorem2_curve(prior: str, eps: float, *, n_i: int, resid_mean: float, phi_g
     function of phi on `phi_grid`, integrating the local effect scale omega
     against the group marginal likelihood (errors fixed at precision
     lam_tau). The residual's squared group sum (n_i resid_mean)^2 must be
-    finite.
+    finite, and phi within e^(+/-400) of c = n_i lam_tau (1 - eps) / eps,
+    where the quadrature window stays in the clamped log-omega range; as
+    phi falls toward that bound the curve rises toward its limit 1.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError(f"eps must lie in (0,1), got {eps}")
@@ -388,18 +419,29 @@ def theorem2_curve(prior: str, eps: float, *, n_i: int, resid_mean: float, phi_g
         resid_ss = n_i * resid_mean ** 2
     if not math.isfinite(resid_ss):
         raise ValidationError(f"resid_ss must be finite, got {resid_ss!r}")
+    # gamma > eps  <=>  omega < c / phi, c = n_i lam_tau (1 - eps) / eps;
+    # the integration window around each cut log(c / phi) must stay
+    # inside the clamp of log omega
+    log_c = math.log(n_i) + math.log(lam_tau) + math.log((1.0 - eps) / eps)
+    reach = LOG_OMEGA_CLAMP - QUAD_WINDOW
+    phi_grid = np.asarray(phi_grid, dtype=np.float64)
+    cuts = [log_c - math.log(phi) if phi > 0.0 else math.inf for phi in phi_grid.tolist()]
+    if not all(abs(cut) <= reach for cut in cuts):  # also rejects NaN
+        lo, hi = (log_c - reach) / math.log(10.0), (log_c + reach) / math.log(10.0)
+        raise ValidationError(
+            f"phi must lie in [10^{lo:.6g}, 10^{hi:.6g}] for n_i = {n_i}, "
+            f"lam_tau = {lam_tau!r} and eps = {eps!r}, where |log(c / phi)| <= {reach:g}; "
+            f"got phi from {float(phi_grid.min())!r} to {float(phi_grid.max())!r}")
     out = []
-    # gamma > eps  <=>  omega < n_i lam_tau (1-eps) / (eps phi)
-    c = n_i * lam_tau * (1.0 - eps) / eps
-    for phi in np.asarray(phi_grid, dtype=np.float64):
+    for phi, cut in zip(phi_grid, cuts):
         def log_f(t, phi=phi):
-            # clamp so exp() stays finite; the clipped tails contribute
-            # nothing at double precision
-            w = math.exp(min(max(t, -600.0), 600.0))
+            # the clamp keeps exp() finite; the grid check above keeps the
+            # integration window inside it
+            w = math.exp(min(max(t, -LOG_OMEGA_CLAMP), LOG_OMEGA_CLAMP))
             ll = _marginal_loglik(1.0 / lam_tau, w * phi, n_i, resid_mean, resid_ss)
             return ll + float(_log_prior_omega(prior, np.asarray(w), nu))
         try:
-            out.append(_tail_prob(log_f, math.log(c / phi)))
+            out.append(_tail_prob(log_f, cut))
         except NumericalError as exc:
             raise NumericalError(f"quadrature failed at phi = {phi:g}: {exc}") from exc
     return np.asarray(out)

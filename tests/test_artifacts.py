@@ -70,6 +70,24 @@ def test_round_trip_is_exact(design, tmp_path, error_prior, reffect_prior):
     assert manifest["kept"] == traces[0].kept == 10
 
 
+@pytest.mark.parametrize("reffect_prior", ["gamma", "horseshoe", "laplace", "student-t"])
+def test_keyed_load_equals_full_load(design, tmp_path, reffect_prior):
+    traces = chains(design, PriorConfig(reffect_prior=reffect_prior))
+    artifacts.write_fit(tmp_path, traces, summarize(traces), seed=5)
+    full, manifest = artifacts.load_fit(tmp_path)
+    for keys in (("beta", "phi"), ("phi",), ("lambda",), ("nu", "u")):
+        part, part_manifest = artifacts.load_fit(tmp_path, keys=keys)
+        assert part_manifest == manifest
+        for got, want in zip(part, full):
+            assert list(got.draws) == [key for key in want.draws if key in keys]
+            for key, arr in got.draws.items():
+                assert arr.dtype == want.draws[key].dtype
+                np.testing.assert_array_equal(arr, want.draws[key])
+            for field in ("seed", "chain_id", "n_iter", "burn_in", "thin", "priors", "spec",
+                          "unit_ids", "sizes"):
+                assert getattr(got, field) == getattr(want, field)
+
+
 def test_wide_layout_and_manifest(fit_dir):
     lines = (fit_dir / "chain_0.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -190,3 +208,32 @@ def test_rows_checked_against_kept(fit_dir):
         {"chain_0.csv": hashlib.sha256(path.read_bytes()).hexdigest()}))
     with pytest.raises(ValidationError, match="9 x 25 values, manifest says 10 x 25"):
         artifacts.load_fit(fit_dir)
+
+
+def resign_chain(fit_dir, name, edit):
+    """Apply `edit` to the lines of a chain file and sign its new bytes
+    into the manifest, so only the row and field checks can see it."""
+    path = fit_dir / name
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+    edit_manifest(fit_dir, lambda m: m["sha256"].update(
+        {name: hashlib.sha256(path.read_bytes()).hexdigest()}))
+
+
+@pytest.mark.parametrize("keys", [None, ("beta", "phi")])
+@pytest.mark.parametrize("edit,match", [
+    # one more field on one row: the separator count
+    (lambda ls: ls[:3] + [ls[3].replace("\n", ",1.0\n")] + ls[4:], "10 x 25.1 values"),
+    # one field moved from one row to another: the parse of the last column
+    (lambda ls: ls[:3] + [ls[3].replace("\n", ",1.0\n"), ls[4].rsplit(",", 1)[0] + "\n"]
+     + ls[5:], "invalid column index 24"),
+    # two rows joined less one field, and a blank line: the parsed row count
+    (lambda ls: ls[:3] + [ls[3].rstrip("\n") + "," + ls[4].rsplit(",", 1)[0] + "\n", "\n"]
+     + ls[5:], "9 rows of values, manifest says 10"),
+    # the last row without its newline
+    (lambda ls: ls[:-1] + [ls[-1].rstrip("\n")], "does not end with a newline"),
+])
+def test_resigned_chain_with_wrong_fields_rejected(fit_dir, keys, edit, match):
+    resign_chain(fit_dir, "chain_1.csv", edit)
+    with pytest.raises(ValidationError, match=match):
+        artifacts.load_fit(fit_dir, keys=keys)

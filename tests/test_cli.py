@@ -542,6 +542,14 @@ def test_student_t_fit_loads_no_scipy(sim_dir, tmp_path):
     assert (tmp_path / "fit" / "summary.csv").exists()
 
 
+def test_predict_loads_no_scipy(fit_dir, sim_dir, tmp_path):
+    args = ["predict", "--artifact", str(fit_dir), "--input", str(sim_dir / "panel.csv"),
+            "--out", str(tmp_path / "pred")]
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "scipy") == 0
+    assert (tmp_path / "pred" / "predictions.csv").exists()
+
+
 class TestDiagnose:
     def test_outputs(self, fit_dir, tmp_path):
         assert main(["diagnose", "--artifact", str(fit_dir),
@@ -593,6 +601,27 @@ class TestCheckTheory:
         assert main(["check-theory", "--resid", "1e150", "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "theory_curve.csv").read_text().splitlines()[1:]
         assert [float(r.split(",")[1]) for r in rows] == pytest.approx([1.0] * 12, abs=1e-12)
+
+    def test_tiny_phi_grid_exits_2_naming_the_usable_range(self, tmp_path, capsys):
+        # c / phi overflows at phi = 1e-308; beyond |log(c / phi)| = 400
+        # the quadrature window leaves the clamped log-omega range
+        out = tmp_path / "th"
+        assert main(["check-theory", "--log10-min", "-308", "--log10-max", "-300",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[10^-172.718, 10^174.718]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prior", ["horseshoe", "laplace", "student-t"])
+    def test_curve_rises_to_one_as_phi_falls(self, tmp_path, prior):
+        # down to the lower end of the usable range the curve approaches its
+        # phi -> 0 limit 1: at most the horseshoe's slow 1/log(c / phi) gap
+        assert main(["check-theory", "--prior", prior, "--log10-min", "-172.7",
+                     "--log10-max", "0", "--grid-points", "8", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "theory_curve.csv").read_text().splitlines()[1:]
+        curve = [float(r.split(",")[1]) for r in rows]
+        assert all(a >= b for a, b in zip(curve, curve[1:]))
+        assert 1.0 - curve[0] <= 2e-4 and curve[-1] < curve[0]
 
     def test_bad_eps_exits_2(self, tmp_path):
         out = tmp_path / "th"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glmixer.data import Observation, build_panel
-from glmixer.design import ModelSpec, build_matrices, build_row
+from glmixer.design import ModelSpec, build_matrices, build_row, design_rows
 from glmixer.errors import ValidationError
 
 from oracles import group_aggregates_by_masks
@@ -12,6 +12,12 @@ from oracles import group_aggregates_by_masks
 
 def obs(uid="U1", year=2000, c=0.5, reg_cdr=5.0, pct65=0.1, u5mr=0.05, c5q0=0.8):
     return Observation(uid, year, "both", c, reg_cdr, pct65, u5mr, c5q0)
+
+
+def varied_obs(rng, **kw):
+    """An observation with random covariates, so that a panel of them fits."""
+    return obs(reg_cdr=rng.uniform(2, 12), pct65=rng.uniform(0.01, 0.2),
+               u5mr=rng.uniform(0.005, 0.15), c5q0=rng.uniform(0.4, 1.0), **kw)
 
 
 def random_panel(rng, m=3, n_i=10):
@@ -110,25 +116,22 @@ class TestBuildMatrices:
         assert d.lambda_shape == 6.0 and isinstance(d.lambda_shape, float)
 
     def test_lambda_shape_unbalanced(self):
-        panel = build_panel([obs(uid=f"U{i}", year=2000 + t) for i, n_i in enumerate((9, 12))
-                             for t in range(n_i)])
-        d = build_matrices(panel, ModelSpec(variant=1), for_fit=False)
+        rng = np.random.default_rng(4)
+        panel = build_panel([varied_obs(rng, uid=f"U{i}", year=2000 + t)
+                             for i, n_i in enumerate((9, 12)) for t in range(n_i)])
+        d = build_matrices(panel, ModelSpec(variant=1, year_offset=2005.0))
         np.testing.assert_array_equal(d.lambda_shape, [5.5, 7.0])
 
     def test_y_is_logit_completeness(self):
-        panel = build_panel([obs(year=2000 + t, c=0.8) for t in range(8)])
-        d = build_matrices(panel, ModelSpec(variant=1), for_fit=False)
+        rng = np.random.default_rng(5)
+        panel = build_panel([varied_obs(rng, year=2000 + t, c=0.8) for t in range(10)])
+        d = build_matrices(panel, ModelSpec(variant=1, year_offset=2004.5))
         np.testing.assert_allclose(d.y, math.log(4.0), rtol=1e-15)
 
     def test_small_group_rejected_for_fit(self):
         panel = build_panel([obs(year=2000 + t) for t in range(5)])
         with pytest.raises(ValidationError, match="n_i > p"):
             build_matrices(panel, ModelSpec(variant=1))
-
-    def test_small_group_ok_for_prediction(self):
-        panel = build_panel([obs(year=2000 + t) for t in range(2)])
-        d = build_matrices(panel, ModelSpec(variant=1), for_fit=False)
-        assert d.n == 2
 
     def test_singular_design_rejected(self):
         # constant covariates make reg_cdr and reg_cdr^2 collinear with const
@@ -138,3 +141,33 @@ class TestBuildMatrices:
         panel = build_panel([obs(uid="A", year=2000 + t) for t in range(10)])
         with pytest.raises(ValidationError, match="singular"):
             build_matrices(panel, ModelSpec(variant=1, year_offset=2004.5))
+
+
+class TestDesignRows:
+    def test_small_group_ok_for_prediction(self):
+        panel = build_panel([obs(year=2000 + t) for t in range(2)])
+        X, unit_ids, sizes = design_rows(panel, ModelSpec(variant=1))
+        assert X.shape == (2, 7) and unit_ids == ("U1",)
+        np.testing.assert_array_equal(sizes, [2])
+
+    def test_singular_and_unbalanced_rows_built(self):
+        # no fit-time checks: constant covariates and units of 1 and 3 rows
+        panel = build_panel([obs(uid=f"U{i}", year=2000 + t) for i, n_i in enumerate((1, 3))
+                             for t in range(n_i)])
+        spec = ModelSpec(variant=2, year_offset=2001.0)
+        X, unit_ids, sizes = design_rows(panel, spec)
+        assert unit_ids == ("U0", "U1") and sizes.dtype == np.intp
+        np.testing.assert_array_equal(sizes, [1, 3])
+        np.testing.assert_array_equal(X, np.vstack([build_row(o, spec)
+                                                    for o in panel.observations()]))
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_build_matrices_reads_these_rows(self, variant):
+        panel = random_panel(np.random.default_rng(6), m=4, n_i=9)
+        spec = ModelSpec(variant=variant, year_offset=2004.0)
+        X, unit_ids, sizes = design_rows(panel, spec)
+        d = build_matrices(panel, spec)
+        np.testing.assert_array_equal(d.X, X)
+        assert d.unit_ids == unit_ids
+        np.testing.assert_array_equal(d.sizes, sizes)
+        np.testing.assert_array_equal(d.group_idx, np.repeat(np.arange(4), 9))

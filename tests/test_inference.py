@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glmixer.data import inv_logit
-from glmixer.design import ModelSpec, build_matrices
+from glmixer.design import ModelSpec, design_rows
 from glmixer.errors import SpecMismatchError, ValidationError
 from glmixer import inference
 from glmixer.gibbs import PriorConfig, Trace, run_chain
@@ -198,17 +198,17 @@ class TestFittedCompleteness:
     def test_brute_force_replay(self, fit):
         panel, spec, traces = fit
         fc = fitted_completeness(traces, panel, spec)
-        design = build_matrices(panel, spec, for_fit=False)
+        X, _, sizes = design_rows(panel, spec)
+        group_idx = np.repeat(np.arange(len(sizes)), sizes)
         beta = np.concatenate([t.draws["beta"] for t in traces])
         u = np.concatenate([t.draws["u"] for t in traces])
         k = beta.shape[0]
-        for j in [0, 17, design.n - 1]:
-            vals = np.array([inv_logit(float(beta[d] @ design.X[j]
-                                             + u[d, design.group_idx[j]]))
+        for j in [0, 17, len(X) - 1]:
+            vals = np.array([inv_logit(float(beta[d] @ X[j] + u[d, group_idx[j]]))
                              for d in range(k)])
             assert fc.mean[j] == pytest.approx(vals.mean(), abs=1e-12)
             assert fc.q2_5[j] == pytest.approx(np.quantile(vals, 0.025), abs=1e-12)
-            fixed = np.array([inv_logit(float(beta[d] @ design.X[j])) for d in range(k)])
+            fixed = np.array([inv_logit(float(beta[d] @ X[j])) for d in range(k)])
             assert fc.mean_minus_u[j] == pytest.approx(fixed.mean(), abs=1e-12)
 
     def test_interval_order_and_range(self, fit):
@@ -278,34 +278,57 @@ class TestPredictNewUnit:
         # one call over the whole design gives, unit by unit, the bits of
         # predicting each unit as a single group
         panel, spec, traces = fit
-        design = build_matrices(panel, spec, for_fit=False)
-        whole = predict_new_unit(traces, design.X, design.sizes, mode=mode)
-        assert whole.mode == mode and whole.mean.shape == (design.n,)
+        X, _, sizes = design_rows(panel, spec)
+        whole = predict_new_unit(traces, X, sizes, mode=mode)
+        assert whole.mode == mode and whole.mean.shape == (len(X),)
         lo = 0
-        for size in design.sizes:
-            alone = predict_new_unit(traces, design.X[lo:lo + size], [size], mode=mode)
+        for size in sizes:
+            alone = predict_new_unit(traces, X[lo:lo + size], [size], mode=mode)
             for field in ("mean", "q2_5", "q97_5"):
                 np.testing.assert_array_equal(getattr(whole, field)[lo:lo + size],
                                               getattr(alone, field))
             lo += size
 
+    @pytest.mark.parametrize("mode", ["integrate_reffect", "fixed_only"])
+    @pytest.mark.parametrize("block", ["below_one_unit", "a_few_units", "above_panel"])
+    def test_blocks_equal_per_unit_reference(self, fit, monkeypatch, mode, block):
+        # an unbalanced panel of 1-, 2- and 12-row units gives, whatever
+        # the block size, the bits of the per-unit computation
+        panel, spec, traces = fit
+        X = design_rows(panel, spec)[0]
+        sizes = [1, 2, 12, 1, 12, 2, 1, 41]
+        k = sum(t.kept for t in traces)
+        budget = {"below_one_unit": 1, "a_few_units": 13 * k, "above_panel": 2 * k * len(X)}
+        monkeypatch.setattr(inference, "PREDICT_BLOCK_VALUES", budget[block])
+        got = predict_new_unit(traces, X, sizes, mode=mode)
+        shifts = [inference._new_unit_effects(t)[:, None] if mode == "integrate_reffect"
+                  else 0.0 for t in traces]
+        want, lo = np.empty((3, len(X))), 0
+        for size in sizes:
+            theta = np.concatenate([t.draws["beta"] @ X[lo:lo + size].T + shift
+                                    for t, shift in zip(traces, shifts)])
+            want[:, lo:lo + size] = inference._completeness_bands(theta)
+            lo += size
+        for field, ref in zip(("mean", "q2_5", "q97_5"), want):
+            np.testing.assert_array_equal(getattr(got, field), ref)
+
     def test_new_unit_effects_shared_across_units(self, fit):
         # the same row in two units gets the same draws, so the same bands
         panel, spec, traces = fit
-        row = build_matrices(panel, spec, for_fit=False).X[:1]
+        row = design_rows(panel, spec)[0][:1]
         res = predict_new_unit(traces, np.vstack([row] * 4), [2, 2])
         for field in ("mean", "q2_5", "q97_5"):
             assert len(set(getattr(res, field))) == 1
 
     def test_prediction_stream_opened_once_per_chain(self, fit, monkeypatch):
         panel, spec, traces = fit
-        design = build_matrices(panel, spec, for_fit=False)
+        X, _, sizes = design_rows(panel, spec)
         opened = []
         generator = inference.RngStream.generator
         monkeypatch.setattr(inference.RngStream, "generator",
                             lambda self: opened.append(self.stream_id) or generator(self))
-        predict_new_unit(traces, design.X, design.sizes)
-        assert design.m > 1
+        predict_new_unit(traces, X, sizes)
+        assert len(sizes) > 1
         assert opened == [inference.PREDICT_STREAM_BASE + t.chain_id for t in traces]
 
 
