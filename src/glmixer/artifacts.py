@@ -42,8 +42,9 @@ PREDICTIONS_NAME = "predictions.csv"
 SUMMARY_COLUMNS = ("param", "index", "mean", "sd", "q2.5", "q50", "q97.5", "ess", "rhat")
 
 # Version of the fit artifact layout, recorded in and checked against the
-# manifest: 2 is the wide chain CSV (one row per kept draw).
-FORMAT = 2
+# manifest: 2 is the wide chain CSV (one row per kept draw); 3 records one
+# Gamma prior pair per global precision (no a_zeta_* / b_zeta_* settings).
+FORMAT = 3
 # Manifest field holding the sha256 of the manifest's other fields.
 MANIFEST_DIGEST = "manifest_sha256"
 # Kept draws formatted per write call of a chain file.
@@ -130,17 +131,19 @@ def write_summary_csv(summary: PosteriorSummary, path) -> str:
     return _write_hashed(path, [buf.getvalue().encode()])
 
 
-def write_predictions_csv(prediction, unit_ids, sizes, path) -> None:
-    """One line per design row: the unit, the row's position within the
-    unit (`sizes[i]` consecutive rows per unit) and the prediction."""
-    keys = [(uid, j) for uid, size in zip(unit_ids, sizes) for j in range(size)]
+def write_predictions_csv(prediction, panel: PanelDataset, path) -> None:
+    """One line per observation of `panel`, in its order: the unit, the
+    row's position within the unit, the observation's key (year, sex) and
+    the prediction."""
+    keys = [(uid, j, obs.period, obs.sex)
+            for uid, obs_list in panel.groups for j, obs in enumerate(obs_list)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["unit_id", "row", "mode", "mean", "q2.5", "q97.5"])
-        w.writerows([uid, j, prediction.mode, repr(mean), repr(lo), repr(hi)]
-                    for (uid, j), mean, lo, hi in zip(keys, prediction.mean.tolist(),
-                                                      prediction.q2_5.tolist(),
-                                                      prediction.q97_5.tolist()))
+        w.writerow(["unit_id", "row", "year", "sex", "mode", "mean", "q2.5", "q97.5"])
+        w.writerows([*key, prediction.mode, repr(mean), repr(lo), repr(hi)]
+                    for key, mean, lo, hi in zip(keys, prediction.mean.tolist(),
+                                                 prediction.q2_5.tolist(),
+                                                 prediction.q97_5.tolist()))
 
 
 def write_fit(outdir, traces, summary: PosteriorSummary, *, seed: int,

@@ -106,11 +106,11 @@ def cmd_predict(args) -> None:
     traces, manifest = artifacts.load_fit(args.artifact, keys=("beta", "phi"))
     spec = ModelSpec.from_dict(manifest["spec"])
     panel = _filter_sex(load_panel(args.input, allow_missing_completeness=True), spec.sex)
-    X, unit_ids, sizes = design_rows(panel, spec)
+    X, _, sizes = design_rows(panel, spec)
     mode = "fixed_only" if args.mode == "fixed-only" else "integrate_reffect"
     prediction = predict_new_unit(traces, X, sizes, mode=mode)
     os.makedirs(args.out, exist_ok=True)
-    artifacts.write_predictions_csv(prediction, unit_ids, sizes,
+    artifacts.write_predictions_csv(prediction, panel,
                                     os.path.join(args.out, artifacts.PREDICTIONS_NAME))
 
 
@@ -127,10 +127,10 @@ def cmd_diagnose(args) -> None:
 
 
 def _read_predictions(path) -> dict:
-    """{(unit_id, row): mean} of a predictions CSV."""
+    """{(unit_id, year, sex): mean} of a predictions CSV."""
     records = read_csv_rows(path)
     header = records[0] if records else []
-    missing = {"unit_id", "row", "mean"} - set(header)
+    missing = {"unit_id", "year", "sex", "mean"} - set(header)
     if missing:
         raise ValidationError(f"{path}: header lacks {sorted(missing)}")
     by_key = {}
@@ -142,15 +142,15 @@ def _read_predictions(path) -> dict:
                 f"{path}: line {line_no}: {len(fields)} fields, header has {len(header)}")
         rec = dict(zip(header, fields))
         try:
-            key, mean = (rec["unit_id"], int(rec["row"])), float(rec["mean"])
+            key, mean = (rec["unit_id"], int(rec["year"]), rec["sex"]), float(rec["mean"])
         except ValueError:
             raise ValidationError(
-                f"{path}: line {line_no}: row {rec['row']!r} is not an integer "
+                f"{path}: line {line_no}: year {rec['year']!r} is not an integer "
                 f"or mean {rec['mean']!r} is not a number") from None
         if not math.isfinite(mean):
             raise ValidationError(f"{path}: line {line_no}: mean {mean!r} is not finite")
         if key in by_key:
-            raise ValidationError(f"{path}: duplicate prediction for unit {key[0]!r} row {key[1]}")
+            raise ValidationError(f"{path}: duplicate prediction for {key}")
         by_key[key] = mean
     if not by_key:
         raise ValidationError(f"{path}: no prediction rows")
@@ -161,18 +161,19 @@ def cmd_metrics(args) -> None:
     from .metrics import metric_report
 
     by_key = _read_predictions(args.predictions)
-    panel = load_panel(args.observed)
-    # join on (unit_id, row): row is the position within the unit, as
-    # predict writes it for a panel grouped and sorted the same way
-    observed_keys = [(uid, j) for uid, obs_list in panel.groups for j in range(len(obs_list))]
+    # the observations of the sexes predicted (a one-sex fit predicts only
+    # its sex), joined on (unit_id, year, sex)
+    sexes = {sex for _, _, sex in by_key}
+    observed = [o for o in load_panel(args.observed).observations() if o.sex in sexes]
+    observed_keys = [(o.unit_id, o.period, o.sex) for o in observed]
     missing = [key for key in observed_keys if key not in by_key]
     extra = by_key.keys() - set(observed_keys)
     if missing or extra:
         raise ValidationError(
-            f"predictions and observations differ on (unit_id, row): {len(missing)} "
+            f"predictions and observations differ on (unit_id, year, sex): {len(missing)} "
             f"observations have no prediction, {len(extra)} predictions match no observation")
     predicted = [by_key[key] for key in observed_keys]
-    obs = [o.completeness for o in panel.observations()]
+    obs = [o.completeness for o in observed]
     report = metric_report(predicted, obs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:

@@ -126,26 +126,14 @@ class GroupedDesign:
         return float(shape[0]) if np.all(shape == shape[0]) else shape
 
 
-def pooled_crossprod(X: np.ndarray) -> np.ndarray:
-    """X'X of the pooled design rows; ValidationError when it is
-    numerically singular (reciprocal condition below RCOND_MIN)."""
-    xtx = X.T @ X
-    svals = np.linalg.svd(xtx, compute_uv=False)
-    rcond = svals[-1] / svals[0] if svals[0] > 0 else 0.0
-    if rcond < RCOND_MIN:
-        raise ValidationError(
-            f"pooled cross-product matrix is numerically singular "
-            f"(reciprocal condition {rcond:.3g} < {RCOND_MIN:g})"
-        )
-    return xtx
-
-
 def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
     """`design_rows` plus responses y = logit(completeness) and the
     per-group statistics a sweep reads.
 
     Fitting requires n_i > p for every group and a numerically
-    nonsingular pooled cross-product matrix.
+    nonsingular pooled cross-product matrix: the reciprocal condition
+    lambda_min / lambda_max of its cached eigendecomposition `xtx_eigh`
+    must be at least RCOND_MIN.
     """
     X, unit_ids, sizes = design_rows(panel, spec)
     p = spec.p
@@ -154,7 +142,6 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
         raise ValidationError(
             f"fitting requires n_i > p = {p} observations per group; violated by {bad}"
         )
-    pooled_crossprod(X)
     y = np.asarray([logit(obs.completeness) for obs in panel.observations()])
     m = len(sizes)
     xbar = np.zeros((m, p))
@@ -172,8 +159,16 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
         XtX_g[g] = Xg.T @ Xg
         Xty_g[g] = Xg.T @ yg
         yty_g[g] = yg @ yg
-    return GroupedDesign(
+    design = GroupedDesign(
         X=X, y=y, group_idx=np.repeat(np.arange(m, dtype=np.intp), sizes), sizes=sizes,
         unit_ids=unit_ids,
         xbar=xbar, ybar=ybar, XtX_g=XtX_g, Xty_g=Xty_g, yty_g=yty_g,
     )
+    evals = design.xtx_eigh[0]  # ascending
+    rcond = evals[0] / evals[-1] if evals[-1] > 0 else 0.0
+    if rcond < RCOND_MIN:
+        raise ValidationError(
+            f"pooled cross-product matrix is numerically singular "
+            f"(reciprocal condition {rcond:.3g} < {RCOND_MIN:g})"
+        )
+    return design

@@ -4,7 +4,9 @@ Model: y_ij = x_ij' beta + u_i + e_ij, e_ij ~ N(0, 1/(lambda_i tau)),
 u_i ~ N(0, 1/(omega_i phi)), flat prior on beta, Gamma priors on the
 global precisions, and the configured local priors on lambda_i / omega_i.
 The "gamma" settings collapse the local scales to 1 and make the global
-precision the common zeta of the comparison model.
+precision the common zeta of the comparison model; it keeps its Gamma
+prior, (a_tau, b_tau) or (a_phi, b_phi), and takes the display name
+zeta_eps or zeta_u.
 
 Full conditionals are derived from the joint posterior. Where the source
 material's printed steps disagree with that derivation (the beta
@@ -25,6 +27,8 @@ categorical is one call for all chains; Laplace's Wald draws and
 Student-t's uniforms and omega Gammas are drawn chain by chain. Chain k
 of `run_chains` draws from RngStream(seed, k) alone, so its draws do not
 depend on how many chains run. Called alone, a step draws from its rng.
+The nu prior's log-Gamma normalizer is the standard library's
+`math.lgamma`, so a fit loads no scipy.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .errors import GlmixerError, NumericalError, ValidationError
 from .kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
                       draw_mvn_whitened, draw_standard, matvec, vecmat,
                       whitening_from_precision)
-from .special import lgam
 
 ERROR_PRIORS = ("gamma", "half-cauchy")
 REFFECT_PRIORS = ("gamma", "student-t", "horseshoe", "laplace")
@@ -61,10 +64,6 @@ class PriorConfig:
     b_phi: float = 1e-10
     a_tau: float = 1e-10
     b_tau: float = 1e-10
-    a_zeta_eps: float = 1e-10
-    b_zeta_eps: float = 1e-10
-    a_zeta_u: float = 1e-10
-    b_zeta_u: float = 1e-10
     k_nu: float = 2.84
     nu_support: tuple = tuple(range(1, 31))
     nu_weight: str = "algorithm3"
@@ -79,8 +78,7 @@ class PriorConfig:
             raise ValidationError(f"reffect_prior must be one of {REFFECT_PRIORS}")
         if self.nu_weight not in NU_WEIGHTS:
             raise ValidationError(f"nu_weight must be one of {NU_WEIGHTS}")
-        for name in ("a_phi", "b_phi", "a_tau", "b_tau", "a_zeta_eps",
-                     "b_zeta_eps", "a_zeta_u", "b_zeta_u", "k_nu"):
+        for name in ("a_phi", "b_phi", "a_tau", "b_tau", "k_nu"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
@@ -89,20 +87,6 @@ class PriorConfig:
             raise ValidationError("nu_support must be a non-empty tuple of positive integers")
         if self.beta_prior_precision < 0:
             raise ValidationError("beta_prior_precision must be >= 0")
-
-    # Effective Gamma hyperparameters for the error / effect global
-    # precision under the active configuration.
-    @functools.cached_property
-    def tau_hyper(self):
-        if self.error_prior == "gamma":
-            return self.a_zeta_eps, self.b_zeta_eps
-        return self.a_tau, self.b_tau
-
-    @functools.cached_property
-    def phi_hyper(self):
-        if self.reffect_prior == "gamma":
-            return self.a_zeta_u, self.b_zeta_u
-        return self.a_phi, self.b_phi
 
     @property
     def tau_name(self) -> str:
@@ -118,7 +102,7 @@ class PriorConfig:
         columns, computed once per config: log prior, log Student-t
         normalizer, (nu + 1) / 2 and nu."""
         df = np.asarray(self.nu_support, dtype=np.float64)
-        gammaln = np.vectorize(lgam, otypes=[np.float64])
+        gammaln = np.vectorize(math.lgamma, otypes=[np.float64])
         terms = (nu_log_prior(self),
                  gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi),
                  (df + 1.0) / 2.0, df)
@@ -129,8 +113,7 @@ class PriorConfig:
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in (
-            "error_prior", "reffect_prior", "a_phi", "b_phi", "a_tau", "b_tau",
-            "a_zeta_eps", "b_zeta_eps", "a_zeta_u", "b_zeta_u", "k_nu",
+            "error_prior", "reffect_prior", "a_phi", "b_phi", "a_tau", "b_tau", "k_nu",
             "nu_weight", "beta_prior_precision")}
         d["nu_support"] = list(self.nu_support)
         return d
@@ -275,9 +258,9 @@ def gamma_shape(name: str, design: GroupedDesign = None, priors: PriorConfig = N
     """The shape of the Gamma conditional drawn as `name`, a per-fit constant, defined
     only here and in `_CONSTANT_SHAPES`: the helpers, steps and `_sweep_layout` read it."""
     if name == "tau":
-        return 0.5 * design.n + priors.tau_hyper[0]  # n/2 + a
+        return 0.5 * design.n + priors.a_tau  # n/2 + a
     if name == "phi":
-        return 0.5 * design.m + priors.phi_hyper[0]  # m/2 + a
+        return 0.5 * design.m + priors.a_phi  # m/2 + a
     if name == "lam":
         return design.lambda_shape  # n_i/2 + 1
     return _CONSTANT_SHAPES[name]
@@ -285,17 +268,17 @@ def gamma_shape(name: str, design: GroupedDesign = None, priors: PriorConfig = N
 
 def tau_conditional(state: ChainState, design: GroupedDesign, priors: PriorConfig):
     """(shape, rate) of the error global precision:
-    Gamma(n/2 + a, (1/2) sum_i lam_i RSS_i + b), with RSS from state.rss;
+    Gamma(n/2 + a_tau, (1/2) sum_i lam_i RSS_i + b_tau), with RSS from state.rss;
     the sum is a (1 x m) (m x 1) product, per chain."""
-    rate = 0.5 * vecmat(state.lam, state.rss[..., None])[..., 0] + priors.tau_hyper[1]
+    rate = 0.5 * vecmat(state.lam, state.rss[..., None])[..., 0] + priors.b_tau
     return gamma_shape("tau", design, priors), rate
 
 
 def phi_conditional(state: ChainState, design: GroupedDesign, priors: PriorConfig):
     """(shape, rate) of the effect global precision:
-    Gamma(m/2 + a, (1/2) sum_i omega_i u_i^2 + b)."""
+    Gamma(m/2 + a_phi, (1/2) sum_i omega_i u_i^2 + b_phi)."""
     u2 = (state.u * state.u)[..., None]
-    rate = 0.5 * vecmat(state.omega, u2)[..., 0] + priors.phi_hyper[1]
+    rate = 0.5 * vecmat(state.omega, u2)[..., 0] + priors.b_phi
     return gamma_shape("phi", design, priors), rate
 
 

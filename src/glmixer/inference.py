@@ -3,10 +3,11 @@ quadrature checker for the shrinkage-factor concentration rates.
 
 All operations are pure over immutable traces. Empirical quantiles use
 numpy's inclusive linear-interpolation rule so credible intervals are
-bit-reproducible. Predictions for new units need only the beta and phi
-draws and the design rows; they are evaluated over blocks of whole
-units of bounded size, and each unit gets the bits of predicting it
-alone.
+bit-reproducible. Split R-hat's normal scores come from the standard
+library's `statistics.NormalDist`, so summaries load no scipy.
+Predictions for new units need only the beta and phi draws and the
+design rows; they are evaluated over blocks of whole units of bounded
+size, and each unit gets the bits of predicting it alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .design import ModelSpec, design_rows
 from .errors import NumericalError, SpecMismatchError, ValidationError
 from .gibbs import nu_log_prior
 from .kernels import RngStream, draw_local_prior
-from .special import ndtri
 
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
@@ -111,11 +111,15 @@ def _block_ess(x: np.ndarray) -> np.ndarray:
 
 
 def _rank_normal_scores(c: int, k: int) -> np.ndarray:
-    """The normal scores ndtri((r - 0.375) / (S + 0.25)) of the ranks
+    """The normal scores Phi^-1((r - 0.375) / (S + 0.25)) of the ranks
     r = 1..S of the S = C * 2 * (K // 2) split draws of C chains of K
     kept draws."""
+    # imported here so that `predict`, which loads this module, does not load statistics
+    from statistics import NormalDist
+
+    inv_cdf = NormalDist().inv_cdf
     s = c * 2 * (k // 2)
-    return np.array([ndtri((r - 0.375) / (s + 0.25)) for r in range(1, s + 1)])
+    return np.array([inv_cdf((r - 0.375) / (s + 0.25)) for r in range(1, s + 1)])
 
 
 def _block_rhat(x: np.ndarray, scores: np.ndarray) -> np.ndarray:

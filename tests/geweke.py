@@ -28,7 +28,6 @@ def geweke_priors(error_prior, reffect_prior):
     return PriorConfig(
         error_prior=error_prior, reffect_prior=reffect_prior,
         a_phi=2.0, b_phi=2.0, a_tau=2.0, b_tau=2.0,
-        a_zeta_eps=2.0, b_zeta_eps=2.0, a_zeta_u=2.0, b_zeta_u=2.0,
         beta_prior_precision=BETA_PREC,
     )
 
@@ -58,10 +57,8 @@ def draw_prior(rng, priors, n):
     """n independent draws of all model parameters from their priors, as a
     ChainState with a leading axis of n."""
     beta = rng.standard_normal((n, P)) / np.sqrt(BETA_PREC)
-    a_t, b_t = priors.tau_hyper
-    a_p, b_p = priors.phi_hyper
-    tau = rng.standard_gamma(a_t, size=n) / b_t
-    phi = rng.standard_gamma(a_p, size=n) / b_p
+    tau = rng.standard_gamma(priors.a_tau, size=n) / priors.b_tau
+    phi = rng.standard_gamma(priors.a_phi, size=n) / priors.b_phi
     lam, rho = np.ones((n, M)), np.ones((n, M))
     if priors.error_prior == "half-cauchy":
         v = rng.uniform(size=(n, M))
@@ -96,10 +93,12 @@ def draw_data(rng, state, X, gidx):
 
 def statistics(state, y, priors):
     """Battery of joint-distribution statistics, one row per row of the
-    state; identical for both samplers."""
+    state; identical for both samplers. The squared norms enter as logs:
+    under phi ~ Gamma(2, 2), E[phi^-2] is infinite, so u'u and y'y have
+    infinite variance and their z-scores would not be standard normal."""
     cols = [state.beta[:, 0], state.beta[:, 1], np.log(state.tau), np.log(state.phi),
-            state.u.mean(axis=1), np.einsum("ij,ij->i", state.u, state.u),
-            y.mean(axis=1), np.einsum("ij,ij->i", y, y) / y.shape[1]]
+            state.u.mean(axis=1), np.log(np.einsum("ij,ij->i", state.u, state.u)),
+            y.mean(axis=1), np.log(np.einsum("ij,ij->i", y, y) / y.shape[1])]
     if priors.error_prior == "half-cauchy":
         cols += [np.log(state.lam).mean(axis=1), state.rho.mean(axis=1)]
     if priors.reffect_prior != "gamma":

@@ -8,10 +8,10 @@ the batched summaries are checked against.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtri
 
 
 def quadrature_cdf(pdf, xs, lower=0.0, upper=np.inf):
@@ -199,7 +199,9 @@ def rhat_one_parameter(chains):
         return 1.0
     flat = split.ravel()
     ranks = np.argsort(np.argsort(flat, kind="stable"), kind="stable") + 1.0
-    z = ndtri((ranks - 0.375) / (flat.size + 0.25)).reshape(split.shape)
+    inv_cdf = NormalDist().inv_cdf
+    z = np.array([inv_cdf(q) for q in ((ranks - 0.375) / (flat.size + 0.25)).tolist()])
+    z = z.reshape(split.shape)
     k2 = z.shape[1]
     w = z.var(axis=1, ddof=1).mean()
     b = k2 * z.mean(axis=1).var(ddof=1)

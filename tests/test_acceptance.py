@@ -81,7 +81,7 @@ def test_criterion_3_conjugate_beta_conditional():
     from glmixer.design import build_matrices
     design = build_matrices(panel, spec)
     priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
-                         a_zeta_eps=1.0, b_zeta_eps=1.0, a_zeta_u=1.0, b_zeta_u=1.0)
+                         a_tau=1.0, b_tau=1.0, a_phi=1.0, b_phi=1.0)
     state = initialize_state(design, priors)
     state.tau = 3.7
     rng = np.random.default_rng(3)
@@ -157,8 +157,7 @@ def test_criterion_6_shrinkage_structure():
     # family) so the global precision is the only shrinkage knob; the
     # heavy-tailed families would adapt omega_i to undo the injection
     priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
-                         a_zeta_eps=1.0, b_zeta_eps=1.0,
-                         a_zeta_u=1.0, b_zeta_u=1.0)
+                         a_tau=1.0, b_tau=1.0, a_phi=1.0, b_phi=1.0)
     base = run_chain(panel, spec, priors, n_iter=1500, burn_in=500, thin=1, seed=6)
     g, _ = shrinkage_factors([base])
     in_unit = bool(np.all((g > 0.0) & (g < 1.0))

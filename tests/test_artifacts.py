@@ -141,6 +141,7 @@ def test_load_fit_does_not_read_summary(fit_dir):
 
 @pytest.mark.parametrize("edit,match", [
     (lambda m: m.update(format=1), "format"),
+    (lambda m: m.update(format=2), "artifact format 2, expected 3"),
     (lambda m: m.pop("kept"), "missing key 'kept'"),
     (lambda m: m.update(kept=9), "kept 9"),
     (lambda m: m.update(chains=1), "sha256 must list"),

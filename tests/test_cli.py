@@ -280,7 +280,7 @@ class TestPredictAndMetrics:
                      "--input", str(sim_dir / "panel.csv"),
                      "--out", str(pred_out)]) == 0
         lines = (pred_out / "predictions.csv").read_text().splitlines()
-        assert lines[0] == "unit_id,row,mode,mean,q2.5,q97.5"
+        assert lines[0] == "unit_id,row,year,sex,mode,mean,q2.5,q97.5"
         assert len(lines) == 1 + 40  # 4 units x 10 rows
         met_out = tmp_path / "met"
         assert main(["metrics", "--predictions", str(pred_out / "predictions.csv"),
@@ -312,6 +312,31 @@ class TestPredictAndMetrics:
         assert pred == (tmp_path / "pred_female" / "predictions.csv").read_bytes()
         assert main(["predict", "--artifact", str(fit), "--input",
                      str(tmp_path / "male" / "panel.csv"), "--out", str(tmp_path / "pm")]) == 2
+
+    def test_metrics_scores_a_one_sex_fit_on_a_mixed_panel(self, tmp_path):
+        # a female fit predicted on a 4x10 female + 4x10 male panel scores
+        # against that panel: only its female rows are observed
+        for sex, seed in (("female", "3"), ("male", "4")):
+            assert main(["simulate", "--m", "4", "--n-obs", "10", "--sex", sex,
+                         "--seed", seed, "--out", str(tmp_path / sex)]) == 0
+        panels = {sex: (tmp_path / sex / "panel.csv").read_text().splitlines()
+                  for sex in ("female", "male")}
+        both = tmp_path / "both.csv"
+        both.write_text("\n".join(panels["female"] + panels["male"][1:]) + "\n")
+        fit, pred = tmp_path / "fit", tmp_path / "pred" / "predictions.csv"
+        assert main(["fit", "--input", str(both), "--sex", "female",
+                     "--out", str(fit)] + FIT_ARGS) == 0
+        assert main(["predict", "--artifact", str(fit), "--input", str(both),
+                     "--out", str(pred.parent)]) == 0
+        for name, panel in (("met_both", both), ("met_female", tmp_path / "female" / "panel.csv")):
+            assert main(["metrics", "--predictions", str(pred), "--observed", str(panel),
+                         "--out", str(tmp_path / name)]) == 0
+        for name in ("metrics.json", "metrics.csv"):
+            assert ((tmp_path / "met_both" / name).read_bytes()
+                    == (tmp_path / "met_female" / name).read_bytes())
+        # the male rows alone hold no predicted key
+        assert main(["metrics", "--predictions", str(pred), "--observed",
+                     str(tmp_path / "male" / "panel.csv"), "--out", str(tmp_path / "m")]) == 2
 
     def test_unfiltered_panel_not_rebuilt(self, sim_dir, fit_dir, pred_csv, tmp_path,
                                           monkeypatch):
@@ -377,6 +402,23 @@ class TestPredictAndMetrics:
             assert main([stage, "--artifact", str(art), *args, "--out", str(out)]) == 2
             assert not out.exists()
 
+    def test_format_2_manifest_exits_2(self, sim_dir, fit_dir, tmp_path, capsys):
+        # a manifest as format 2 wrote it, with its zeta prior pairs and a valid digest
+        art = tmp_path / "fit"
+        shutil.copytree(fit_dir, art)
+        manifest = json.loads((art / "manifest.json").read_text())
+        manifest["format"] = 2
+        manifest["priors"].update(a_zeta_eps=1e-10, b_zeta_eps=1e-10,
+                                  a_zeta_u=1e-10, b_zeta_u=1e-10)
+        manifest[MANIFEST_DIGEST] = manifest_digest(manifest)
+        (art / "manifest.json").write_text(json.dumps(manifest))
+        for stage, args in (("predict", ["--input", str(sim_dir / "panel.csv")]),
+                            ("diagnose", [])):
+            out = tmp_path / stage
+            assert main([stage, "--artifact", str(art), *args, "--out", str(out)]) == 2
+            assert "artifact format 2, expected 3" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_predict_missing_artifact_exits_2(self, sim_dir, tmp_path):
         assert main(["predict", "--artifact", str(tmp_path / "none"),
                      "--input", str(sim_dir / "panel.csv"),
@@ -428,13 +470,15 @@ class TestPredictAndMetrics:
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("mean", "avg", 1),
         lambda text: text.replace("unit_id,row", "unit,row", 1),
-        lambda text: text.replace("\nU001,0,", "\nU001,x,", 1),
-        lambda text: text.replace("\nU001,0,", "\nU001,0.5,", 1),
+        lambda text: text.replace(",year,sex,", ",period,sex,", 1),
+        lambda text: text.replace("\nU001,0,2000,", "\nU001,0,x,", 1),
+        lambda text: text.replace("\nU001,0,2000,", "\nU001,0,2000.5,", 1),
+        lambda text: text.replace("\nU001,0,2000,both,", "\nU001,0,2000,female,", 1),
         lambda text: text.replace(",integrate_reffect,", ",integrate_reffect,high,", 1),
         lambda text: text.replace(",integrate_reffect,", ",integrate_reffect,nan,", 1),
         lambda text: text + "U001,11\n",
-    ], ids=["header-mean", "header-unit_id", "row-not-int", "row-float", "mean-not-float",
-            "mean-nan", "short-row"])
+    ], ids=["header-mean", "header-unit_id", "header-year", "year-not-int", "year-float",
+            "sex-edited", "mean-not-float", "mean-nan", "short-row"])
     def test_metrics_malformed_predictions_exit_2(self, sim_dir, pred_csv, tmp_path, edit):
         text = pred_csv.read_text()
         bad = tmp_path / "bad.csv"
@@ -534,7 +578,7 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 def test_student_t_fit_loads_no_scipy(sim_dir, tmp_path):
     # summarize's normal scores and the Student-t nu normalizer come from
-    # glmixer.special, not scipy.special
+    # the standard library (statistics.NormalDist, math.lgamma), not scipy.special
     args = ["fit", "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path / "fit"),
             "--local-prior", "student-t"] + FIT_ARGS
     assert _loaded_after(
@@ -547,6 +591,15 @@ def test_predict_loads_no_scipy(fit_dir, sim_dir, tmp_path):
             "--out", str(tmp_path / "pred")]
     assert _loaded_after(
         f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "scipy") == 0
+    assert (tmp_path / "pred" / "predictions.csv").exists()
+
+
+def test_predict_loads_no_statistics(fit_dir, sim_dir, tmp_path):
+    # only summarize's normal scores use statistics, imported where they are computed
+    args = ["predict", "--artifact", str(fit_dir), "--input", str(sim_dir / "panel.csv"),
+            "--out", str(tmp_path / "pred")]
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "statistics") == 0
     assert (tmp_path / "pred" / "predictions.csv").exists()
 
 

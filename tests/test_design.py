@@ -142,6 +142,16 @@ class TestBuildMatrices:
         with pytest.raises(ValidationError, match="singular"):
             build_matrices(panel, ModelSpec(variant=1, year_offset=2004.5))
 
+    def test_singular_check_decomposes_once(self, monkeypatch):
+        # the check reads the eigendecomposition the gamma-error beta step reuses
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        monkeypatch.setattr(np.linalg, "svd", None)
+        d = build_matrices(random_panel(np.random.default_rng(6), m=3, n_i=10),
+                           ModelSpec(variant=1, year_offset=2004.5))
+        assert d.xtx_eigh is d.xtx_eigh and len(calls) == 1
+
 
 class TestDesignRows:
     def test_small_group_ok_for_prediction(self):

@@ -22,6 +22,9 @@ from glmixer.simulate import SimConfig, simulate_panel
 from oracles import group_aggregates_by_masks, rss_by_group
 
 
+lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
 def small_panel(seed=0, m=4, n_i=10):
     panel, _ = simulate_panel(SimConfig(m=m, n_i=n_i, seed=seed))
     return panel
@@ -77,11 +80,11 @@ class TestPriorConfig:
                          a_tau=0.5, k_nu=3.0, nu_support=(2, 5, 9))
         assert PriorConfig.from_dict(pc.to_dict()) == pc
 
-    def test_hyper_switching(self):
-        pc = PriorConfig(error_prior="gamma", reffect_prior="horseshoe",
-                         a_zeta_eps=2.0, b_zeta_eps=3.0, a_phi=4.0, b_phi=5.0)
-        assert pc.tau_hyper == (2.0, 3.0) and pc.tau_name == "zeta_eps"
-        assert pc.phi_hyper == (4.0, 5.0) and pc.phi_name == "phi"
+    def test_display_names_switch(self):
+        pc = PriorConfig(error_prior="gamma", reffect_prior="horseshoe")
+        assert pc.tau_name == "zeta_eps" and pc.phi_name == "phi"
+        pc = PriorConfig(error_prior="half-cauchy", reffect_prior="gamma")
+        assert pc.tau_name == "tau" and pc.phi_name == "zeta_u"
 
     @pytest.mark.parametrize("kw", [
         {"error_prior": "cauchy"}, {"reffect_prior": "ridge"},
@@ -218,15 +221,19 @@ class TestScaleConditionals:
             0.9 + 0.5 * sum(state.omega[g] * state.u[g] ** 2 for g in range(design.m)),
             abs=1e-12)
 
-    def test_gamma_settings_use_zeta_hyperparameters(self, design):
-        priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
-                             a_zeta_eps=2.0, b_zeta_eps=3.0, a_zeta_u=4.0, b_zeta_u=5.0)
+    @pytest.mark.parametrize("error_prior, reffect_prior",
+                             [("gamma", "gamma"), ("half-cauchy", "horseshoe")])
+    def test_both_priors_read_one_pair(self, design, error_prior, reffect_prior):
+        # the common-Gamma zeta and the Global-Local precision take the same Gamma prior
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior,
+                             a_tau=2.0, b_tau=3.0, a_phi=4.0, b_phi=5.0)
         state = make_state(design)
+        state.lam, state.omega = np.ones(design.m), np.ones(design.m)
         shape_t, rate_t = tau_conditional(state, design, priors)
         shape_p, rate_p = phi_conditional(state, design, priors)
-        assert shape_t == pytest.approx(0.5 * design.n + 2.0)
-        assert shape_p == pytest.approx(0.5 * design.m + 4.0)
-        assert rate_t > 3.0 and rate_p > 5.0
+        assert shape_t == 0.5 * design.n + 2.0 and shape_p == 0.5 * design.m + 4.0
+        assert rate_t == pytest.approx(3.0 + 0.5 * state.rss.sum(), abs=1e-12)
+        assert rate_p == pytest.approx(5.0 + 0.5 * float(state.u @ state.u), abs=1e-12)
 
     def test_lambda_brute_force(self, design):
         state = make_state(design, np.random.default_rng(17))
@@ -305,11 +312,18 @@ class TestNuPrior:
         for phi in (1e-4, 0.5, 2.0, 350.0):
             scale = math.sqrt(1.0 / phi)
             z = u[:, None] / scale
-            log_t = (gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
+            log_t = (lgamma((df + 1.0) / 2.0) - lgamma(df / 2.0)
                      - 0.5 * np.log(df * math.pi) - np.log(scale)
                      - (df + 1.0) / 2.0 * np.log1p(z * z / df))
             np.testing.assert_array_equal(nu_log_weights(u, phi, priors),
                                           nu_log_prior(priors)[None, :] + log_t)
+
+    def test_t_normalizer_matches_scipy_gammaln(self):
+        priors = PriorConfig(reffect_prior="student-t")  # nu = 1, ..., 30
+        df = np.asarray(priors.nu_support, dtype=np.float64)
+        _, log_norm, _, _ = priors._nu_t_terms
+        want = gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi)
+        np.testing.assert_allclose(log_norm[:, 0], want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("priors", [
         PriorConfig(reffect_prior="student-t"),
@@ -587,7 +601,7 @@ class TestChainMechanics:
 
     def test_gamma_priors_keep_locals_at_one(self, design):
         priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
-                             a_zeta_eps=1.0, b_zeta_eps=1.0, a_zeta_u=1.0, b_zeta_u=1.0)
+                             a_tau=1.0, b_tau=1.0, a_phi=1.0, b_phi=1.0)
         tr = run_chain(design, ModelSpec(variant=1, year_offset=2009.5), priors,
                        n_iter=40, burn_in=10, thin=1, seed=4)
         assert np.all(tr.draws["lambda"] == 1.0)

@@ -86,6 +86,16 @@ class TestSplitRhat:
         # a single drifting chain fails the split comparison
         assert split_rhat(np.linspace(0, 1, 1000)[None, :]) > 1.1
 
+    def test_rank_scores_match_scipy_ndtri(self):
+        from scipy.special import ndtri
+
+        # S = 4, 6, ..., 2000 split draws of one chain, and the default fit's 20 000
+        for c, k in [*((1, k) for k in range(4, 2001, 2)), (4, 5000)]:
+            s = c * 2 * (k // 2)
+            want = ndtri((np.arange(1.0, s + 1.0) - 0.375) / (s + 0.25))
+            np.testing.assert_allclose(inference._rank_normal_scores(c, k), want,
+                                       rtol=1e-14, atol=0)
+
 
 class TestSummarize:
     def test_quantile_rule_1_to_100(self):
@@ -105,7 +115,7 @@ class TestSummarize:
 
     def test_renaming_under_gamma_priors(self):
         priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
-                             a_zeta_eps=1.0, b_zeta_eps=1.0, a_zeta_u=1.0, b_zeta_u=1.0)
+                             a_tau=1.0, b_tau=1.0, a_phi=1.0, b_phi=1.0)
         tr = make_trace(scalar_draws(np.arange(10.0)), priors=priors)
         summary = summarize([tr])
         summary.lookup("zeta_eps")

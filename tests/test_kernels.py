@@ -71,14 +71,13 @@ class TestDrawStandard:
         design = build_matrices(panel, ModelSpec.from_dict(truth["spec"]))
         design = dataclasses.replace(design, sizes=np.asarray(sizes))
         priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior,
-                             a_tau=0.7, a_zeta_eps=0.9, a_phi=1.3, a_zeta_u=2.1)
+                             a_tau=0.7, a_phi=1.3)
         m, p, n = design.m, design.p, sum(sizes)
         rows = []
         for k in range(3):
             ref = rng(31, k)
             normals = [ref.standard_normal(m), ref.standard_normal(p)]
-            gammas = [[ref.standard_gamma(0.5 * n + priors.tau_hyper[0])],
-                      [ref.standard_gamma(0.5 * m + priors.phi_hyper[0])]]
+            gammas = [[ref.standard_gamma(0.5 * n + 0.7)], [ref.standard_gamma(0.5 * m + 1.3)]]
             if error_prior == "half-cauchy":
                 gammas += [ref.standard_gamma(0.5 * np.asarray(sizes) + 1.0),
                            ref.standard_gamma(2.0, size=m)]
