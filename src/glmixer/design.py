@@ -57,12 +57,17 @@ class ModelSpec:
 
 
 def build_row(obs: Observation, spec: ModelSpec) -> np.ndarray:
-    """Covariate vector for one observation, in the fixed column order."""
+    """Covariate vector for one observation, in the fixed column order;
+    an entry beyond float range is inf (`design_rows` rejects it)."""
     if spec.variant == MODEL1 and obs.c5q0 is None:
         raise ValidationError(
             f"Model 1 needs c5q0 but ({obs.unit_id}, {obs.period}, {obs.sex}) has none"
         )
-    base = [1.0, obs.reg_cdr, obs.reg_cdr ** 2, obs.pct65 ** 2, math.log(obs.u5mr_true)]
+    try:
+        reg_cdr_sq = obs.reg_cdr ** 2
+    except OverflowError:
+        reg_cdr_sq = math.inf
+    base = [1.0, obs.reg_cdr, reg_cdr_sq, obs.pct65 ** 2, math.log(obs.u5mr_true)]
     if spec.variant == MODEL1:
         base.append(obs.c5q0)
     base.append(obs.period - spec.year_offset)
@@ -73,8 +78,15 @@ def design_rows(panel: PanelDataset, spec: ModelSpec):
     """(X, unit_ids, sizes) of a panel: its design rows (n, p) in group
     order, each group's rows contiguous; the unit ids; and the rows per
     unit (m,). Fitting, fitted values and prediction all build their
-    rows here."""
-    X = np.vstack([build_row(obs, spec) for obs in panel.observations()])
+    rows here. A row with a non-finite entry is a ValidationError that
+    names its observation."""
+    observations = list(panel.observations())
+    X = np.vstack([build_row(obs, spec) for obs in observations])
+    if not np.isfinite(X).all():
+        obs = observations[int(np.isfinite(X).all(axis=1).argmin())]
+        raise ValidationError(
+            f"design row of ({obs.unit_id}, {obs.period}, {obs.sex}) is not finite: "
+            f"reg_cdr^2 or year - year_offset is beyond float range")
     return X, panel.unit_ids, np.asarray(panel.n_i, dtype=np.intp)
 
 
@@ -130,7 +142,7 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
     """`design_rows` plus responses y = logit(completeness) and the
     per-group statistics a sweep reads.
 
-    Fitting requires n_i > p for every group and a numerically
+    Fitting requires n_i > p for every group and a finite, numerically
     nonsingular pooled cross-product matrix: the reciprocal condition
     lambda_min / lambda_max of its cached eigendecomposition `xtx_eigh`
     must be at least RCOND_MIN.
@@ -149,16 +161,23 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
     XtX_g = np.zeros((m, p, p))
     Xty_g = np.zeros((m, p))
     yty_g = np.zeros(m)
-    # each group's rows are contiguous, in group order
+    # each group's rows are contiguous, in group order; an overflow is
+    # reported as a pooled X'X that is not finite
     hi = 0
-    for g, n_g in enumerate(sizes.tolist()):
-        lo, hi = hi, hi + n_g
-        Xg, yg = X[lo:hi], y[lo:hi]
-        xbar[g] = Xg.mean(axis=0)
-        ybar[g] = yg.mean()
-        XtX_g[g] = Xg.T @ Xg
-        Xty_g[g] = Xg.T @ yg
-        yty_g[g] = yg @ yg
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, n_g in enumerate(sizes.tolist()):
+            lo, hi = hi, hi + n_g
+            Xg, yg = X[lo:hi], y[lo:hi]
+            xbar[g] = Xg.mean(axis=0)
+            ybar[g] = yg.mean()
+            XtX_g[g] = Xg.T @ Xg
+            Xty_g[g] = Xg.T @ yg
+            yty_g[g] = yg @ yg
+        pooled_finite = np.isfinite(XtX_g.sum(axis=0)).all()
+    if not pooled_finite:
+        raise ValidationError(
+            "pooled cross-product matrix X'X is not finite: a covariate or "
+            "year - year_offset is too large in magnitude")
     design = GroupedDesign(
         X=X, y=y, group_idx=np.repeat(np.arange(m, dtype=np.intp), sizes), sizes=sizes,
         unit_ids=unit_ids,

@@ -1,13 +1,16 @@
 """Posterior summaries, predictions, shrinkage diagnostics, and the
 quadrature checker for the shrinkage-factor concentration rates.
 
-All operations are pure over immutable traces. Empirical quantiles use
-numpy's inclusive linear-interpolation rule so credible intervals are
-bit-reproducible. Split R-hat's normal scores come from the standard
-library's `statistics.NormalDist`, so summaries load no scipy.
-Predictions for new units need only the beta and phi draws and the
-design rows; they are evaluated over blocks of whole units of bounded
-size, and each unit gets the bits of predicting it alone.
+All operations are pure over immutable traces. Every empirical
+quantile comes from one sort of the draws per block (`_linear_quantiles`)
+and has the bits of numpy's inclusive linear rule, `numpy.quantile(...,
+method="linear")`, so credible intervals are bit-reproducible without
+numpy's selection, which is slower and loads `numpy.ma`. Split R-hat's
+normal scores come from the standard library's `statistics.NormalDist`,
+so summaries load no scipy. Predictions for new units need only the beta
+and phi draws and the design rows; they are evaluated over blocks of
+whole units of bounded size, and each unit gets the bits of predicting
+it alone.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def summarize(traces) -> PosteriorSummary:
             pooled = x.reshape(x.shape[0], c * k)
             mean = pooled.mean(axis=-1)
             sd = pooled.std(axis=-1, ddof=1) if c * k > 1 else np.zeros(x.shape[0])
-            q = np.quantile(pooled, [0.025, 0.5, 0.975], axis=-1, method="linear")
+            q = _linear_quantiles(pooled.T, (0.025, 0.5, 0.975))
             for j, vals in enumerate(zip(mean.tolist(), sd.tolist(), *q.tolist(),
                                          _block_ess(x).tolist(), _block_rhat(x, scores).tolist())):
                 rows.append(SummaryRow(name, lo + j, *vals))
@@ -204,19 +207,48 @@ def summarize(traces) -> PosteriorSummary:
 # fitted and predictive completeness
 
 def _inv_logit_arr(theta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(theta)
-    pos = theta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-theta[pos]))
-    e = np.exp(theta[~pos])
-    out[~pos] = e / (1.0 + e)
+    """1 / (1 + exp(-theta)) for theta >= 0 and e / (1 + e), e = exp(theta),
+    otherwise, so no exp overflows; NaN stays NaN, with its sign."""
+    e = np.exp(np.minimum(theta, -theta))  # exp(-|theta|); minimum keeps a NaN's sign
+    d = 1.0 + e
+    return np.divide(1.0, d, out=e / d, where=theta >= 0)
+
+
+def _linear_quantiles(x: np.ndarray, qs) -> np.ndarray:
+    """(len(qs), ...) quantiles over axis 0 of the draws x, with the bits
+    of `numpy.quantile(x, qs, axis=0, method="linear")`, from one sort of
+    a copy in which each column's draws are contiguous: virtual index
+    (n - 1) q, neighbours clipped to the last draw, numpy's two-sided
+    lerp, and NaN wherever a column holds a NaN (it sorts last). Only
+    -0.0 and 0.0 among tied draws may come out in the other sign, since a
+    sort and numpy's selection may order them apart."""
+    s = x.T.copy()  # always a copy: x keeps its order for the means
+    s.sort()
+    s = s.T
+    n = s.shape[0]
+    out = np.empty((len(qs), *s.shape[1:]))
+    for row, q in zip(out, qs):
+        v = (n - 1) * q
+        i = math.floor(v) if v < n - 1 else -1  # numpy's gamma counts from index -1
+        a, b = s[i], s[i + 1 if i >= 0 else -1]
+        g = v - i
+        diff = b - a
+        if g >= 0.5:
+            np.subtract(b, diff * (1 - g), out=row)
+        else:
+            np.add(a, diff * g, out=row)
+    nan = np.isnan(s[-1])
+    if nan.any():
+        np.copyto(out, s[-1], where=nan)
     return out
 
 
 def _completeness_bands(theta: np.ndarray):
     """(mean, 2.5 % quantile, 97.5 % quantile) over the draws (axis 0) of
-    the completeness inv_logit(theta)."""
+    the completeness inv_logit(theta); the quantiles come from one sort of
+    each column's draws (`_linear_quantiles`)."""
     delta = _inv_logit_arr(theta)
-    q = np.quantile(delta, [0.025, 0.975], axis=0, method="linear")
+    q = _linear_quantiles(delta, (0.025, 0.975))
     return delta.mean(axis=0), q[0], q[1]
 
 
@@ -285,8 +317,9 @@ def predict_new_unit(traces, rows: np.ndarray, sizes,
     PREDICT_BLOCK_VALUES draws x rows (or one unit, if larger). Each unit
     keeps its own x'beta product and its own mean over the draws, since
     the bits of both depend on the width of the array; the inverse logit
-    and the quantiles run once per block. So each unit gets the bits of
-    predicting it alone.
+    runs once per block, and the block's draws are sorted once, column
+    by column, for the 2.5 % and 97.5 % quantiles (`_linear_quantiles`).
+    So each unit gets the bits of predicting it alone.
     """
     if mode not in ("fixed_only", "integrate_reffect"):
         raise ValidationError(f"unknown prediction mode {mode!r}")
@@ -313,7 +346,7 @@ def predict_new_unit(traces, rows: np.ndarray, sizes,
             np.concatenate([t.draws["beta"] @ rows[a:b].T for a, b in units], axis=1) + shift
             for t, shift in zip(traces, shifts)])
         delta = _inv_logit_arr(theta)
-        bands[1:, lo:hi] = np.quantile(delta, [0.025, 0.975], axis=0, method="linear")
+        bands[1:, lo:hi] = _linear_quantiles(delta, (0.025, 0.975))
         for a, b in units:
             bands[0, a:b] = delta[:, a - lo:b - lo].mean(axis=0)
         first = last

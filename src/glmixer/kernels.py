@@ -39,6 +39,10 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))

@@ -210,6 +210,17 @@ def rhat_one_parameter(chains):
     return float(math.sqrt(((k2 - 1.0) / k2 * w + b / k2) / w))
 
 
+def inv_logit_masked(theta):
+    """inv_logit by two boolean-masked branches: 1 / (1 + exp(-t)) where
+    t >= 0 and e / (1 + e), e = exp(t), elsewhere (NaN included)."""
+    out = np.empty_like(theta)
+    pos = theta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-theta[pos]))
+    e = np.exp(theta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def summarize_per_parameter(traces):
     """(param, index, mean, sd, q2.5, q50, q97.5, ess, rhat) rows, one
     parameter at a time."""

@@ -136,7 +136,7 @@ class TestSimulate:
         assert (tmp_path / "panel.csv").read_bytes() != (sim_dir / "panel.csv").read_bytes()
 
     @pytest.mark.parametrize("bad", [["--m", "-2"], ["--m", "0"], ["--n-obs", "0"],
-                                     ["--tau", "0"], ["--phi", "nan"]])
+                                     ["--tau", "0"], ["--phi", "nan"], ["--seed", "-3"]])
     def test_bad_config_exits_2(self, tmp_path, capsys, bad):
         out = tmp_path / "sim"
         assert main(["simulate", *bad, "--out", str(out)]) == 2
@@ -257,6 +257,40 @@ class TestFit:
             assert main(argv + ["--out", str(out)]) == 2
             assert "row 4: int too large to convert to float" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_negative_seed_exits_2(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(sim_dir / "panel.csv"), "--seed", "-1",
+                     "--burn-in", "0", "--iters", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_overflowing_reg_cdr_exits_2(self, sim_dir, fit_dir, tmp_path, capsys):
+        # reg_cdr^2 is beyond float range: the row is named, in fit and in predict
+        lines = (sim_dir / "panel.csv").read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")
+        assert lines[0].split(",")[4] == "reg_cdr"
+        fields[4] = "1e160"
+        bad = tmp_path / "panel.csv"
+        bad.write_text("".join(lines[:3]) + ",".join(fields) + "".join(lines[4:]))
+        key = f"({fields[0]}, {fields[1]}, {fields[2]})"
+        for argv in (["fit", "--input", str(bad)] + FIT_ARGS,
+                     ["predict", "--artifact", str(fit_dir), "--input", str(bad)]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: design row of {key} is not finite")
+            assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # the overflow is reported once, as the error
+    def test_overflowing_year_offset_exits_2(self, sim_dir, tmp_path, capsys):
+        # finite rows whose cross products overflow: refused before X'X is decomposed
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(sim_dir / "panel.csv"), "--year-offset", "1e308",
+                     "--out", str(out)] + FIT_ARGS) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: pooled cross-product matrix X'X is not finite")
+        assert not out.exists()
 
     def test_chain_file_does_not_depend_on_chain_count(self, sim_dir, tmp_path):
         # chains run in lockstep, each on its own stream: chain 0 of a
@@ -536,11 +570,12 @@ class TestPredictAndMetrics:
 
 def _loaded_after(code, package):
     """Exit code of a fresh interpreter that runs `code` and then exits 1
-    if any module of `package` is loaded, 0 otherwise."""
+    if `package` or any of its submodules is loaded, 0 otherwise."""
     src = str(Path(glmixer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code += f"; sys.exit(int(any(m.split('.')[0] == {package!r} for m in sys.modules)))"
+    code += (f"; sys.exit(int(any(m == {package!r} or m.startswith({package + '.'!r})"
+             f" for m in sys.modules)))")
     return subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode
 
 
@@ -601,6 +636,19 @@ def test_predict_loads_no_statistics(fit_dir, sim_dir, tmp_path):
     assert _loaded_after(
         f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "statistics") == 0
     assert (tmp_path / "pred" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_fit_and_predict_load_no_numpy_ma(sim_dir, fit_dir, tmp_path, command):
+    # quantiles come from sorted draws; numpy's quantile would load numpy.ma
+    if command == "fit":
+        args = ["fit", "--input", str(sim_dir / "panel.csv")] + FIT_ARGS
+    else:
+        args = ["predict", "--artifact", str(fit_dir), "--input", str(sim_dir / "panel.csv")]
+    args += ["--out", str(tmp_path / command)]
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "numpy.ma") == 0
+    assert (tmp_path / command).is_dir()
 
 
 class TestDiagnose:

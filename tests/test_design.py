@@ -142,6 +142,15 @@ class TestBuildMatrices:
         with pytest.raises(ValidationError, match="singular"):
             build_matrices(panel, ModelSpec(variant=1, year_offset=2004.5))
 
+    def test_overflowing_cross_product_rejected_before_eigh(self, monkeypatch):
+        # finite rows whose squares overflow: X'X is checked before it is decomposed
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        for offset, panel in ((1e308, random_panel(np.random.default_rng(7))),
+                              (0.0, build_panel([obs(year=2000 + t, reg_cdr=1e154)
+                                                 for t in range(10)]))):
+            with pytest.raises(ValidationError, match="X'X is not finite"):
+                build_matrices(panel, ModelSpec(variant=1, year_offset=offset))
+
     def test_singular_check_decomposes_once(self, monkeypatch):
         # the check reads the eigendecomposition the gamma-error beta step reuses
         calls = []
@@ -154,6 +163,13 @@ class TestBuildMatrices:
 
 
 class TestDesignRows:
+    def test_overflowing_row_names_its_observation(self):
+        # reg_cdr^2 overflows a Python float: a ValidationError, not OverflowError
+        panel = build_panel([obs(year=2000 + t) for t in range(3)]
+                            + [obs(uid="U2", year=2001, reg_cdr=1e160)])
+        with pytest.raises(ValidationError, match=r"\(U2, 2001, both\) is not finite"):
+            design_rows(panel, ModelSpec(variant=1))
+
     def test_small_group_ok_for_prediction(self):
         panel = build_panel([obs(year=2000 + t) for t in range(2)])
         X, unit_ids, sizes = design_rows(panel, ModelSpec(variant=1))

@@ -14,7 +14,7 @@ from glmixer.inference import (effective_sample_size,
                                theorem2_curve)
 from glmixer.simulate import SimConfig, simulate_panel
 
-from oracles import summarize_per_parameter
+from oracles import inv_logit_masked, summarize_per_parameter
 
 SPEC = ModelSpec(variant=1, year_offset=2009.5)
 
@@ -193,6 +193,55 @@ class TestBatchedSummaryMatchesPerParameterOracle:
     def test_no_kept_draws_rejected(self):
         with pytest.raises(ValidationError):
             summarize([make_trace(scalar_draws(np.zeros(0)))])
+
+
+class TestLinearQuantiles:
+    # every band and summary quantile comes from _linear_quantiles: these
+    # cases tie it to numpy's linear rule, bit for bit
+    def test_equals_numpy_linear_rule(self):
+        rng = np.random.default_rng(15)
+        for case in range(1500):
+            n, w = int(rng.integers(1, 301)), int(rng.integers(1, 5))
+            x = rng.standard_normal((n, w)) * 10.0 ** rng.integers(-3, 4)
+            if case % 3 == 0:  # ties
+                x = np.round(x, 1)
+            if case % 4 == 0:
+                x[rng.random((n, w)) < 0.05] = np.inf
+                x[rng.random((n, w)) < 0.05] = -np.inf
+            if case % 5 == 0:  # NaN in some columns
+                x[rng.random((n, w)) < 0.03] = np.nan
+            qs = (0.025, 0.5, 0.975) if case % 2 else tuple(rng.random(3)) + (0.0, 1.0)
+            x0 = x.copy()
+            with np.errstate(invalid="ignore"):
+                want = np.quantile(x, qs, axis=0, method="linear")
+                got = inference._linear_quantiles(x, qs)
+            np.testing.assert_array_equal(got, want, err_msg=f"case {case}, n = {n}")
+            # the draws keep their order (one column is the case where x.T
+            # is contiguous), so means taken after the bands keep their bits
+            np.testing.assert_array_equal(x, x0)
+
+    def test_edge_columns(self):
+        # one draw, a lone infinity, an all-NaN column and a NaN among
+        # infinities, side by side
+        x = np.array([[1.5, np.inf, np.nan, -np.inf],
+                      [0.5, 2.0, np.nan, np.nan],
+                      [-1.0, 3.0, np.nan, np.inf]])
+        for rows in (x[:1], x):
+            with np.errstate(invalid="ignore"):
+                want = np.quantile(rows, (0.025, 0.5, 0.975), axis=0, method="linear")
+                got = inference._linear_quantiles(rows, (0.025, 0.5, 0.975))
+            np.testing.assert_array_equal(got, want)
+
+
+class TestInverseLogit:
+    def test_equals_masked_two_branch_formula(self):
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308,
+                            np.inf, -np.inf, np.nan, -np.nan])
+        theta = np.concatenate([special, np.random.default_rng(16).standard_normal(9_996) * 5])
+        for t in (theta, theta.reshape(12, 834), theta.reshape(834, 12).T):
+            got = inference._inv_logit_arr(t)
+            np.testing.assert_array_equal(got, inv_logit_masked(t))
+            assert np.array_equal(np.signbit(got), np.signbit(inv_logit_masked(t)))
 
 
 @pytest.fixture(scope="module")

@@ -34,6 +34,11 @@ class TestRngStream:
     def test_streams_differ(self):
         assert not np.array_equal(rng(42, 0).random(10), rng(42, 1).random(10))
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence would raise ValueError, which the CLI does not map
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            RngStream(-1)
+
 
 class TestGamma:
     def test_mean(self):
