@@ -4,6 +4,11 @@ records the artifact format, the kept count and the sha256 of every chain
 file and of the summary, and a sha256 of its own other fields; readers
 check the manifest and the files they read against it.
 
+A chain file has one column per scalar the sampler draws, of the draw
+keys `PriorConfig.recorded`: a 30-unit Model 1 fit writes 99 under
+Half-Cauchy/Horseshoe and 39 under gamma/gamma, which draws no omega or
+lambda.
+
 `load_fit` reads each chain file once: the sha256, the header and the
 row and field counts all come from those bytes, so every file is checked
 in full. `load_fit(keys=...)` then parses only the columns of the named
@@ -43,8 +48,10 @@ SUMMARY_COLUMNS = ("param", "index", "mean", "sd", "q2.5", "q50", "q97.5", "ess"
 
 # Version of the fit artifact layout, recorded in and checked against the
 # manifest: 2 is the wide chain CSV (one row per kept draw); 3 records one
-# Gamma prior pair per global precision (no a_zeta_* / b_zeta_* settings).
-FORMAT = 3
+# Gamma prior pair per global precision (no a_zeta_* / b_zeta_* settings);
+# 4 writes only the drawn columns (no omega or lambda under the
+# common-Gamma settings). Older artifacts are refused and must be refit.
+FORMAT = 4
 # Manifest field holding the sha256 of the manifest's other fields.
 MANIFEST_DIGEST = "manifest_sha256"
 # Kept draws formatted per write call of a chain file.
@@ -74,12 +81,11 @@ def chain_csv_name(chain_id: int) -> str:
 
 def _trace_layout(priors: PriorConfig, spec: ModelSpec, m: int):
     """(columns, header) of a chain file: columns lists (draw key, width)
-    in the order run_chain fills Trace.draws, tau and phi one column each;
+    of the keys `priors.recorded`, in the order run_chains fills
+    Trace.draws: beta p columns, tau and phi one each, the per-unit keys m;
     the header names every scalar, tau and phi by their display names."""
-    columns = [("beta", spec.p), ("u", m), ("tau", 1), ("phi", 1),
-               ("omega", m), ("lambda", m)]
-    if priors.reffect_prior == "student-t":
-        columns.append(("nu", m))
+    widths = {"beta": spec.p, "tau": 1, "phi": 1}
+    columns = [(key, widths.get(key, m)) for key in priors.recorded]
     names = {"tau": priors.tau_name, "phi": priors.phi_name}
     header = ",".join(f"{names.get(key, key)}[{j}]"
                       for key, width in columns for j in range(width))

@@ -143,9 +143,9 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
     per-group statistics a sweep reads.
 
     Fitting requires n_i > p for every group and a finite, numerically
-    nonsingular pooled cross-product matrix: the reciprocal condition
-    lambda_min / lambda_max of its cached eigendecomposition `xtx_eigh`
-    must be at least RCOND_MIN.
+    nonsingular pooled cross-product matrix: the smallest eigenvalue of
+    its cached eigendecomposition `xtx_eigh` must be positive, and the
+    reciprocal condition lambda_min / lambda_max at least RCOND_MIN.
     """
     X, unit_ids, sizes = design_rows(panel, spec)
     p = spec.p
@@ -184,7 +184,11 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
         xbar=xbar, ybar=ybar, XtX_g=XtX_g, Xty_g=Xty_g, yty_g=yty_g,
     )
     evals = design.xtx_eigh[0]  # ascending
-    rcond = evals[0] / evals[-1] if evals[-1] > 0 else 0.0
+    if not evals[0] > 0.0:
+        raise ValidationError(
+            f"pooled cross-product matrix is numerically singular: not positive "
+            f"definite (smallest eigenvalue {evals[0]:.3g})")
+    rcond = evals[0] / evals[-1]
     if rcond < RCOND_MIN:
         raise ValidationError(
             f"pooled cross-product matrix is numerically singular "

@@ -96,6 +96,22 @@ class PriorConfig:
     def phi_name(self) -> str:
         return "zeta_u" if self.reffect_prior == "gamma" else "phi"
 
+    @property
+    def recorded(self) -> dict:
+        """Trace key -> ChainState attribute of each quantity the sampler
+        draws, in the order of a chain file's columns: omega only under a
+        local random-effect prior, lambda only under Half-Cauchy errors,
+        nu only under Student-t. The common-Gamma settings hold omega and
+        lambda at 1 and never draw them, so they are not recorded."""
+        keys = {"beta": "beta", "u": "u", "tau": "tau", "phi": "phi"}
+        if self.reffect_prior != "gamma":
+            keys["omega"] = "omega"
+        if self.error_prior == "half-cauchy":
+            keys["lambda"] = "lam"
+        if self.reffect_prior == "student-t":
+            keys["nu"] = "nu"
+        return keys
+
     @functools.cached_property
     def _nu_t_terms(self):
         """Support-only terms of the nu_i conditional as (|support|, 1)
@@ -506,6 +522,9 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
     """The Traces of `chains` chains on streams 0, 1, ... (or on the stream
     ids given), sampled in lockstep in this process. Chain k draws from
     RngStream(seed, k) alone, so its Trace does not depend on the others.
+    A Trace holds the keys of `priors.recorded`, the quantities the
+    sampler draws, and at least one kept draw: a run that would keep none
+    is refused before any sweep.
 
     `fixed` pins the global precisions tau and/or phi (e.g. {"phi": 100.0})
     for diagnostics and oracle tests; pinned values must be finite and
@@ -517,6 +536,10 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
         raise ValidationError(f"need n_iter > burn_in >= 0, got {n_iter}, {burn_in}")
     if thin < 1:
         raise ValidationError(f"thin must be >= 1, got {thin}")
+    kept = (n_iter - burn_in) // thin
+    if kept < 1:
+        raise ValidationError(f"(n_iter - burn_in) // thin = ({n_iter} - {burn_in}) // {thin} "
+                              f"= 0: a fit needs at least one kept draw")
     fixed = dict(fixed or {})
     for name, value in fixed.items():
         if name not in ("tau", "phi"):
@@ -538,12 +561,7 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
     for name, value in fixed.items():
         setattr(state, name, float(value) if n_chains == 1 else np.full(n_chains, float(value)))
     layout = _sweep_layout(design, priors, fixed)
-    kept = (n_iter - burn_in) // thin
-    # trace key -> ChainState attribute, in the order of the chain file's columns
-    recorded = {"beta": "beta", "u": "u", "tau": "tau", "phi": "phi",
-                "omega": "omega", "lambda": "lam"}
-    if priors.reffect_prior == "student-t":
-        recorded["nu"] = "nu"
+    recorded = priors.recorded
     draws = {key: np.empty((n_chains, kept, *np.shape(getattr(start, attr))),
                            dtype=np.intp if key == "nu" else np.float64)
              for key, attr in recorded.items()}

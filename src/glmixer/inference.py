@@ -68,10 +68,26 @@ class PosteriorSummary:
         raise KeyError((param, index))
 
 
-# Parameters are summarized in blocks of at most this many float64 FFT
-# buffer values (2 MB), so the autocovariance workspace stays a few MB
-# whatever the trace length and parameter count.
-BLOCK_FFT_VALUES = 1 << 18
+# Parameters are summarized in blocks whose ESS workspace (see
+# `_ess_workspace_bytes`) stays within about this many bytes, or of one
+# parameter where that alone is larger, whatever the trace length and
+# parameter count.
+BLOCK_WORKSPACE_BYTES = 1 << 20
+
+
+def _ess_nfft(k: int) -> int:
+    """The FFT length of K draws' autocovariances: the power of two above
+    2K - 1, so the circular products hold every lag without wrapping."""
+    return 1 << (2 * k - 1).bit_length()
+
+
+def _ess_workspace_bytes(c: int, k: int) -> int:
+    """The bytes `_block_ess` allocates per parameter of C chains of K
+    draws: the centred copy (C K doubles), the rfft spectrum and its
+    product with the conjugate (C (nfft/2 + 1) complex values each) and
+    the irfft output (C nfft doubles)."""
+    nfft = _ess_nfft(k)
+    return 8 * c * (k + 2 * (nfft + 2) + nfft)
 
 
 def _block_ess(x: np.ndarray) -> np.ndarray:
@@ -82,9 +98,8 @@ def _block_ess(x: np.ndarray) -> np.ndarray:
     d, c, k = x.shape
     if k < 4:
         return np.full(d, float(c * k))
-    xc = x - x.mean(axis=-1, keepdims=True)
-    nfft = 1 << (2 * k - 1).bit_length()
-    f = np.fft.rfft(xc, nfft, axis=-1)
+    nfft = _ess_nfft(k)
+    f = np.fft.rfft(x - x.mean(axis=-1, keepdims=True), nfft, axis=-1)
     acov = np.fft.irfft(f * np.conjugate(f), nfft, axis=-1)[..., :k] / k  # biased
     chain_var = acov[..., 0] * k / (k - 1.0)
     mean_var = chain_var.mean(axis=-1)
@@ -136,8 +151,16 @@ def _block_rhat(x: np.ndarray, scores: np.ndarray) -> np.ndarray:
     split = np.concatenate([x[:, :, :half], x[:, :, half:2 * half]], axis=1)
     flat = split.reshape(d, -1)
     # a stable sort gives every draw its own rank, so each row's ranks are
-    # a permutation of 1..S and its scores a permutation of `scores`
-    order = np.argsort(flat, axis=1, kind="stable")
+    # a permutation of 1..S and its scores a permutation of `scores`. A
+    # row of distinct draws has one sorted order, which the default sort
+    # finds several times faster; rows with ties (or NaN) are sorted again
+    # stably, so tied draws keep their order
+    order = np.argsort(flat, axis=1)
+    s = np.take_along_axis(flat, order, axis=1)
+    tied = (s[:, 1:] == s[:, :-1]).any(axis=1) | np.isnan(s[:, -1])
+    del s
+    if tied.any():
+        order[tied] = np.argsort(flat[tied], axis=1, kind="stable")
     z = np.empty(flat.shape)
     np.put_along_axis(z, order, scores[None, :], axis=1)
     z = z.reshape(split.shape)
@@ -166,12 +189,16 @@ def split_rhat(chains: np.ndarray) -> float:
 
 
 def summarize(traces) -> PosteriorSummary:
-    """Pooled means, sds, quantiles plus per-parameter ESS and split R-hat.
+    """Pooled means, sds, quantiles plus per-parameter ESS and split R-hat
+    of every recorded draw key (a trace holds only what the sampler draws).
 
     Each draw key is summarized as C-contiguous (D, C, K) blocks of
-    parameters x chains x kept draws; every reduction runs along the last
-    axis, so each row gives the same bits as the 1-D call on that
-    parameter's draws.
+    parameters x chains x kept draws, as many parameters per block as keep
+    the ESS workspace within BLOCK_WORKSPACE_BYTES. Every reduction runs
+    along the last axis, so the mean, sd, quantiles and R-hat of each row
+    have the bits of the 1-D call on that parameter's draws. The ESS may
+    differ from `effective_sample_size` in the last bits: the batched FFT
+    rounds by the number of rows it transforms at once.
     """
     if not traces:
         raise ValidationError("summarize needs at least one trace")
@@ -183,7 +210,7 @@ def summarize(traces) -> PosteriorSummary:
         raise ValidationError("summarize needs at least one kept draw")
     priors = traces[0].priors
     names = {"tau": priors.tau_name, "phi": priors.phi_name}
-    step = max(1, BLOCK_FFT_VALUES // (c << (2 * k - 1).bit_length()))
+    step = max(1, BLOCK_WORKSPACE_BYTES // _ess_workspace_bytes(c, k))
     scores = _rank_normal_scores(c, k)
     rows = []
     for key in traces[0].draws:
@@ -358,14 +385,16 @@ def predict_new_unit(traces, rows: np.ndarray, sizes,
 
 def shrinkage_factors(traces, sizes=None):
     """Per-group shrinkage factor draws gamma_i = lam_i tau / (lam_i tau
-    + omega_i phi / n_i); returns (draws (K, m), means (m,))."""
+    + omega_i phi / n_i); returns (draws (K, m), means (m,)). A local
+    scale the trace does not hold (lambda under gamma errors, omega under
+    the gamma random-effect prior) is 1, as in the sampler."""
     if sizes is None:
         sizes = traces[0].sizes
     n_i = np.asarray(sizes, dtype=np.float64)
     parts = []
     for t in traces:
-        lt = t.draws["lambda"] * t.draws["tau"][:, None]
-        of = t.draws["omega"] * t.draws["phi"][:, None]
+        lt = t.draws.get("lambda", 1.0) * t.draws["tau"][:, None]
+        of = t.draws.get("omega", 1.0) * t.draws["phi"][:, None]
         parts.append(lt / (lt + of / n_i))
     draws = np.concatenate(parts)
     return draws, draws.mean(axis=0)

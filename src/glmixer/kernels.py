@@ -72,13 +72,19 @@ def draw_gamma(rng, shape, rate, size=None, z=None):
     The error names the shape and rate of the first bad row (the lowest
     chain, for draws with a leading chain axis) and has that row as `row`.
     """
-    if z is None:
-        try:
-            z = rng.standard_gamma(shape, size)
-        except ValueError:  # numpy on a shape < 0
-            z = np.full(np.broadcast_shapes(np.shape(shape), np.shape(rate)), math.nan)
     try:
-        out = z / rate
+        if z is None:
+            try:
+                z = rng.standard_gamma(shape, size)
+            except ValueError:  # numpy on a shape < 0
+                z = np.full(np.broadcast_shapes(np.shape(shape), np.shape(rate)), math.nan)
+            # a caller's rate may be 0, which the check below reports; a
+            # sweep's rates (its z) are > 0 by construction, so only this
+            # path pays for the error state
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = z / rate
+        else:
+            out = z / rate
     except ZeroDivisionError:  # a float rate of 0
         out = math.nan
     if not _finite_positive(out):

@@ -112,6 +112,25 @@ def test_gamma_priors_use_display_names(design, tmp_path):
     assert "tau[0]" not in header and "phi[0]" not in header
 
 
+@pytest.mark.parametrize("error_prior,reffect_prior,locals_", [
+    ("gamma", "gamma", []), ("half-cauchy", "gamma", ["lambda"]),
+    ("gamma", "horseshoe", ["omega"]), ("gamma", "student-t", ["omega", "nu"]),
+    ("half-cauchy", "laplace", ["omega", "lambda"])])
+def test_chain_file_holds_only_drawn_columns(design, tmp_path, error_prior, reffect_prior,
+                                             locals_):
+    priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+    traces = chains(design, priors)
+    summary = summarize(traces)
+    artifacts.write_fit(tmp_path, traces, summary, seed=5)
+    header = (tmp_path / "chain_0.csv").read_text().splitlines()[0].split(",")
+    names = {"tau": priors.tau_name, "phi": priors.phi_name}
+    want = ([f"beta[{j}]" for j in range(7)] + [f"u[{j}]" for j in range(4)]
+            + [f"{names['tau']}[0]", f"{names['phi']}[0]"]
+            + [f"{key}[{j}]" for key in locals_ for j in range(4)])
+    assert header == want
+    assert [f"{row.param}[{row.index}]" for row in summary.rows] == want
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # summaries of huge values overflow
 @settings(max_examples=30, deadline=None)
 @given(arrays(np.float64, (3, 4 + 2 * 2 + 2 + 2 * 2),
@@ -141,7 +160,7 @@ def test_load_fit_does_not_read_summary(fit_dir):
 
 @pytest.mark.parametrize("edit,match", [
     (lambda m: m.update(format=1), "format"),
-    (lambda m: m.update(format=2), "artifact format 2, expected 3"),
+    (lambda m: m.update(format=3), "artifact format 3, expected 4"),
     (lambda m: m.pop("kept"), "missing key 'kept'"),
     (lambda m: m.update(kept=9), "kept 9"),
     (lambda m: m.update(chains=1), "sha256 must list"),

@@ -292,6 +292,37 @@ class TestFit:
             "error: pooled cross-product matrix X'X is not finite")
         assert not out.exists()
 
+    def test_non_positive_definite_design_exits_2(self, sim_dir, tmp_path, capsys):
+        # a year of 10**23 leaves X'X finite, but its smallest eigenvalue
+        # comes out negative: that is no reciprocal condition to report
+        lines = (sim_dir / "panel.csv").read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")
+        assert lines[0].split(",")[1] == "year"
+        fields[1] = str(10 ** 23)
+        bad = tmp_path / "panel.csv"
+        bad.write_text("".join(lines[:3]) + ",".join(fields) + "".join(lines[4:]))
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(bad), "--out", str(out)] + FIT_ARGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pooled cross-product matrix is numerically singular: "
+                              "not positive definite (smallest eigenvalue -")
+        assert "reciprocal condition" not in err
+        assert not out.exists()
+
+    def test_no_kept_draw_exits_2_before_sampling(self, sim_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        from glmixer import gibbs
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(gibbs, "sweep", no_sweep)
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(sim_dir / "panel.csv"), "--iters", "3000",
+                     "--burn-in", "10", "--thin", "5000", "--out", str(out)]) == 2
+        assert "needs at least one kept draw" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chain_file_does_not_depend_on_chain_count(self, sim_dir, tmp_path):
         # chains run in lockstep, each on its own stream: chain 0 of a
         # four-chain fit is the one-chain fit's chain, byte for byte
@@ -450,7 +481,23 @@ class TestPredictAndMetrics:
                             ("diagnose", [])):
             out = tmp_path / stage
             assert main([stage, "--artifact", str(art), *args, "--out", str(out)]) == 2
-            assert "artifact format 2, expected 3" in capsys.readouterr().err
+            assert "artifact format 2, expected 4" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_format_3_manifest_exits_2(self, sim_dir, fit_dir, tmp_path, capsys):
+        # format 3 wrote omega and lambda columns for every prior pair; its
+        # artifacts must be refit, even where the columns would match
+        art = tmp_path / "fit"
+        shutil.copytree(fit_dir, art)
+        manifest = json.loads((art / "manifest.json").read_text())
+        manifest["format"] = 3
+        manifest[MANIFEST_DIGEST] = manifest_digest(manifest)
+        (art / "manifest.json").write_text(json.dumps(manifest))
+        for stage, args in (("predict", ["--input", str(sim_dir / "panel.csv")]),
+                            ("diagnose", [])):
+            out = tmp_path / stage
+            assert main([stage, "--artifact", str(art), *args, "--out", str(out)]) == 2
+            assert "artifact format 3, expected 4" in capsys.readouterr().err
             assert not out.exists()
 
     def test_predict_missing_artifact_exits_2(self, sim_dir, tmp_path):

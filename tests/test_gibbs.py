@@ -425,7 +425,7 @@ class TestLockstep:
         monkeypatch.setattr(gibbs, "draw_standard",
                             lambda rngs, n, runs: drawn.append(runs) or real(rngs, n, runs))
         gibbs.run_chains(design, ModelSpec(variant=1, year_offset=2009.5), priors,
-                         n_iter=2, burn_in=1, chains=2)
+                         n_iter=2, burn_in=1, thin=1, chains=2)
         _, at = gibbs._sweep_layout(design, priors)
 
         def scaled_by(name):  # the shape of the run that holds the draw `name`
@@ -600,12 +600,43 @@ class TestChainMechanics:
         assert rng.random() == ref.random()
 
     def test_gamma_priors_keep_locals_at_one(self, design):
+        # the common-Gamma sweep never draws lambda or omega: the state
+        # holds them at 1, and a trace does not record them
         priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
                              a_tau=1.0, b_tau=1.0, a_phi=1.0, b_phi=1.0)
+        state = initialize_state(design, priors)
+        tau0, phi0 = state.tau, state.phi
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            sweep(state, design, priors, rng)
+        assert np.all(state.lam == 1.0) and np.all(state.omega == 1.0)
+        assert state.tau != tau0 and state.phi != phi0
         tr = run_chain(design, ModelSpec(variant=1, year_offset=2009.5), priors,
                        n_iter=40, burn_in=10, thin=1, seed=4)
-        assert np.all(tr.draws["lambda"] == 1.0)
-        assert np.all(tr.draws["omega"] == 1.0)
+        assert list(tr.draws) == ["beta", "u", "tau", "phi"]
+
+    @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_recorded_keys_are_the_drawn_quantities(self, design, error_prior, reffect_prior):
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+        want = ["beta", "u", "tau", "phi"]
+        want += ["omega"] if reffect_prior != "gamma" else []
+        want += ["lambda"] if error_prior == "half-cauchy" else []
+        want += ["nu"] if reffect_prior == "student-t" else []
+        assert list(priors.recorded) == want
+        tr = run_chain(design, ModelSpec(variant=1, year_offset=2009.5), priors,
+                       n_iter=12, burn_in=2, thin=5, seed=4)
+        assert list(tr.draws) == want and tr.kept == 2
+        assert all(tr.draws[key].shape[1:] == (design.m,) for key in want[4:])
+
+    def test_no_kept_draw_refused_before_sampling(self, design, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(gibbs, "sweep", no_sweep)
+        with pytest.raises(ValidationError, match="needs at least one kept draw"):
+            run_chain(design, ModelSpec(variant=1, year_offset=2009.5), PriorConfig(),
+                      n_iter=3000, burn_in=10, thin=5000, seed=4)
 
     def test_nu_recorded_only_for_student_t(self, design):
         spec = ModelSpec(variant=1, year_offset=2009.5)

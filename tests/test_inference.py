@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,14 +167,40 @@ def student_t_traces():
                       stream_id=k) for k in range(3)]
 
 
+# workspace budgets for the three chains of 200 kept draws of `student_t_traces`:
+# the default (every key in one block), two parameters per block, so the
+# five-unit keys end in a short block, and one parameter per block
+BLOCKS = [inference.BLOCK_WORKSPACE_BYTES, 2 * inference._ess_workspace_bytes(3, 200), 1]
+
+
 class TestBatchedSummaryMatchesPerParameterOracle:
-    # 3072 buffer values at C = 3, nfft = 512 is two parameters per block,
-    # so the five-unit keys end in a short block; 1 is one parameter per block
-    @pytest.mark.parametrize("block", [inference.BLOCK_FFT_VALUES, 3072, 1])
+    @pytest.mark.parametrize("block", BLOCKS)
     def test_fit_with_integer_nu(self, student_t_traces, block, monkeypatch):
-        monkeypatch.setattr(inference, "BLOCK_FFT_VALUES", block)
+        monkeypatch.setattr(inference, "BLOCK_WORKSPACE_BYTES", block)
         assert "nu" in student_t_traces[0].draws
         assert_matches_per_parameter_oracle(student_t_traces)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_rows_match_the_one_dimensional_calls(self, student_t_traces, block, monkeypatch):
+        # mean, sd, quantiles and R-hat have the bits of the 1-D calls on
+        # the parameter's (C, K) draws; the batched FFT moves ESS in the
+        # last bits only
+        monkeypatch.setattr(inference, "BLOCK_WORKSPACE_BYTES", block)
+        rows = summarize(student_t_traces).rows
+        want = []
+        for key in student_t_traces[0].draws:
+            stacked = np.stack([t.draws[key].reshape(t.kept, -1) for t in student_t_traces])
+            for j in range(stacked.shape[2]):
+                chains = stacked[:, :, j].astype(np.float64)
+                pooled = chains.ravel()
+                want.append((key, j, chains, pooled.mean(), pooled.std(ddof=1),
+                             *np.quantile(pooled, [0.025, 0.5, 0.975], method="linear")))
+        assert len(rows) == len(want)
+        for row, (key, j, chains, *stats) in zip(rows, want):
+            assert (row.param, row.index) == (key, j)
+            assert [row.mean, row.sd, row.q2_5, row.q50, row.q97_5, row.rhat] == [
+                *stats, split_rhat(chains)]
+            assert row.ess == pytest.approx(effective_sample_size(chains), rel=1e-14, abs=0.0)
 
     def test_one_chain(self, student_t_traces):
         assert_matches_per_parameter_oracle(student_t_traces[:1])
@@ -193,6 +220,27 @@ class TestBatchedSummaryMatchesPerParameterOracle:
     def test_no_kept_draws_rejected(self):
         with pytest.raises(ValidationError):
             summarize([make_trace(scalar_draws(np.zeros(0)))])
+
+
+def test_summarize_keeps_its_workspace_budget():
+    # the long-trace benchmark's shape: 4 chains of 700 draws, 7 + 30 + 2
+    # parameters, about 4 per block; the whole 30-unit key at once would
+    # take over 6 MiB of FFT workspace
+    rng = np.random.default_rng(0)
+    draws = [{"beta": rng.standard_normal((700, 7)), "u": rng.standard_normal((700, 30)),
+              "tau": rng.gamma(2.0, size=700), "phi": rng.gamma(2.0, size=700)}
+             for _ in range(4)]
+    priors = PriorConfig(error_prior="gamma", reffect_prior="gamma")
+    traces = [make_trace(d, chain_id=c, priors=priors) for c, d in enumerate(draws)]
+    assert 4 * inference._ess_workspace_bytes(4, 700) <= inference.BLOCK_WORKSPACE_BYTES
+    tracemalloc.start()
+    try:
+        rows = summarize(traces).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 39
+    assert peak < 1.5 * inference.BLOCK_WORKSPACE_BYTES
 
 
 class TestLinearQuantiles:

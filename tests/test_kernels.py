@@ -49,6 +49,7 @@ class TestGamma:
         x = draw_gamma(rng(3), 0.5, 1.0, size=10 ** 5)
         assert ecdf_sup_distance(x, gamma_pdf(0.5, 1.0)) < 0.01
 
+    @pytest.mark.filterwarnings("error")  # a bad rate is the error, not a warning
     @pytest.mark.parametrize("form", ["scalar", "array"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("param", ["shape", "rate"])
