@@ -33,7 +33,7 @@ import os
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .data import PanelDataset, read_csv_rows
+from .data import CSV_COLUMNS, PanelDataset, read_csv_rows
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -65,14 +65,9 @@ def _fmt(x) -> str:
 def write_panel_csv(panel: PanelDataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["unit_id", "year", "sex", "completeness", "reg_cdr",
-                    "pct65", "u5mr", "c5q0"])
-        for obs in panel.observations():
-            w.writerow([
-                obs.unit_id, obs.period, obs.sex, _fmt(obs.completeness),
-                _fmt(obs.reg_cdr), _fmt(obs.pct65), _fmt(obs.u5mr_true),
-                "" if obs.c5q0 is None else _fmt(obs.c5q0),
-            ])
+        w.writerow(CSV_COLUMNS)
+        w.writerows([uid, year, sex, *map(_fmt, floats), "" if c5q0 is None else _fmt(c5q0)]
+                    for uid, year, sex, *floats, c5q0 in zip(*panel.columns()))
 
 
 def chain_csv_name(chain_id: int) -> str:
@@ -141,13 +136,13 @@ def write_predictions_csv(prediction, panel: PanelDataset, path) -> None:
     """One line per observation of `panel`, in its order: the unit, the
     row's position within the unit, the observation's key (year, sex) and
     the prediction."""
-    keys = [(uid, j, obs.period, obs.sex)
-            for uid, obs_list in panel.groups for j, obs in enumerate(obs_list)]
+    within = [j for size in panel.sizes for j in range(size)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["unit_id", "row", "year", "sex", "mode", "mean", "q2.5", "q97.5"])
         w.writerows([*key, prediction.mode, repr(mean), repr(lo), repr(hi)]
-                    for key, mean, lo, hi in zip(keys, prediction.mean.tolist(),
+                    for key, mean, lo, hi in zip(zip(panel.unit_id, within, panel.year, panel.sex),
+                                                 prediction.mean.tolist(),
                                                  prediction.q2_5.tolist(),
                                                  prediction.q97_5.tolist()))
 

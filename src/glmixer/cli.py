@@ -6,10 +6,10 @@ prediction sampling uses stream_id 1e6 + k. `fit` samples its chains in
 lockstep in one process, so chain k's draws do not depend on --chains.
 Partially written output directories are removed on failure.
 
-Importing this module loads no numpy: each command that computes with
-it (simulate, fit, predict, check-theory) imports its numpy-backed
-modules when it runs, so `diagnose`, `metrics`, `--help` and argument
-errors start without them.
+Importing this module loads no package module but `errors` and
+`defaults`: each command imports what it runs. So only simulate, fit,
+predict and check-theory load numpy, `metrics` adds only `data` and
+`metrics`, and `--help` and argument errors add nothing.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import math
 import os
 import shutil
 import sys
+from itertools import compress
 
-from . import artifacts
-from .data import load_panel, build_panel, read_csv_rows, PanelDataset
 from .defaults import DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER, DEFAULT_THIN
 from .errors import GlmixerError, NumericalError, ValidationError
 
@@ -33,13 +32,15 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _filter_sex(panel: PanelDataset, sex: str) -> PanelDataset:
-    """The panel's observations of `sex`; the panel itself when that is
-    all of them, since a loaded panel is already grouped and sorted."""
-    obs = [o for o in panel.observations() if o.sex == sex]
-    if not obs:
+def _filter_sex(panel, sex: str):
+    """The panel's rows of `sex`; the panel itself when that is all of
+    them, since a loaded panel is already grouped and sorted."""
+    from .data import build_panel
+
+    keep = [s == sex for s in panel.sex]
+    if not any(keep):
         raise ValidationError(f"no observations with sex = {sex!r}")
-    return panel if len(obs) == panel.n else build_panel(obs)
+    return panel if all(keep) else build_panel(*(compress(col, keep) for col in panel.columns()))
 
 
 def run_chains(*args, **kwargs) -> list:
@@ -52,6 +53,7 @@ def run_chains(*args, **kwargs) -> list:
 # commands
 
 def cmd_simulate(args) -> None:
+    from . import artifacts
     from .simulate import SimConfig, simulate_panel
 
     config = SimConfig(m=args.m, n_i=args.n_obs, variant=args.model, sex=args.sex,
@@ -76,6 +78,8 @@ def _check_counts(args) -> None:
 def cmd_fit(args) -> None:
     import numpy as np
 
+    from . import artifacts
+    from .data import load_panel
     from .design import ModelSpec, build_matrices
     from .gibbs import PriorConfig
     from .inference import summarize
@@ -83,8 +87,7 @@ def cmd_fit(args) -> None:
     _check_counts(args)
     panel = load_panel(args.input, clamp_policy=args.clamp_policy)
     panel = _filter_sex(panel, args.sex)
-    years = [o.period for o in panel.observations()]
-    offset = args.year_offset if args.year_offset is not None else float(np.mean(years))
+    offset = args.year_offset if args.year_offset is not None else float(np.mean(panel.year))
     spec = ModelSpec(variant=args.model, sex=args.sex, year_offset=offset)
     priors = PriorConfig(error_prior=args.error_prior, reffect_prior=args.local_prior,
                          nu_weight=args.nu_weight)
@@ -99,6 +102,8 @@ def cmd_fit(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    from . import artifacts
+    from .data import load_panel
     from .design import ModelSpec, design_rows
     from .inference import predict_new_unit
 
@@ -115,6 +120,8 @@ def cmd_predict(args) -> None:
 
 
 def cmd_diagnose(args) -> None:
+    from . import artifacts
+
     # summary.csv already holds the fit's ESS and R-hat for every scalar
     rows = artifacts.load_summary_rows(args.artifact)
     os.makedirs(args.out, exist_ok=True)
@@ -122,17 +129,21 @@ def cmd_diagnose(args) -> None:
               encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["param", "index", "ess", "rhat"])
-        for row in rows:
-            w.writerow([row["param"], row["index"], row["ess"], row["rhat"]])
+        w.writerows([row["param"], row["index"], row["ess"], row["rhat"]] for row in rows)
 
 
 def _read_predictions(path) -> dict:
-    """{(unit_id, year, sex): mean} of a predictions CSV."""
+    """{(unit_id, year, sex): mean} of a predictions CSV; of a column named
+    twice, the last is read."""
+    from .data import read_csv_rows
+
     records = read_csv_rows(path)
     header = records[0] if records else []
     missing = {"unit_id", "year", "sex", "mean"} - set(header)
     if missing:
         raise ValidationError(f"{path}: header lacks {sorted(missing)}")
+    ui, yi, si, mi = map({name: j for j, name in enumerate(header)}.get,
+                         ("unit_id", "year", "sex", "mean"))
     by_key = {}
     for line_no, fields in enumerate(records[1:], start=2):
         if not fields:
@@ -140,13 +151,12 @@ def _read_predictions(path) -> dict:
         if len(fields) != len(header):
             raise ValidationError(
                 f"{path}: line {line_no}: {len(fields)} fields, header has {len(header)}")
-        rec = dict(zip(header, fields))
         try:
-            key, mean = (rec["unit_id"], int(rec["year"]), rec["sex"]), float(rec["mean"])
+            key, mean = (fields[ui], int(fields[yi]), fields[si]), float(fields[mi])
         except ValueError:
             raise ValidationError(
-                f"{path}: line {line_no}: year {rec['year']!r} is not an integer "
-                f"or mean {rec['mean']!r} is not a number") from None
+                f"{path}: line {line_no}: year {fields[yi]!r} is not an integer "
+                f"or mean {fields[mi]!r} is not a number") from None
         if not math.isfinite(mean):
             raise ValidationError(f"{path}: line {line_no}: mean {mean!r} is not finite")
         if key in by_key:
@@ -158,22 +168,24 @@ def _read_predictions(path) -> dict:
 
 
 def cmd_metrics(args) -> None:
+    from .data import load_panel
     from .metrics import metric_report
 
     by_key = _read_predictions(args.predictions)
     # the observations of the sexes predicted (a one-sex fit predicts only
     # its sex), joined on (unit_id, year, sex)
     sexes = {sex for _, _, sex in by_key}
-    observed = [o for o in load_panel(args.observed).observations() if o.sex in sexes]
-    observed_keys = [(o.unit_id, o.period, o.sex) for o in observed]
-    missing = [key for key in observed_keys if key not in by_key]
-    extra = by_key.keys() - set(observed_keys)
+    panel = load_panel(args.observed)
+    observed = [(key, c) for key, c in zip(zip(panel.unit_id, panel.year, panel.sex),
+                                           panel.completeness) if key[2] in sexes]
+    missing = [key for key, _ in observed if key not in by_key]
+    extra = by_key.keys() - {key for key, _ in observed}
     if missing or extra:
         raise ValidationError(
             f"predictions and observations differ on (unit_id, year, sex): {len(missing)} "
             f"observations have no prediction, {len(extra)} predictions match no observation")
-    predicted = [by_key[key] for key in observed_keys]
-    obs = [o.completeness for o in observed]
+    predicted = [by_key[key] for key, _ in observed]
+    obs = [c for _, c in observed]
     report = metric_report(predicted, obs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
@@ -183,14 +195,10 @@ def cmd_metrics(args) -> None:
               encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["metric", "band", "value"])
-        w.writerow(["mae", "", repr(report.mae)])
-        w.writerow(["rmse", "", repr(report.rmse)])
-        w.writerow(["r_square", "", repr(report.r_square)])
-        w.writerow(["n_small_dev", "", report.n_small_dev])
-        for label, (mae_k, rmse_k, n_k) in report.stratified.items():
-            w.writerow(["mae", label, repr(mae_k)])
-            w.writerow(["rmse", label, repr(rmse_k)])
-            w.writerow(["n", label, n_k])
+        w.writerows([name, "", repr(getattr(report, name))]
+                    for name in ("mae", "rmse", "r_square", "n_small_dev"))
+        w.writerows([name, label, repr(value)] for label, values in report.stratified.items()
+                    for name, value in zip(("mae", "rmse", "n"), values))
 
 
 def cmd_check_theory(args) -> None:
@@ -212,15 +220,14 @@ def cmd_check_theory(args) -> None:
     checks = {"prior": args.prior, "eps": args.eps, "monotone_decreasing": monotone}
     tail = curve > 0
     log_curve = np.log(np.maximum(curve, 1e-300))
+    k = args.grid_points // 2
     if args.prior == "horseshoe":
         # fit log P ~ slope * log phi on the grid tail
-        k = args.grid_points // 2
         slope = np.polyfit(np.log(grid[k:]), log_curve[k:], 1)[0]
         checks["tail_loglog_slope"] = float(slope)
         checks["slope_pass"] = bool(abs(slope + 0.5) <= 0.05)
     elif args.prior == "laplace":
         c1 = (1.0 - args.eps) / args.eps * args.n_obs * args.lam_tau
-        k = args.grid_points // 2
         slope = np.polyfit(grid[k:], log_curve[k:], 1)[0]
         checks["exp_decay_slope"] = float(slope)
         checks["expected_minus_inv_c1"] = -1.0 / c1
@@ -330,9 +337,6 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return EXIT_OK
-    except (ValidationError,) as exc:
-        code = EXIT_VALIDATION
-        print(f"error: {exc}", file=sys.stderr)
     except NumericalError as exc:
         code = EXIT_NUMERICAL
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -4,8 +4,10 @@ Row order is (intercept, RegCDR, RegCDR^2, pct65^2, ln(5q0), [C5q0 if
 Model 1], year - offset). The fraction over 65 enters only through its
 square. Year centering conditions the cross-product matrix; the offset is
 persisted in fit artifacts so predictions reuse the fit-time rows exactly.
-`design_rows` builds a panel's rows; `build_matrices` adds the responses
-and the per-group statistics a fit samples from.
+`covariate_rows` fills rows from covariate columns, one column at a time,
+with the bits a row of Python floats gives; `design_rows` builds and
+checks a panel's rows; `build_matrices` adds the responses and the
+per-group statistics a fit samples from.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PanelDataset, Observation, logit
+from .data import PanelDataset, logit
 from .errors import ValidationError
 
 MODEL1 = 1
@@ -42,11 +44,8 @@ class ModelSpec:
         return 7 if self.variant == MODEL1 else 6
 
     def column_names(self):
-        names = ["const", "reg_cdr", "reg_cdr_sq", "pct65_sq", "ln_u5mr"]
-        if self.variant == MODEL1:
-            names.append("c5q0")
-        names.append("year")
-        return names
+        return (["const", "reg_cdr", "reg_cdr_sq", "pct65_sq", "ln_u5mr"]
+                + (["c5q0"] if self.variant == MODEL1 else []) + ["year"])
 
     def to_dict(self) -> dict:
         return {"variant": self.variant, "sex": self.sex, "year_offset": self.year_offset}
@@ -56,22 +55,23 @@ class ModelSpec:
         return cls(variant=d["variant"], sex=d["sex"], year_offset=d["year_offset"])
 
 
-def build_row(obs: Observation, spec: ModelSpec) -> np.ndarray:
-    """Covariate vector for one observation, in the fixed column order;
-    an entry beyond float range is inf (`design_rows` rejects it)."""
-    if spec.variant == MODEL1 and obs.c5q0 is None:
-        raise ValidationError(
-            f"Model 1 needs c5q0 but ({obs.unit_id}, {obs.period}, {obs.sex}) has none"
-        )
+def _square(x: float) -> float:
     try:
-        reg_cdr_sq = obs.reg_cdr ** 2
+        return x ** 2
     except OverflowError:
-        reg_cdr_sq = math.inf
-    base = [1.0, obs.reg_cdr, reg_cdr_sq, obs.pct65 ** 2, math.log(obs.u5mr_true)]
+        return math.inf
+
+
+def covariate_rows(spec: ModelSpec, year, reg_cdr, pct65, u5mr, c5q0) -> np.ndarray:
+    """Design rows (n, p) of covariate columns, filled one column at a time
+    with the bits a row of Python floats gives; c5q0 is read only under
+    Model 1, and an entry beyond float range is inf."""
+    columns = [[1.0] * len(year), reg_cdr, list(map(_square, reg_cdr)),
+               [v ** 2 for v in pct65], list(map(math.log, u5mr))]
     if spec.variant == MODEL1:
-        base.append(obs.c5q0)
-    base.append(obs.period - spec.year_offset)
-    return np.asarray(base, dtype=np.float64)
+        columns.append(c5q0)
+    columns.append([y - spec.year_offset for y in year])
+    return np.array(columns, dtype=np.float64).T.copy()
 
 
 def design_rows(panel: PanelDataset, spec: ModelSpec):
@@ -80,15 +80,17 @@ def design_rows(panel: PanelDataset, spec: ModelSpec):
     unit (m,). Fitting, fitted values and prediction all build their
     rows here. A row with a non-finite entry is a ValidationError that
     names its observation."""
-    observations = list(panel.observations())
-    X = np.vstack([build_row(obs, spec) for obs in observations])
+    keys = list(zip(panel.unit_id, panel.year, panel.sex))
+    if spec.variant == MODEL1 and None in panel.c5q0:
+        uid, year, sex = keys[panel.c5q0.index(None)]
+        raise ValidationError(f"Model 1 needs c5q0 but ({uid}, {year}, {sex}) has none")
+    X = covariate_rows(spec, panel.year, panel.reg_cdr, panel.pct65, panel.u5mr, panel.c5q0)
     if not np.isfinite(X).all():
-        obs = observations[int(np.isfinite(X).all(axis=1).argmin())]
+        uid, year, sex = keys[int(np.isfinite(X).all(axis=1).argmin())]
         raise ValidationError(
-            f"design row of ({obs.unit_id}, {obs.period}, {obs.sex}) is not finite: "
+            f"design row of ({uid}, {year}, {sex}) is not finite: "
             f"reg_cdr^2 or year - year_offset is beyond float range")
-    return X, panel.unit_ids, np.asarray(panel.n_i, dtype=np.intp)
-
+    return X, panel.unit_ids, np.asarray(panel.sizes, dtype=np.intp)
 
 @dataclass(frozen=True)
 class GroupedDesign:
@@ -154,7 +156,7 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
         raise ValidationError(
             f"fitting requires n_i > p = {p} observations per group; violated by {bad}"
         )
-    y = np.asarray([logit(obs.completeness) for obs in panel.observations()])
+    y = np.asarray(list(map(logit, panel.completeness)))
     m = len(sizes)
     xbar = np.zeros((m, p))
     ybar = np.zeros(m)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 
@@ -102,25 +102,15 @@ def subnational_report(predicted, observed, threshold: float = SUBNATIONAL_THRES
     return mae, mse, count
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    mae: float
-    rmse: float
-    r_square: float
-    stratified: dict          # label -> (mae, rmse, n)
-    n_small_dev: int
-    mse_units: float = float("nan")
+class MetricReport(namedtuple("MetricReport",
+                              "mae rmse r_square stratified n_small_dev mse_units")):
+    """The report of `metric_report`; `stratified` maps band label -> (mae, rmse, n)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "r_square": self.r_square,
-            "stratified": {k: {"mae": v[0], "rmse": v[1], "n": v[2]}
-                           for k, v in self.stratified.items()},
-            "n_small_dev": self.n_small_dev,
-            "mse_units": self.mse_units,
-        }
+        return {**self._asdict(), "stratified": {k: {"mae": v[0], "rmse": v[1], "n": v[2]}
+                                                 for k, v in self.stratified.items()}}
 
 
 def metric_report(predicted, observed, fixed_only_pred=None) -> MetricReport:

@@ -3,7 +3,9 @@
 Covariates are drawn from fixed plausible ranges, the logit response
 from x'beta + u + e with the configured scale structure, and the stored
 completeness is the inverse logit. Enables desk-scale validation in
-place of the non-redistributable source data.
+place of the non-redistributable source data. The panel is built as
+columns, and each row's x'beta is a stacked matmul with the bits of
+`row @ beta`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Observation, build_panel, inv_logit
-from .design import ModelSpec, build_row
+from .data import CSV_COLUMNS, build_panel, inv_logit
+from .design import ModelSpec, covariate_rows
 from .errors import ValidationError
 from .kernels import RngStream, draw_local_prior
 
@@ -70,29 +72,25 @@ def simulate_panel(config: SimConfig):
     beta = config.resolved_beta()
     omega = draw_local_prior(rng, config.reffect_prior, config.m, nu=SIM_NU)
     u = rng.standard_normal(config.m) / np.sqrt(omega * config.phi)
-    observations = []
+    n = config.m * config.n_i
+    columns = {name: [] for name in CSV_COLUMNS}
+    columns["sex"] = [config.sex] * n
+    eps = []
     for i in range(config.m):
-        uid = f"U{i:03d}"
-        reg_cdr = rng.uniform(2.0, 12.0, size=config.n_i)
-        pct65 = rng.uniform(0.01, 0.20, size=config.n_i)
-        u5mr = rng.uniform(0.005, 0.15, size=config.n_i)
-        c5q0 = rng.uniform(0.3, 1.0, size=config.n_i)
-        eps = rng.standard_normal(config.n_i) / np.sqrt(config.tau)
-        for j in range(config.n_i):
-            obs = Observation(
-                unit_id=uid, period=config.first_year + j, sex=config.sex,
-                completeness=0.5, reg_cdr=float(reg_cdr[j]), pct65=float(pct65[j]),
-                u5mr_true=float(u5mr[j]),
-                c5q0=float(c5q0[j]) if config.variant == 1 else None,
-            )
-            theta = float(build_row(obs, spec) @ beta) + float(u[i]) + float(eps[j])
-            c = min(max(inv_logit(theta), 1e-6), 1.0 - 1e-6)
-            observations.append(Observation(
-                unit_id=obs.unit_id, period=obs.period, sex=obs.sex,
-                completeness=c, reg_cdr=obs.reg_cdr, pct65=obs.pct65,
-                u5mr_true=obs.u5mr_true, c5q0=obs.c5q0,
-            ))
-    panel = build_panel(observations)
+        for name, lo, hi in (("reg_cdr", 2.0, 12.0), ("pct65", 0.01, 0.20),
+                             ("u5mr", 0.005, 0.15), ("c5q0", 0.3, 1.0)):
+            columns[name] += rng.uniform(lo, hi, size=config.n_i).tolist()
+        eps.append(rng.standard_normal(config.n_i) / np.sqrt(config.tau))
+        columns["unit_id"] += [f"U{i:03d}"] * config.n_i
+        columns["year"] += range(config.first_year, config.first_year + config.n_i)
+    if config.variant != 1:
+        columns["c5q0"] = [None] * n
+    X = covariate_rows(spec, *(columns[name]
+                               for name in ("year", "reg_cdr", "pct65", "u5mr", "c5q0")))
+    theta = (np.matmul(X[:, None, :], beta[:, None])[:, 0, 0]
+             + np.repeat(u, config.n_i) + np.concatenate(eps))
+    columns["completeness"] = [min(max(inv_logit(t), 1e-6), 1.0 - 1e-6) for t in theta.tolist()]
+    panel = build_panel(*(columns[name] for name in CSV_COLUMNS))
     truth = {
         "beta": beta.tolist(),
         "u": u.tolist(),

@@ -8,10 +8,16 @@ the batched summaries are checked against.
 """
 
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
 from scipy.integrate import quad
+
+from glmixer.data import CSV_COLUMNS, DEFAULT_CLAMP_EPS, SEXES, inv_logit, read_csv_rows
+from glmixer.errors import ValidationError
+from glmixer.kernels import RngStream, draw_local_prior
+from glmixer.simulate import SIM_NU, SIM_STREAM
 
 
 def quadrature_cdf(pdf, xs, lower=0.0, upper=np.inf):
@@ -239,3 +245,116 @@ def summarize_per_parameter(traces):
                          float(q[0]), float(q[1]), float(q[2]),
                          ess_one_parameter(chains), rhat_one_parameter(chains)))
     return rows
+
+
+def load_panel_by_rows(path, clamp_policy="clamp", allow_missing_completeness=False):
+    """The panel CSV loader as it was before panels were held as columns:
+    one record and one check at a time, then each observation validated
+    and grouped. Its errors and warnings, and their order, are the
+    reference for the columnar `load_panel`; a completeness that is not
+    finite is a parse error of its row. Returns (columns in group order,
+    unit ids, sizes)."""
+    observations = []
+    rows = read_csv_rows(path)
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    percent = False
+    expect = list(CSV_COLUMNS)
+    if "completeness_pct" in header:
+        percent = True
+        expect[expect.index("completeness")] = "completeness_pct"
+    if header != expect:
+        raise ValidationError(f"{path}: bad header {header!r}; expected {expect!r}")
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise ValidationError(
+                f"{path}: row {row_no}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+        try:
+            unit_id = row[0].strip()
+            period = int(row[1])
+            float(period)
+            sex = row[2].strip()
+            missing = row[3].strip() == "" and allow_missing_completeness
+            completeness = 0.5 if missing else float(row[3])
+            if not math.isfinite(completeness):
+                raise ValueError(f"completeness {completeness} is not finite")
+            reg_cdr, pct65, u5mr = float(row[4]), float(row[5]), float(row[6])
+            c5q0 = float(row[7]) if row[7].strip() != "" else None
+        except (ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}: row {row_no}: {exc}") from None
+        if not missing:
+            if percent:
+                completeness /= 100.0
+            if clamp_policy == "reject":
+                if not (0.0 < completeness < 1.0):
+                    raise ValidationError(
+                        f"row {row_no}: completeness {completeness} outside the open "
+                        "interval (0, 1) under the 'reject' policy")
+            elif not DEFAULT_CLAMP_EPS <= completeness <= 1.0 - DEFAULT_CLAMP_EPS:
+                clamped = min(max(completeness, DEFAULT_CLAMP_EPS), 1.0 - DEFAULT_CLAMP_EPS)
+                warnings.warn(f"row {row_no}: completeness {completeness:.6g} "
+                              f"clamped to {clamped:.6g}")
+                completeness = clamped
+        observations.append((unit_id, period, sex, completeness, reg_cdr, pct65, u5mr, c5q0))
+    if not observations:
+        raise ValidationError(f"{path}: no data rows")
+    seen, by_unit = set(), {}
+    for obs in observations:
+        uid, period, sex, completeness, reg_cdr, pct65, u5mr, c5q0 = obs
+        key = (uid, period, sex)
+        if sex not in SEXES:
+            raise ValidationError(f"sex must be one of {SEXES}, got {sex!r}")
+        if not (0.0 < completeness < 1.0):
+            raise ValidationError(f"completeness must lie strictly in (0,1), got "
+                                  f"{completeness!r} for ({uid}, {period}, {sex})")
+        if not (0.0 <= reg_cdr < math.inf):
+            raise ValidationError(f"reg_cdr must be finite and >= 0, got {reg_cdr!r}")
+        if not (0.0 <= pct65 <= 1.0):
+            raise ValidationError(f"pct65 must lie in [0,1], got {pct65!r}")
+        if not (0.0 < u5mr < math.inf):
+            raise ValidationError(f"u5mr_true must be finite and > 0, got {u5mr!r}")
+        if c5q0 is not None:
+            if not (0.0 < c5q0 <= 1.5):
+                raise ValidationError(
+                    f"c5q0 must lie in (0, 1.5], got {c5q0!r} for ({uid}, {period}, {sex})")
+            if c5q0 > 1.0:
+                warnings.warn(f"c5q0 = {c5q0:.4f} > 1 for ({uid}, {period}, {sex}); "
+                              "registered under-five deaths exceed the true estimate")
+        if key in seen:
+            raise ValidationError(f"duplicate observation key {key}")
+        seen.add(key)
+        by_unit.setdefault(uid, []).append(obs)
+    grouped = [obs for uid in sorted(by_unit)
+               for obs in sorted(by_unit[uid], key=lambda o: (o[1], o[2]))]
+    sizes = tuple(len(by_unit[uid]) for uid in sorted(by_unit))
+    return [list(col) for col in zip(*grouped)], tuple(sorted(by_unit)), sizes
+
+
+def simulate_panel_by_rows(config):
+    """The simulator as it was before panels were held as columns: the
+    same draws, one row at a time, each row's x'beta the dot product of
+    that row alone. Returns (rows as CSV-order tuples in draw order, u)."""
+    rng = RngStream(config.seed, SIM_STREAM).generator()
+    offset = config.first_year + (config.n_i - 1) / 2.0
+    beta = config.resolved_beta()
+    omega = draw_local_prior(rng, config.reffect_prior, config.m, nu=SIM_NU)
+    u = rng.standard_normal(config.m) / np.sqrt(omega * config.phi)
+    rows = []
+    for i in range(config.m):
+        reg_cdr = rng.uniform(2.0, 12.0, size=config.n_i)
+        pct65 = rng.uniform(0.01, 0.20, size=config.n_i)
+        u5mr = rng.uniform(0.005, 0.15, size=config.n_i)
+        c5q0 = rng.uniform(0.3, 1.0, size=config.n_i)
+        eps = rng.standard_normal(config.n_i) / np.sqrt(config.tau)
+        for j in range(config.n_i):
+            r, p, q = float(reg_cdr[j]), float(pct65[j]), float(u5mr[j])
+            c = float(c5q0[j]) if config.variant == 1 else None
+            year = config.first_year + j
+            x = [1.0, r, r ** 2, p ** 2, math.log(q)] + ([c] if c is not None else [])
+            theta = float(np.asarray(x + [year - offset]) @ beta) + float(u[i]) + float(eps[j])
+            rows.append((f"U{i:03d}", year, config.sex,
+                         min(max(inv_logit(theta), 1e-6), 1.0 - 1e-6), r, p, q, c))
+    return rows, u

@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import glmixer
 from glmixer import cli, inference
 from glmixer.artifacts import MANIFEST_DIGEST, load_fit, manifest_digest
 from glmixer.cli import main
+from glmixer.data import build_panel, load_panel
 from glmixer.inference import summarize
 
 FIT_ARGS = ["--iters", "80", "--burn-in", "20", "--thin", "2",
@@ -44,6 +47,28 @@ def pred_csv(sim_dir, fit_dir, tmp_path_factory):
     assert main(["predict", "--artifact", str(fit_dir),
                  "--input", str(sim_dir / "panel.csv"), "--out", str(out)]) == 0
     return out / "predictions.csv"
+
+
+def mutate_panel(raw, data):
+    """A panel CSV's bytes with one edit drawn by `data`: bytes inserted, a
+    field replaced by any text, the file truncated, a field over csv's size
+    limit, or a data line repeated."""
+    kind = data.draw(st.sampled_from(["insert", "field", "truncate", "huge", "duplicate"]))
+    if kind == "insert":
+        i = data.draw(st.integers(0, len(raw)))
+        return raw[:i] + data.draw(st.binary(min_size=1, max_size=20)) + raw[i:]
+    if kind == "field":
+        rows = [line.split(b",") for line in raw.split(b"\n")]
+        r = data.draw(st.integers(0, len(rows) - 2))
+        c = data.draw(st.integers(0, len(rows[r]) - 1))
+        rows[r][c] = data.draw(st.text(max_size=12)).encode("utf-8", "surrogatepass")
+        return b"\n".join(b",".join(row) for row in rows)
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "huge":
+        return huge_field_text(raw.decode(), data.draw(st.integers(131_073, 300_000))).encode()
+    lines = raw.splitlines(keepends=True)
+    return raw + lines[data.draw(st.integers(1, len(lines) - 1))]
 
 
 # Manifest fields for which every different JSON value drawn below is a
@@ -194,23 +219,7 @@ class TestFit:
         lines = (sim_dir / "panel.csv").read_bytes().splitlines(keepends=True)
         raw = b"".join([lines[0]] + [line for line in lines[1:]
                                      if line.split(b",")[1] in (b"2000", b"2001", b"2002")])
-        kind = data.draw(st.sampled_from(["insert", "field", "truncate", "huge", "duplicate"]))
-        if kind == "insert":
-            i = data.draw(st.integers(0, len(raw)))
-            raw = raw[:i] + data.draw(st.binary(min_size=1, max_size=20)) + raw[i:]
-        elif kind == "field":
-            rows = [line.split(b",") for line in raw.split(b"\n")]
-            r = data.draw(st.integers(0, len(rows) - 2))
-            c = data.draw(st.integers(0, len(rows[r]) - 1))
-            rows[r][c] = data.draw(st.text(max_size=12)).encode("utf-8", "surrogatepass")
-            raw = b"\n".join(b",".join(row) for row in rows)
-        elif kind == "truncate":
-            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
-        elif kind == "huge":
-            raw = huge_field_text(raw.decode(), data.draw(st.integers(131_073, 300_000))).encode()
-        else:
-            i = data.draw(st.integers(1, len(lines) - 1))
-            raw = raw + lines[i]
+        raw = mutate_panel(raw, data)
         with tempfile.TemporaryDirectory() as tmp:
             panel, out = Path(tmp) / "panel.csv", Path(tmp) / "fit"
             panel.write_bytes(raw)
@@ -407,10 +416,9 @@ class TestPredictAndMetrics:
                                           monkeypatch):
         # with no observation dropped, fit and predict use the loaded panel
         # as it is, and their outputs keep the bytes of a rebuilt panel's
-        panel = cli.load_panel(sim_dir / "panel.csv")
+        panel = load_panel(sim_dir / "panel.csv")
         assert cli._filter_sex(panel, "both") is panel
-        monkeypatch.setattr(cli, "_filter_sex",
-                            lambda p, sex: cli.build_panel(list(p.observations())))
+        monkeypatch.setattr(cli, "_filter_sex", lambda p, sex: build_panel(*p.columns()))
         assert main(["fit", "--input", str(sim_dir / "panel.csv"),
                      "--out", str(tmp_path / "fit")] + FIT_ARGS) == 0
         assert main(["predict", "--artifact", str(tmp_path / "fit"), "--input",
@@ -614,6 +622,87 @@ class TestPredictAndMetrics:
             reports.append((tmp_path / name / "metrics.csv").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_byte_order_mark_inputs(self, sim_dir, fit_dir, pred_csv, tmp_path):
+        # a panel and predictions saved with a UTF-8 byte-order mark, as
+        # Excel writes them, give the bytes of the plain files
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for name, src in (("panel.csv", sim_dir / "panel.csv"), ("predictions.csv", pred_csv)):
+            (bom / name).write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        assert main(["fit", "--input", str(bom / "panel.csv"), "--out", str(tmp_path / "fit")]
+                    + FIT_ARGS) == 0
+        for name in os.listdir(fit_dir):
+            assert (tmp_path / "fit" / name).read_bytes() == (fit_dir / name).read_bytes()
+        assert main(["predict", "--artifact", str(fit_dir), "--input", str(bom / "panel.csv"),
+                     "--out", str(tmp_path / "pred")]) == 0
+        assert (tmp_path / "pred" / "predictions.csv").read_bytes() == pred_csv.read_bytes()
+        for name, preds, observed in (("plain", pred_csv, sim_dir / "panel.csv"),
+                                      ("bom_panel", pred_csv, bom / "panel.csv"),
+                                      ("bom_both", bom / "predictions.csv", bom / "panel.csv")):
+            assert main(["metrics", "--predictions", str(preds), "--observed", str(observed),
+                         "--out", str(tmp_path / name)]) == 0
+        for name in ("bom_panel", "bom_both"):
+            assert ((tmp_path / name / "metrics.json").read_bytes()
+                    == (tmp_path / "plain" / "metrics.json").read_bytes())
+
+    def test_unit_id_with_comma_and_quote_round_trips(self, sim_dir, fit_dir, pred_csv,
+                                                      tmp_path):
+        # 'Bogotá, D.C. "x"' sorts where U000 did, so the fit and every
+        # number keep their bits; the id is quoted in predictions.csv and
+        # metrics joins on it
+        uid = 'Bogotá, D.C. "x"'
+        with open(sim_dir / "panel.csv", encoding="utf-8", newline="") as fh:
+            rows = [[uid if cell == "U000" else cell for cell in row] for row in csv.reader(fh)]
+        panel = tmp_path / "panel.csv"
+        with open(panel, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        fit, pred = tmp_path / "fit", tmp_path / "pred" / "predictions.csv"
+        assert main(["fit", "--input", str(panel), "--out", str(fit)] + FIT_ARGS) == 0
+        assert json.loads((fit / "manifest.json").read_text())["unit_ids"][0] == uid
+        assert main(["predict", "--artifact", str(fit), "--input", str(panel),
+                     "--out", str(pred.parent)]) == 0
+        text = pred.read_text(encoding="utf-8")
+        assert text.count('"Bogotá, D.C. ""x""",') == 10
+        assert text.replace('"Bogotá, D.C. ""x""",', "U000,") == pred_csv.read_text()
+        for name, preds, observed in (("ours", pred, panel),
+                                      ("plain", pred_csv, sim_dir / "panel.csv")):
+            assert main(["metrics", "--predictions", str(preds), "--observed", str(observed),
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "ours" / "metrics.csv").read_bytes()
+                == (tmp_path / "plain" / "metrics.csv").read_bytes())
+
+    def test_non_finite_completeness_exits_2_naming_its_row(self, sim_dir, pred_csv, tmp_path,
+                                                            capsys):
+        lines = (sim_dir / "panel.csv").read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[3] = "nan"
+        lines[3] = ",".join(fields)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join(lines) + "\n")
+        for args in (["fit", "--input", str(panel)] + FIT_ARGS,
+                     ["metrics", "--predictions", str(pred_csv), "--observed", str(panel)]):
+            assert main(args + ["--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {panel}: row 4: completeness nan is not finite\n"
+            assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_predict_and_metrics_on_mutated_panel_exit_cleanly(self, sim_dir, fit_dir,
+                                                               pred_csv, data):
+        # an edited panel is predicted and scored or refused, never a traceback
+        raw = mutate_panel((sim_dir / "panel.csv").read_bytes(), data)
+        with tempfile.TemporaryDirectory() as tmp:
+            panel = Path(tmp) / "panel.csv"
+            panel.write_bytes(raw)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main(["predict", "--artifact", str(fit_dir), "--input", str(panel),
+                             "--out", str(Path(tmp) / "pred")]) in (0, 2, 3, 4)
+                assert main(["metrics", "--predictions", str(pred_csv), "--observed", str(panel),
+                             "--out", str(Path(tmp) / "met")]) in (0, 2, 3, 4)
+
 
 def _loaded_after(code, package):
     """Exit code of a fresh interpreter that runs `code` and then exits 1
@@ -628,6 +717,12 @@ def _loaded_after(code, package):
 
 def test_cli_import_loads_no_numpy():
     assert _loaded_after("import sys, glmixer.cli", "numpy") == 0
+
+
+def test_cli_import_loads_no_other_package_module():
+    # each command imports the modules it runs
+    for module in ("glmixer.data", "glmixer.artifacts", "glmixer.metrics"):
+        assert _loaded_after("import sys, glmixer.cli", module) == 0
 
 
 def test_cli_import_loads_no_logging():
@@ -650,6 +745,22 @@ def test_metrics_loads_no_numpy(sim_dir, pred_csv, tmp_path):
     assert _loaded_after(
         f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "numpy") == 0
     assert (tmp_path / "met" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "hashlib", "glmixer.artifacts"])
+def test_metrics_loads_only_what_it_runs(sim_dir, pred_csv, tmp_path, module):
+    # the report reads no fit artifact and builds no dataclass
+    args = ["metrics", "--predictions", str(pred_csv), "--observed", str(sim_dir / "panel.csv"),
+            "--out", str(tmp_path / "met")]
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", module) == 0
+
+
+def test_diagnose_loads_no_dataclasses(fit_dir, tmp_path):
+    args = ["diagnose", "--artifact", str(fit_dir), "--out", str(tmp_path / "diag")]
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "dataclasses") == 0
+    assert (tmp_path / "diag" / "diagnostics.csv").exists()
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
