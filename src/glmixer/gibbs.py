@@ -20,13 +20,19 @@ conditional and the residual sums of squares are closed forms in them.
 
 `sweep` has one draw path: one Generator per chain, and each step run
 once on (C, .) arrays (a lone chain may drop the axis). Each chain's
-normals and rate-free Gammas are drawn up front from its own Generator,
-in the order the steps read them; the steps scale them by their rates,
-and each Gamma shape is defined once, in `gamma_shape`. The Student-t nu
-categorical is one call for all chains; Laplace's Wald draws and
-Student-t's uniforms and omega Gammas are drawn chain by chain. Chain k
-of `run_chains` draws from RngStream(seed, k) alone, so its draws do not
-depend on how many chains run. Called alone, a step draws from its rng.
+normals and rate-free Gammas are drawn ahead from its own Generator, in
+the order the steps read them; the steps scale them by their rates, and
+each Gamma shape is defined once, in `gamma_shape`. `run_chains` draws
+them a block of sweeps at a time (one normal call and one call per run of
+equal Gamma shapes per chain and block, `SWEEP_BLOCK_BYTES`), where a
+sweep called alone draws one sweep's worth, with the bits the steps would
+draw in turn. The block moved a fit's chain bits relative to drawing
+sweep by sweep, since a block's later normals and Gammas now come before
+the per-sweep draws of its earlier sweeps: the Student-t nu uniforms and
+omega Gammas, one buffer for all chains, and Laplace's Wald draws, chain
+by chain. Chain k of `run_chains` draws from RngStream(seed, k) alone, so
+its draws do not depend on how many chains run. The sweep checks its
+draws once, at its end. Called alone, a step draws from its rng.
 The nu prior's log-Gamma normalizer is the standard library's
 `math.lgamma`, so a fit loads no scipy.
 """
@@ -37,7 +43,8 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,8 +52,8 @@ from .defaults import DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER, DEFAULT_T
 from .design import GroupedDesign, ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
 from .kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
-                      draw_mvn_whitened, draw_standard, matvec, vecmat,
-                      whitening_from_precision)
+                      draw_mvn_whitened, draw_standard, matvec, standard_gamma_rows,
+                      vecmat, whitening_from_precision)
 
 ERROR_PRIORS = ("gamma", "half-cauchy")
 REFFECT_PRIORS = ("gamma", "student-t", "horseshoe", "laplace")
@@ -54,6 +61,10 @@ NU_WEIGHTS = ("algorithm3", "prose")
 
 INIT_SCALE_MIN = 1e-6
 INIT_SCALE_MAX = 1e6
+
+# Each chain of `run_chains` draws its standard variates a block of sweeps
+# at a time, as many sweeps as fit in this many bytes (at least one).
+SWEEP_BLOCK_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -299,8 +310,9 @@ def phi_conditional(state: ChainState, design: GroupedDesign, priors: PriorConfi
 
 
 def _gamma(rng, z, name, shape, rate, size=None):
-    """Gamma(shape, rate) draws from the sweep's standard draws z[name], or rng's."""
-    return draw_gamma(rng, shape, rate, size, None if z is None else z[name])
+    """Gamma(shape, rate) draws: the sweep's standard draws z[name] / rate,
+    which the sweep checks at its end, or rng's checked `draw_gamma`."""
+    return draw_gamma(rng, shape, rate, size) if z is None else z[name] / rate
 
 
 def step_global_scales(state: ChainState, design: GroupedDesign, priors: PriorConfig,
@@ -392,8 +404,10 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
     pair is a valid blocked draw), then omega ~ Gamma(nu/2 + 1/2,
     phi u^2/2 + nu/2). These draw from each chain's own Generator, not
     from the sweep's up-front standard draws. The nu categorical is one
-    call for all chains, with one uniform call per chain; Laplace's Wald
-    draws and Student-t's omega Gammas run chain by chain.
+    call for all chains, with one uniform call per chain, and the omega
+    Gammas are one call per chain into one buffer, divided by their rates
+    at once (no per-draw check: `sweep` checks omega at its end); Laplace's
+    Wald draws run chain by chain.
     """
     m = state.u.shape[-1]
     phiu2 = _col(state.phi) * state.u * state.u
@@ -407,59 +421,145 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
         idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors))
         state.nu = np.asarray(priors.nu_support)[idx]
         shape, rate = omega_conditional_student_t(phiu2, state.nu.astype(np.float64))
-        state.omega = _each_chain(rng, draw_gamma, shape, rate)
+        state.omega = standard_gamma_rows(rng, shape) / rate
     # common Gamma: omega stays 1 and phi is the common zeta_u
 
 
-def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=()):
-    """A sweep's standard Gamma draws in draw order as runs (shape, slice)
-    of one `gamma_shape`: a float, or one shape per unit for lambda on an
-    unbalanced panel; equal float runs are merged. Also {name: index or
-    slice} of each draw."""
+class SweepLayout(NamedTuple):
+    """What a sweep's standard draws and its end check need, fixed per fit."""
+
+    runs: tuple     # (shape, count) of each run of equal Gamma shapes, in draw order
+    at: dict        # draw name -> (run index, index or slice within the run)
+    checked: tuple  # (step, field names, what their draws need) in step order
+    fields: Callable  # state -> (u, beta, then the fields that must be > 0)
+    block: int      # sweeps per block of `run_chains`'s standard draws
+
+
+def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=()) -> SweepLayout:
+    """A sweep's standard Gamma draws in draw order as runs of one
+    `gamma_shape`: a float, or one shape per unit for lambda on an
+    unbalanced panel; equal float runs are merged. Also the fields each
+    step draws, which the sweep checks at its end: u and beta finite, the
+    others finite and > 0; the "needs" of a field name what its draw's
+    parameters must be, for the error message. The block is as many
+    sweeps as fit in SWEEP_BLOCK_BYTES per chain, so it depends on the
+    design's shape and the priors, never on the chains or the run length."""
     names = [name for name in ("tau", "phi") if name not in fixed]
     if priors.error_prior == "half-cauchy":
         names += ["lam", "rho"]
     if priors.reffect_prior == "horseshoe":
         names += ["omega", "varrho"]
-    runs, at, end = [], {}, 0
+    runs, at = [], {}
     for name in names:
         shape = gamma_shape(name, design, priors)
         scalar = name in ("tau", "phi")
         count = 1 if scalar else design.m
-        at[name] = end if scalar else slice(end, end + count)
         last = runs[-1][0] if runs else None
         if isinstance(shape, float) and isinstance(last, float) and last == shape:
-            runs[-1] = (shape, slice(runs[-1][1].start, end + count))
+            start = runs[-1][1]
+            runs[-1] = (shape, start + count)
         else:
-            runs.append((shape, slice(end, end + count)))
-        end += count
-    return tuple(runs), at
+            start = 0
+            runs.append((shape, count))
+        at[name] = (len(runs) - 1, start if scalar else slice(start, start + count))
+
+    gamma = "Gamma shape and rate must be finite and > 0"
+    checked = [("u", ("u",), None), ("beta", ("beta",), None)]
+    scales = tuple(name for name in ("tau", "phi") if name not in fixed)
+    if scales:
+        checked.append(("scales", scales, gamma))
+    if priors.error_prior == "half-cauchy":
+        checked.append(("lambda", ("lam", "rho"), gamma))
+    if priors.reffect_prior == "horseshoe":
+        checked.append(("omega", ("omega", "varrho"), gamma))
+    elif priors.reffect_prior == "laplace":
+        checked.append(("omega", ("omega",), "GIG(-1/2) coefficients must be finite"))
+    elif priors.reffect_prior == "student-t":
+        checked.append(("omega", ("omega",), gamma))
+    per_sweep = design.m + design.p + sum(count for _, count in runs)
+    positive = [name for _, drawn, needs in checked if needs for name in drawn]
+    return SweepLayout(tuple(runs), at, tuple(checked), attrgetter("u", "beta", *positive),
+                       max(1, SWEEP_BLOCK_BYTES // (8 * per_sweep)))
+
+
+def _standard_draws(rngs, design: GroupedDesign, layout: SweepLayout, sweeps: int,
+                    lone: bool) -> list:
+    """One block of `sweeps` sweeps' standard draws for the chains of rngs
+    (`draw_standard`), as one dict of views {draw name: (C, .) array} per
+    sweep, without the chain axis for a lone chain (`lone`)."""
+    zn, zg = draw_standard(rngs, design.m + design.p, layout.runs, sweeps)
+    block = {"u": zn[..., :design.m], "beta": zn[..., design.m:],
+             **{name: zg[r][..., where] for name, (r, where) in layout.at.items()}}
+    block = {name: np.swapaxes(v, 0, 1)[:, 0] if lone else np.swapaxes(v, 0, 1)
+             for name, v in block.items()}
+    return [{name: v[b] for name, v in block.items()} for b in range(sweeps)]
+
+
+def _drawn_ok(state: ChainState, layout: SweepLayout) -> bool:
+    """Whether every field the sweep drew is finite, and > 0 except u and
+    beta, for all chains at once: one concatenation, whose sum is finite
+    only if every entry is, and the minimum of the fields that must be > 0
+    (NaN if one is NaN)."""
+    v = np.concatenate([np.asarray(x).ravel() for x in layout.fields(state)])
+    positive = v[np.size(state.u) + np.size(state.beta):]  # empty if nothing else is drawn
+    return (np.minimum.reduce(positive, initial=math.inf) > 0.0
+            and math.isfinite(np.add.reduce(v)))
+
+
+def _first_bad_step(state: ChainState, layout: SweepLayout, upto=None, then=""):
+    """The first step before step `upto` (or of the whole sweep) that left
+    a drawn field not finite (or not > 0), as a NumericalError whose
+    `step` is that step and whose `row` is its lowest bad chain, with
+    `then` appended to its message; None if there is none."""
+    chains = len(state.u) if state.u.ndim > 1 else 1
+    for step, names, needs in layout.checked:
+        if step == upto:
+            return None
+        bad = []  # (row, name, value) at the lowest bad chain of each field
+        for name in names:
+            x = np.asarray(getattr(state, name), dtype=np.float64).reshape(chains, -1)
+            ok = np.isfinite(x) if needs is None else (x > 0.0) & (x < math.inf)
+            if not ok.all():
+                row = int(np.argmin(ok.all(axis=1)))
+                bad.append((row, name, float(x[row, np.argmin(ok[row])])))
+        if bad:
+            row, name, value = min(bad, key=lambda b: b[0])
+            err = NumericalError(f"{name} draw {value!r} is not finite"
+                                 + ("" if needs is None else f" and > 0: {needs}") + then)
+            err.step, err.row = step, row
+            return err
+    return None
 
 
 def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
-          fixed=(), layout=None) -> None:
+          fixed=(), layout=None, z=None) -> None:
     """One full Gibbs cycle in the fixed order u, beta, global scales (less
     the `fixed` ones), lambda/rho (Half-Cauchy errors only), omega block.
 
     rngs holds one Generator per chain of `state`; a lone Generator is
-    taken as the one-chain list [rng]. Each chain's normals and rate-free
-    standard Gammas come first, one normal call and one Gamma call per
-    run of equal shapes on its Generator (`layout`: `_sweep_layout`'s);
-    they are the doubles the steps would draw from it in turn, and the
-    steps scale them. A state without the chain axis is one chain.
-    A failed draw's error gets the `step` it failed in and the failing
-    chain's `row`.
+    taken as the one-chain list [rng]. A state without the chain axis is
+    one chain. The steps scale the standard draws z, one sweep's views of
+    `_standard_draws` (layout: `_sweep_layout`'s); without z the sweep
+    draws them first, one normal call and one Gamma call per run of equal
+    shapes on each chain's Generator: the doubles the steps would draw
+    from it in turn.
+
+    The Gamma draws are not checked one by one: at its end the sweep
+    checks that every field it drew is finite (and > 0 but u and beta).
+    On a failure, or when a step raises, the fields are scanned in step
+    order, and the error's `step` is the first step that left a bad field
+    (else the step that raised) and its `row` that step's lowest bad chain.
     """
     if isinstance(rngs, np.random.Generator):
         rngs = [rngs]
+    layout = layout or _sweep_layout(design, priors, fixed)
+    lone = state.u.ndim == 1  # a lone chain, held without the chain axis
+    if z is None:
+        (z,) = _standard_draws(rngs, design, layout, 1, lone)
+    if lone:
+        (rngs,) = rngs
     step = "u"
     try:
-        runs, at = layout or _sweep_layout(design, priors, fixed)
-        zn, zg = draw_standard(rngs, design.m + design.p, runs)
-        if state.u.ndim == 1:  # a lone chain, held without the chain axis
-            (rngs,), zn, zg = rngs, zn[0], zg[0]
-        z = {"u": zn[..., :design.m], "beta": zn[..., design.m:],
-             **{name: zg[..., where] for name, where in at.items()}}
         step_u(state, design, rngs, z)
         step = "beta"
         step_beta(state, design, priors, rngs, z)
@@ -472,10 +572,17 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
             step = "omega"
             step_omega(state, priors, rngs, z)
     except (GlmixerError, ArithmeticError, ValueError) as exc:
-        exc.step = step
-        if state.u.ndim == 1:
-            exc.row = 0
-        raise
+        err = _first_bad_step(state, layout, step, f" (step {step} then failed: {exc})")
+        if err is None:
+            exc.step = step
+            if lone:
+                exc.row = 0
+            raise
+        raise err from exc
+    if not _drawn_ok(state, layout):
+        err = _first_bad_step(state, layout)
+        if err is not None:  # else only the sum overflowed
+            raise err
 
 
 def initialize_state(design: GroupedDesign, priors: PriorConfig, rng=None) -> ChainState:
@@ -526,11 +633,16 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
     sampler draws, and at least one kept draw: a run that would keep none
     is refused before any sweep.
 
+    Each chain draws its normals and rate-free Gammas a block of
+    `SweepLayout.block` sweeps at a time (`_standard_draws`), and always a
+    whole block, so its first N sweeps depend neither on `n_iter` nor on
+    the other chains.
+
     `fixed` pins the global precisions tau and/or phi (e.g. {"phi": 100.0})
     for diagnostics and oracle tests; pinned values must be finite and
-    > 0, are set before sampling and never redrawn. A failed draw (every
-    kernel checks its parameters) raises NumericalError naming the lowest
-    failing chain, the iteration and the step.
+    > 0, are set before sampling and never redrawn. A failed sweep (see
+    `sweep`) raises NumericalError naming the lowest failing chain, the
+    iteration and the step.
     """
     if not (n_iter > burn_in >= 0):
         raise ValidationError(f"need n_iter > burn_in >= 0, got {n_iter}, {burn_in}")
@@ -567,8 +679,11 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
              for key, attr in recorded.items()}
     k = 0
     for t in range(1, n_iter + 1):
+        b = (t - 1) % layout.block
+        if b == 0:
+            block = _standard_draws(rngs, design, layout, layout.block, n_chains == 1)
         try:
-            sweep(state, design, priors, rngs, fixed, layout)
+            sweep(state, design, priors, rngs, fixed, layout, block[b])
         except (GlmixerError, ArithmeticError, ValueError) as exc:
             # the kernels' own checks, or math and numpy meeting a bad state
             raise NumericalError(f"chain {stream_ids[getattr(exc, 'row', 0)]}, iteration {t}, "

@@ -6,8 +6,10 @@ quantile comes from one sort of the draws per block (`_linear_quantiles`)
 and has the bits of numpy's inclusive linear rule, `numpy.quantile(...,
 method="linear")`, so credible intervals are bit-reproducible without
 numpy's selection, which is slower and loads `numpy.ma`. Split R-hat's
-normal scores come from the standard library's `statistics.NormalDist`,
-so summaries load no scipy. Predictions for new units need only the beta
+normal scores are Wichura's AS241 quantile, vectorized with the
+operations of the standard library's `NormalDist().inv_cdf`, so
+summaries load neither scipy nor `statistics` (which loads `decimal` and
+`fractions`). Predictions for new units need only the beta
 and phi draws and the design rows; they are evaluated over blocks of
 whole units of bounded size, and each unit gets the bits of predicting
 it alone.
@@ -128,16 +130,68 @@ def _block_ess(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Wichura's AS241 (PPND16) rational approximations of the normal quantile
+# as in CPython's statistics.NormalDist.inv_cdf, (numerator, denominator)
+# coefficients from the highest power down: the central one for
+# |p - 1/2| <= 0.425, else with r = sqrt(-log(min(p, 1 - p))) the near one
+# for r <= 5 and the far one beyond
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0))
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0))
+
+
+def _horner(coefs, x):
+    """The polynomial with `coefs` (highest power first) at x, as nested
+    multiply-adds in the order the standard library's code runs them."""
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _normal_quantiles(p: np.ndarray) -> np.ndarray:
+    """Phi^-1(p) for p in (0, 1) by AS241, with the operations of the
+    standard library's NormalDist().inv_cdf, vectorized."""
+    q = p - 0.5
+    out = np.empty(p.shape)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    out[central] = _horner(_AS241_CENTRAL[0], r) * qc / _horner(_AS241_CENTRAL[1], r)
+    qt = q[~central]
+    r = np.sqrt(-np.log(np.where(qt <= 0.0, p[~central], 1.0 - p[~central])))
+    near = r <= 5.0
+    r = np.where(near, r - 1.6, r - 5.0)
+    x = (np.where(near, _horner(_AS241_NEAR[0], r), _horner(_AS241_FAR[0], r))
+         / np.where(near, _horner(_AS241_NEAR[1], r), _horner(_AS241_FAR[1], r)))
+    out[~central] = np.where(qt < 0.0, -x, x)
+    return out
+
+
 def _rank_normal_scores(c: int, k: int) -> np.ndarray:
     """The normal scores Phi^-1((r - 0.375) / (S + 0.25)) of the ranks
     r = 1..S of the S = C * 2 * (K // 2) split draws of C chains of K
     kept draws."""
-    # imported here so that `predict`, which loads this module, does not load statistics
-    from statistics import NormalDist
-
-    inv_cdf = NormalDist().inv_cdf
     s = c * 2 * (k // 2)
-    return np.array([inv_cdf((r - 0.375) / (s + 0.25)) for r in range(1, s + 1)])
+    return _normal_quantiles((np.arange(1.0, s + 1.0) - 0.375) / (s + 0.25))
 
 
 def _block_rhat(x: np.ndarray, scores: np.ndarray) -> np.ndarray:

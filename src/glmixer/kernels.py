@@ -8,12 +8,12 @@ Laplace's GIG(-1/2, phi u_i^2, 2), so `draw_gig` draws only GIG(-1/2).
 All draws flow through a numpy Generator owned by exactly one chain;
 `RngStream` fixes the (seed, stream_id) -> sequence mapping.
 
-For chains in lockstep, `draw_standard` (a sweep's normals and rate-free
-Gammas) and `draw_categorical_log` (the Student-t nu draw) take all chains
-in one call; inside, each chain still draws from its own Generator,
-including the nu uniforms. Laplace's Wald draws (`draw_gig`) and
-Student-t's omega Gammas (`draw_gamma` with a Generator) are called chain
-by chain.
+For chains in lockstep, `draw_standard` (the normals and rate-free Gammas
+of one sweep, or of a block of sweeps) and `draw_categorical_log` (the
+Student-t nu draw) take all chains in one call, and `standard_gamma_rows`
+draws Student-t's omega Gammas into one buffer; inside, each chain still
+draws from its own Generator, including the nu uniforms. Laplace's Wald
+draws (`draw_gig`) are called chain by chain.
 """
 
 from __future__ import annotations
@@ -59,31 +59,27 @@ def _finite_positive(x, allow_zero=False) -> bool:
     return (lo >= 0.0 if allow_zero else lo > 0.0) and hi < math.inf  # False on NaN
 
 
-def draw_gamma(rng, shape, rate, size=None, z=None):
+def draw_gamma(rng, shape, rate, size=None):
     """Gamma(shape, rate) draws, density ~ x^(shape-1) exp(-rate x), as
-    ``rng.standard_gamma(shape, size) / rate``, or as z / rate for standard
-    Gamma(shape) draws z already made (see `draw_standard`).
+    ``rng.standard_gamma(shape, size) / rate``. A sweep scales the standard
+    draws of `draw_standard` by their rates itself and checks the new state
+    once at its end.
 
     Shape and rate broadcast; a float comes back for scalar parameters
     without `size`. A non-positive or non-finite shape or rate raises
     ValidationError. The check is on the draws: every such parameter
     gives a draw that is 0, negative, infinite or NaN, or makes numpy
     raise, while valid shapes (>= 0.5 in this package) do not underflow.
-    The error names the shape and rate of the first bad row (the lowest
-    chain, for draws with a leading chain axis) and has that row as `row`.
+    The error names the shape and rate of the first bad row and has that
+    row as `row`.
     """
     try:
-        if z is None:
-            try:
-                z = rng.standard_gamma(shape, size)
-            except ValueError:  # numpy on a shape < 0
-                z = np.full(np.broadcast_shapes(np.shape(shape), np.shape(rate)), math.nan)
-            # a caller's rate may be 0, which the check below reports; a
-            # sweep's rates (its z) are > 0 by construction, so only this
-            # path pays for the error state
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = z / rate
-        else:
+        try:
+            z = rng.standard_gamma(shape, size)
+        except ValueError:  # numpy on a shape < 0
+            z = np.full(np.broadcast_shapes(np.shape(shape), np.shape(rate)), math.nan)
+        # a rate of 0 is reported by the check below, not as a warning
+        with np.errstate(divide="ignore", invalid="ignore"):
             out = z / rate
     except ZeroDivisionError:  # a float rate of 0
         out = math.nan
@@ -99,23 +95,45 @@ def draw_gamma(rng, shape, rate, size=None, z=None):
     return out
 
 
-def draw_standard(rngs, n_normal, gamma_runs):
-    """The rate-free variates of C chains, on each chain's Generator in
-    turn: row c holds rngs[c]'s `n_normal` N(0, 1) draws, one call, and
-    its standard Gamma draws, one call per run (shape, slice) of
-    `gamma_runs`, with a float shape for the whole slice or one shape per
-    entry. A Generator yields the same doubles in the same order in one
-    call as in several, so a sweep draws them up front and scales them
-    afterwards (`draw_gamma`'s z). A float shape avoids numpy's
-    array-shape path, which adds some microseconds per call at any length."""
-    zn = np.empty((len(rngs), n_normal))
-    zg = np.empty((len(rngs), gamma_runs[-1][1].stop if gamma_runs else 0))
+def draw_standard(rngs, n_normal, gamma_runs, sweeps=1):
+    """The rate-free variates of `sweeps` sweeps of C chains, on each
+    chain's Generator in turn: one call of `sweeps` x `n_normal` N(0, 1)
+    draws, then one standard Gamma call per run (shape, count) of
+    `gamma_runs`, in run order, of `sweeps` x `count` draws with a float
+    shape for the whole run or one shape per entry. Returns the normals as
+    (C, sweeps, n_normal) and the Gammas as one (C, sweeps, count) array
+    per run: numpy fills only contiguous output, so a block is laid out
+    run by run, and each sweep reads its rows.
+
+    A Generator yields the same doubles in the same order in one call as
+    in several, so with sweeps=1 these are the doubles the steps of one
+    sweep would draw in turn, and a sweep draws them up front and scales
+    them afterwards. Drawing a block of sweeps at once moves the later
+    sweeps' draws ahead of the per-sweep draws (nu uniforms, omega Gammas,
+    Wald draws) of the earlier ones: other bits, but the same
+    distribution, since every double is still used once. A float shape
+    avoids numpy's array-shape path, which adds some microseconds per
+    call at any length."""
+    zn = np.empty((len(rngs), sweeps, n_normal))
+    zg = tuple(np.empty((len(rngs), sweeps, count)) for _, count in gamma_runs)
     for c, g in enumerate(rngs):
         g.standard_normal(out=zn[c])
-        row = zg[c]
-        for shape, where in gamma_runs:
-            g.standard_gamma(shape, out=row[where])
+        for (shape, _), z in zip(gamma_runs, zg):
+            g.standard_gamma(shape, out=z[c])
     return zn, zg
+
+
+def standard_gamma_rows(rng, shape):
+    """Standard Gamma(shape) draws with one shape per entry: rng's for one
+    chain, or for a list of one Generator per chain and shapes (C, k), row
+    c from rngs[c] in one call, all into one (C, k) buffer. Each row has
+    the bits of ``rngs[c].standard_gamma(shape[c])``."""
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_gamma(shape)
+    out = np.empty(np.shape(shape))
+    for g, s, row in zip(rng, shape, out):
+        g.standard_gamma(s, out=row)
+    return out
 
 
 def matvec(A, x):

@@ -770,8 +770,8 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_student_t_fit_loads_no_scipy(sim_dir, tmp_path):
-    # summarize's normal scores and the Student-t nu normalizer come from
-    # the standard library (statistics.NormalDist, math.lgamma), not scipy.special
+    # summarize's normal scores (AS241 in numpy) and the Student-t nu
+    # normalizer (math.lgamma) need no scipy.special
     args = ["fit", "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path / "fit"),
             "--local-prior", "student-t"] + FIT_ARGS
     assert _loaded_after(
@@ -787,8 +787,17 @@ def test_predict_loads_no_scipy(fit_dir, sim_dir, tmp_path):
     assert (tmp_path / "pred" / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("module", ["statistics", "decimal"])
+def test_fit_loads_no_statistics(sim_dir, tmp_path, module):
+    # summarize's normal scores are computed in numpy: statistics would
+    # also load decimal and fractions
+    args = ["fit", "--input", str(sim_dir / "panel.csv"), "--out", str(tmp_path / "fit")] + FIT_ARGS
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", module) == 0
+    assert (tmp_path / "fit" / "summary.csv").exists()
+
+
 def test_predict_loads_no_statistics(fit_dir, sim_dir, tmp_path):
-    # only summarize's normal scores use statistics, imported where they are computed
     args = ["predict", "--artifact", str(fit_dir), "--input", str(sim_dir / "panel.csv"),
             "--out", str(tmp_path / "pred")]
     assert _loaded_after(

@@ -356,12 +356,17 @@ class TestNuPrior:
 
 
 class TestLockstep:
-    @pytest.mark.parametrize("fixed", [None, {"tau": 3.0}, {"phi": 2.0}])
+    @pytest.mark.parametrize("fixed", [None, {"tau": 3.0}, {"phi": 2.0},
+                                       {"tau": 3.0, "phi": 2.0}])
     @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
     @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
-    def test_each_chain_is_its_one_chain_run(self, design, error_prior, reffect_prior, fixed):
+    def test_each_chain_is_its_one_chain_run(self, design, error_prior, reffect_prior, fixed,
+                                             monkeypatch):
+        # blocks of a few sweeps, so the run crosses several block boundaries
+        monkeypatch.setattr(gibbs, "SWEEP_BLOCK_BYTES", 1024)
         spec = ModelSpec(variant=1, year_offset=2009.5)
         priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+        assert 1 < gibbs._sweep_layout(design, priors, fixed or ()).block < 12
         kw = dict(n_iter=25, burn_in=5, thin=2, seed=9, fixed=fixed)
         lockstep = gibbs.run_chains(design, spec, priors, chains=4, **kw)
         for k, trace in enumerate(lockstep):
@@ -371,6 +376,42 @@ class TestLockstep:
             for key, value in alone.draws.items():
                 assert trace.draws[key].dtype == value.dtype
                 assert trace.draws[key].tobytes() == value.tobytes(), (k, key)
+
+    @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_first_draws_do_not_depend_on_n_iter(self, design, error_prior, reffect_prior):
+        # a run that ends inside a block keeps the first draws of a longer run
+        spec = ModelSpec(variant=1, year_offset=2009.5)
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+        block = gibbs._sweep_layout(design, priors).block
+        kw = dict(burn_in=0, thin=1, seed=4, chains=2)
+        short = gibbs.run_chains(design, spec, priors, n_iter=block + 3, **kw)
+        long = gibbs.run_chains(design, spec, priors, n_iter=2 * block + 7, **kw)
+        for a, b in zip(short, long):
+            for key, value in a.draws.items():
+                assert value.tobytes() == b.draws[key][:block + 3].tobytes(), key
+
+    @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_sweep_alone_draws_as_its_steps_alone(self, design, error_prior, reffect_prior):
+        # a sweep called without a block of draws has the bits of its steps
+        # called one by one, each drawing from the Generator in turn
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+        swept, stepped = initialize_state(design, priors), initialize_state(design, priors)
+        g_swept, g_stepped = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(3):
+            sweep(swept, design, priors, g_swept)
+            gibbs.step_u(stepped, design, g_stepped)
+            gibbs.step_beta(stepped, design, priors, g_stepped)
+            gibbs.step_global_scales(stepped, design, priors, g_stepped)
+            if error_prior == "half-cauchy":
+                gibbs.step_lambda_halfcauchy(stepped, design, g_stepped)
+            if reffect_prior != "gamma":
+                gibbs.step_omega(stepped, priors, g_stepped)
+        for f in dataclasses.fields(swept):
+            assert (np.asarray(getattr(swept, f.name)).tobytes()
+                    == np.asarray(getattr(stepped, f.name)).tobytes()), f.name
+        assert g_swept.random() == g_stepped.random()
 
     def test_one_chain_sweep_is_a_lockstep_row(self, design):
         # the step timer in bench/pipeline.py sweeps an axis-free one-chain
@@ -422,15 +463,14 @@ class TestLockstep:
         priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
         drawn = []
         real = gibbs.draw_standard
-        monkeypatch.setattr(gibbs, "draw_standard",
-                            lambda rngs, n, runs: drawn.append(runs) or real(rngs, n, runs))
+        monkeypatch.setattr(gibbs, "draw_standard", lambda rngs, n, runs, sweeps:
+                            drawn.append(runs) or real(rngs, n, runs, sweeps))
         gibbs.run_chains(design, ModelSpec(variant=1, year_offset=2009.5), priors,
                          n_iter=2, burn_in=1, thin=1, chains=2)
-        _, at = gibbs._sweep_layout(design, priors)
+        at = gibbs._sweep_layout(design, priors).at
 
         def scaled_by(name):  # the shape of the run that holds the draw `name`
-            i = at[name] if isinstance(at[name], int) else at[name].start
-            return next(shape for shape, where in drawn[0] if where.start <= i < where.stop)
+            return drawn[0][at[name][0]][0]
 
         state = make_state(design)
         helpers = {"tau": tau_conditional(state, design, priors),
@@ -480,8 +520,9 @@ class TestChainMechanics:
     @pytest.mark.parametrize("reffect_prior", ["horseshoe", "laplace", "student-t"])
     def test_mid_chain_failure_names_chain_and_iteration(self, design, reffect_prior,
                                                          monkeypatch):
-        # phi turns NaN in iteration 7, so that sweep's omega block meets a
-        # NaN Gamma rate, GIG coefficient or nu weight row
+        # phi turns NaN after iteration 7's scales step, so that sweep's omega
+        # block meets a NaN Gamma rate, GIG coefficient or nu weight row; the
+        # sweep's check names the scales step, which left phi bad
         message = {"horseshoe": "Gamma shape and rate", "laplace": "GIG",
                    "student-t": "log weights"}[reffect_prior]
         calls = []
@@ -495,7 +536,7 @@ class TestChainMechanics:
 
         monkeypatch.setattr(gibbs, "step_global_scales", failing)
         with pytest.raises(NumericalError,
-                           match=rf"^chain 2, iteration 7, step omega: .*{message}"):
+                           match=rf"^chain 2, iteration 7, step scales: phi draw nan .*{message}"):
             run_chain(design, ModelSpec(variant=1, year_offset=2009.5),
                       PriorConfig(reffect_prior=reffect_prior), n_iter=40, burn_in=10,
                       seed=3, stream_id=2)
@@ -521,22 +562,80 @@ class TestChainMechanics:
                       seed=3, stream_id=1)
 
     @pytest.mark.parametrize("priors,hook,name,step,message", [
-        (PriorConfig(error_prior="gamma"), "u_conditional", "tau", "beta", "whitening"),
-        (PriorConfig(), "u_conditional", "tau", "beta", "whitening"),
+        (PriorConfig(error_prior="gamma"), "u_conditional", "tau", "u", "whitening"),
+        (PriorConfig(), "u_conditional", "tau", "u", "whitening"),
         (PriorConfig(), "tau_conditional", "lam", "scales", "Gamma shape and rate"),
-        (PriorConfig(), "lambda_conditional", "phi", "omega", "Gamma shape and rate"),
-        (PriorConfig(reffect_prior="laplace"), "lambda_conditional", "phi", "omega", "GIG"),
-        (PriorConfig(reffect_prior="student-t"), "lambda_conditional", "phi", "omega",
+        (PriorConfig(), "lambda_conditional", "phi", "scales", "Gamma shape and rate"),
+        (PriorConfig(reffect_prior="laplace"), "lambda_conditional", "phi", "scales", "GIG"),
+        (PriorConfig(reffect_prior="student-t"), "lambda_conditional", "phi", "scales",
          "log weights")])
     def test_lockstep_failure_names_the_lowest_bad_chain(self, design, priors, hook, name,
                                                          step, message, monkeypatch):
         # chains 3 and 1 of four turn NaN in iteration 5 at the hook; the
-        # next checked draw of the sweep fails, and the error names chain 1
+        # first step that leaves a bad field (u from a NaN tau, else the
+        # scales step's tau or phi) is named with chain 1, and the message
+        # also holds the later step's own error where one raised
         monkeypatch.setattr(gibbs, hook, nan_on_call(getattr(gibbs, hook), 5, name,
                                                      rows=[3, 1]))
         with pytest.raises(NumericalError,
                            match=rf"^chain 1, iteration 5, step {step}: .*{message}"):
             gibbs.run_chains(design, ModelSpec(variant=1, year_offset=2009.5), priors,
+                             n_iter=20, burn_in=5, seed=3, chains=4)
+
+    @pytest.mark.parametrize("error_prior,reffect_prior,step,field", [
+        (e, r, step, field) for e in ERROR_PRIORS for r in REFFECT_PRIORS
+        for step, field in (("u", "u"), ("beta", "beta"), ("scales", "tau"), ("scales", "phi"),
+                            ("lambda", "lam"), ("lambda", "rho"), ("omega", "omega"),
+                            ("omega", "varrho"))
+        if (step != "lambda" or e == "half-cauchy") and (step != "omega" or r != "gamma")
+        and (field != "varrho" or r == "horseshoe")])
+    def test_nan_in_a_steps_output_names_that_step(self, design, error_prior, reffect_prior,
+                                                   step, field, monkeypatch):
+        # the sweep checks its draws once, at its end; a NaN that a step
+        # leaves in chains 3 and 1 in iteration 5 is reported as that step's,
+        # with chain 1, whatever the later steps then do with it
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+        assert (step, field) in {(s, f) for s, names, _ in
+                                 gibbs._sweep_layout(design, priors).checked for f in names}
+        name = {"u": "step_u", "beta": "step_beta", "scales": "step_global_scales",
+                "lambda": "step_lambda_halfcauchy", "omega": "step_omega"}[step]
+        real = getattr(gibbs, name)
+        calls = []
+
+        def hooked(state, *args, **kwargs):
+            real(state, *args, **kwargs)
+            calls.append(None)
+            if len(calls) == 5:
+                value = np.array(getattr(state, field))
+                value[[3, 1]] = math.nan
+                setattr(state, field, value)
+
+        monkeypatch.setattr(gibbs, name, hooked)
+        with pytest.raises(NumericalError,
+                           match=rf"^chain 1, iteration 5, step {step}: {field} draw nan is "
+                                 rf"not finite"):
+            gibbs.run_chains(design, ModelSpec(variant=1, year_offset=2009.5), priors,
+                             n_iter=20, burn_in=5, seed=3, chains=4)
+
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_nan_in_the_student_t_omega_buffer_names_the_omega_step(self, design, error_prior,
+                                                                    monkeypatch):
+        real = gibbs.standard_gamma_rows
+        calls = []
+
+        def hooked(rngs, shape):
+            out = real(rngs, shape)
+            calls.append(None)
+            if len(calls) == 6:
+                out[[2, 3], 1] = math.nan
+            return out
+
+        monkeypatch.setattr(gibbs, "standard_gamma_rows", hooked)
+        with pytest.raises(NumericalError,
+                           match=r"^chain 2, iteration 6, step omega: omega draw nan is not "
+                                 r"finite and > 0: Gamma shape and rate must be finite"):
+            gibbs.run_chains(design, ModelSpec(variant=1, year_offset=2009.5),
+                             PriorConfig(error_prior=error_prior, reffect_prior="student-t"),
                              n_iter=20, burn_in=5, seed=3, chains=4)
 
     @pytest.mark.parametrize("fixed,match", [

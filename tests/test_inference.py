@@ -97,6 +97,15 @@ class TestSplitRhat:
             np.testing.assert_allclose(inference._rank_normal_scores(c, k), want,
                                        rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("s", [8, 1000, 20000])
+    def test_rank_scores_match_normaldist(self, s):
+        from statistics import NormalDist
+
+        inv_cdf = NormalDist().inv_cdf
+        want = [inv_cdf((r - 0.375) / (s + 0.25)) for r in range(1, s + 1)]
+        np.testing.assert_allclose(inference._rank_normal_scores(1, s), want,
+                                   rtol=1e-15, atol=0)
+
 
 class TestSummarize:
     def test_quantile_rule_1_to_100(self):

@@ -15,7 +15,7 @@ from glmixer.errors import NumericalError, ValidationError
 from glmixer.gibbs import ERROR_PRIORS, REFFECT_PRIORS, PriorConfig, run_chain
 from glmixer.kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
                              draw_local_prior, draw_mvn_from_precision,
-                             draw_mvn_whitened, draw_standard)
+                             draw_mvn_whitened, draw_standard, standard_gamma_rows)
 
 from oracles import (categorical_by_searchsorted, ecdf_sup_distance, gamma_pdf,
                      gig_half_mean, gig_neg_half_by_masks, gig_pdf)
@@ -90,23 +90,39 @@ class TestDrawStandard:
             if reffect_prior == "horseshoe":
                 gammas += [ref.standard_gamma(1.0, size=m), ref.standard_gamma(1.0, size=m)]
             rows.append((np.concatenate(normals), np.concatenate(gammas), ref.random()))
-        shapes, _ = gibbs._sweep_layout(design, priors)
+        runs = gibbs._sweep_layout(design, priors).runs
         gens = [rng(31, k) for k in range(3)]
-        zn, zg = draw_standard(gens, m + p, shapes)
+        zn, zg = draw_standard(gens, m + p, runs)
         for k, (want_n, want_g, after) in enumerate(rows):
             assert zn[k].tobytes() == want_n.tobytes()
-            assert zg[k].tobytes() == want_g.tobytes()
+            assert b"".join(z[k].tobytes() for z in zg) == want_g.tobytes()
             assert gens[k].random() == after  # each stream left where the steps left it
 
-    def test_scaled_gammas_name_lowest_bad_chain(self):
-        z = np.ones((4, 3))
-        rate = np.full((4, 3), 2.0)
-        rate[3, 0] = np.nan
-        rate[1, 2] = -1.0
-        with pytest.raises(ValidationError, match=r"rate=array\(\[ 2\.,  2\., -1\.\]\)") as exc:
-            draw_gamma(None, 1.0, rate, z=z)
-        assert exc.value.row == 1
-        np.testing.assert_array_equal(draw_gamma(None, 1.0, 4.0, z=z), np.full((4, 3), 0.25))
+    @pytest.mark.parametrize("sweeps", [1, 2, 7])
+    def test_block_is_one_normal_call_then_one_call_per_run(self, sweeps):
+        # a block of sweeps lays out each chain's draws call by call: all
+        # its normals, then each run's Gammas, in run order
+        shapes = np.array([0.5, 1.5, 2.5, 3.5])
+        runs = ((11.5, 1), (2.0, 8), (shapes, 4), (1.0, 3))
+        gens = [rng(32, k) for k in range(2)]
+        zn, zg = draw_standard(gens, 6, runs, sweeps)
+        assert zn.shape == (2, sweeps, 6)
+        assert [z.shape for z in zg] == [(2, sweeps, count) for _, count in runs]
+        for k in range(2):
+            ref = rng(32, k)
+            assert zn[k].tobytes() == ref.standard_normal(sweeps * 6).tobytes()
+            for (shape, count), z in zip(runs, zg):
+                want = ref.standard_gamma(np.broadcast_to(shape, (sweeps, count)))
+                assert z[k].tobytes() == want.tobytes()
+            assert gens[k].random() == ref.random()
+
+    def test_gamma_rows_are_each_chains_call(self):
+        shape = np.array([[1.0, 2.5, 7.0], [0.5, 3.0, 1.5]])
+        rows = standard_gamma_rows([rng(33, 0), rng(33, 1)], shape)
+        for k in range(2):
+            assert rows[k].tobytes() == rng(33, k).standard_gamma(shape[k]).tobytes()
+        assert (standard_gamma_rows(rng(33, 1), shape[1]).tobytes()
+                == rows[1].tobytes())
 
 
 class TestMvnFromPrecision:
