@@ -205,6 +205,7 @@ def cmd_check_theory(args) -> None:
     import numpy as np
 
     from .inference import theorem2_curve
+    from .kernels import allocate
 
     if args.grid_points < 3:  # the tail slope needs at least two points
         raise ValidationError(f"--grid-points must be >= 3, got {args.grid_points}")
@@ -212,7 +213,8 @@ def cmd_check_theory(args) -> None:
     if not -top < lo < hi < top:  # also rejects NaN
         raise ValidationError(f"need -{top:.6g} < --log10-min < --log10-max < {top:.6g}, so that "
                               f"the phi grid is finite and > 0; got {lo!r} and {hi!r}")
-    grid = np.logspace(lo, hi, args.grid_points)
+    grid = allocate(args.grid_points)  # a size numpy refuses exits 2 here
+    grid[:] = np.logspace(lo, hi, args.grid_points)
     curve = theorem2_curve(args.prior, args.eps, n_i=args.n_obs,
                            resid_mean=args.resid, lam_tau=args.lam_tau,
                            phi_grid=grid)

@@ -92,6 +92,14 @@ def design_rows(panel: PanelDataset, spec: ModelSpec):
             f"reg_cdr^2 or year - year_offset is beyond float range")
     return X, panel.unit_ids, np.asarray(panel.sizes, dtype=np.intp)
 
+
+def _side_by_side(*parts) -> np.ndarray:
+    """The (..., m, k_j) arrays `parts` joined along their last axis,
+    broadcast over their leading axes."""
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in parts))
+    return np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]) for a in parts], axis=-1)
+
+
 @dataclass(frozen=True)
 class GroupedDesign:
     """Stacked design with per-group sufficient statistics for the sampler.
@@ -99,8 +107,10 @@ class GroupedDesign:
     A Gibbs sweep reads only the per-group statistics (`sizes`, `xbar`,
     `ybar`, `XtX_g`, `Xty_g`, `yty_g`) and the per-design constants
     below, never the n rows `X`, `y`, `group_idx`. The constants are
-    computed on first use and kept, so they cost once per fit; they
-    depend on the covariates and sizes only, not on y.
+    computed on first use and kept, so they cost once per fit.
+    `xtx_eigh` and `lambda_shape` depend on the covariates and sizes
+    only; `beta_sums` and `rss_sums` also hold the y sums, which may
+    carry a leading chain axis.
     """
 
     X: np.ndarray          # (n, p)
@@ -131,6 +141,21 @@ class GroupedDesign:
         """(eigenvalues in ascending order, eigenvectors as columns) of
         the pooled X'X = sum_g XtX_g."""
         return np.linalg.eigh(self.XtX_g.sum(axis=0))
+
+    @functools.cached_property
+    def beta_sums(self) -> np.ndarray:
+        """(m, 2p + p^2) rows [X_i'y_i, n_i xbar_i, vec X_i'X_i]: the sums
+        of the beta conditional, for one product with per-group weights."""
+        return _side_by_side(self.Xty_g, self.sizes[:, None] * self.xbar,
+                             self.XtX_g.reshape(self.XtX_g.shape[:-2] + (-1,)))
+
+    @functools.cached_property
+    def rss_sums(self) -> np.ndarray:
+        """(m, 1 + 2p + p^2) rows [y_i'y_i, X_i'y_i, vec X_i'X_i, xbar_i]:
+        the sums of the residual sums of squares, for one product with
+        per-chain coefficients."""
+        return _side_by_side(self.yty_g[..., None], self.Xty_g,
+                             self.XtX_g.reshape(self.XtX_g.shape[:-2] + (-1,)), self.xbar)
 
     @functools.cached_property
     def lambda_shape(self):

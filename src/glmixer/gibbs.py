@@ -16,7 +16,10 @@ stationary distribution, which the getting-it-right tests verify.
 
 A sweep reads only the design's per-group sufficient statistics and its
 per-fit constants (see `GroupedDesign`), never the n data rows: the beta
-conditional and the residual sums of squares are closed forms in them.
+conditional and the residual sums of squares are closed forms in them,
+one stacked product each. Under Half-Cauchy errors beta is drawn as
+P^-1 (b + L z) with P = L L' (`kernels.draw_mvn_from_precision`), under
+gamma errors from the design's once-per-fit eigendecomposition.
 
 `sweep` has one draw path: one Generator per chain, and each step run
 once on (C, .) arrays (a lone chain may drop the axis). Each chain's
@@ -51,9 +54,9 @@ import numpy as np
 from .defaults import DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER, DEFAULT_THIN
 from .design import GroupedDesign, ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
-from .kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
-                      draw_mvn_whitened, draw_standard, matvec, standard_gamma_rows,
-                      vecmat, whitening_from_precision)
+from .kernels import (RngStream, allocate, draw_categorical_log, draw_gamma, draw_gig,
+                      draw_mvn_from_precision, draw_mvn_whitened, draw_standard, matvec,
+                      standard_gamma_rows, vecmat)
 
 ERROR_PRIORS = ("gamma", "half-cauchy")
 REFFECT_PRIORS = ("gamma", "student-t", "horseshoe", "laplace")
@@ -125,15 +128,16 @@ class PriorConfig:
 
     @functools.cached_property
     def _nu_t_terms(self):
-        """Support-only terms of the nu_i conditional as (|support|, 1)
-        columns, computed once per config: log prior, log Student-t
-        normalizer, (nu + 1) / 2 and nu."""
+        """Support-only terms of the nu_i conditional (see `nu_log_weights`),
+        combined once per config: the (|support|, 2) columns [nu, 1], and
+        h = (nu + 1)/2 and c = log prior + log Student-t normalizer + h log nu
+        as (|support|,) arrays."""
         df = np.asarray(self.nu_support, dtype=np.float64)
         gammaln = np.vectorize(math.lgamma, otypes=[np.float64])
-        terms = (nu_log_prior(self),
-                 gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi),
-                 (df + 1.0) / 2.0, df)
-        terms = tuple(a[:, None] for a in terms)
+        half_df1 = (df + 1.0) / 2.0
+        log_norm = gammaln(half_df1) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi)
+        terms = (np.stack([df, np.ones_like(df)], axis=1), half_df1,
+                 nu_log_prior(self) + log_norm + half_df1 * np.log(df))
         for a in terms:
             a.setflags(write=False)
         return terms
@@ -220,23 +224,31 @@ def step_u(state: ChainState, design: GroupedDesign, rng, z=None) -> None:
     state.u = mean + np.sqrt(var) * (rng.standard_normal(design.m) if z is None else z["u"])
 
 
-def _beta_rhs(state: ChainState, design: GroupedDesign) -> np.ndarray:
-    """b = tau sum_i lam_i (X_i'y_i - u_i n_i xbar_i), from the per-group sums."""
-    lam = state.lam
-    return _col(state.tau) * (vecmat(lam, design.Xty_g)
-                              - vecmat(lam * state.u * design.sizes, design.xbar))
+def _beta_sums(state: ChainState, design: GroupedDesign, columns: int) -> np.ndarray:
+    """The first `columns` columns of sum_i [lam_i; lam_i u_i] times row i of
+    the design's `beta_sums`: one stacked product, (..., 2, columns)."""
+    weights = np.empty(state.u.shape[:-1] + (2, design.m))
+    weights[..., 0, :] = state.lam
+    np.multiply(state.lam, state.u, out=weights[..., 1, :])
+    return np.matmul(weights, design.beta_sums[..., :columns])
+
+
+def _beta_rhs(state: ChainState, sums: np.ndarray, p: int) -> np.ndarray:
+    """b = tau sum_i lam_i (X_i'y_i - u_i n_i xbar_i) from `_beta_sums`."""
+    return _col(state.tau) * (sums[..., 0, :p] - sums[..., 1, p:2 * p])
 
 
 def beta_conditional(state: ChainState, design: GroupedDesign, prior_precision: float = 0.0):
-    """Precision matrix P and right-hand side b of the beta conditional
-    N(P^-1 b, P^-1), with P = tau sum_i lam_i X_i'X_i (+ prior precision),
-    as one mat-vec over the flattened XtX_g."""
-    m, p = design.m, design.p
-    XtX = vecmat(state.lam, design.XtX_g.reshape(m, p * p))
-    P = _col(state.tau, 2) * XtX.reshape(XtX.shape[:-1] + (p, p))
+    """Right-hand side b and precision matrix P of the beta conditional
+    N(P^-1 b, P^-1): b = tau sum_i lam_i (X_i'y_i - u_i n_i xbar_i) and
+    P = tau sum_i lam_i X_i'X_i (+ prior precision), from one stacked
+    product of the weights [lam; lam u] with the design's `beta_sums`."""
+    p = design.p
+    sums = _beta_sums(state, design, 2 * p + p * p)
+    P = _col(state.tau, 2) * sums[..., 0, 2 * p:].reshape(sums.shape[:-2] + (p, p))
     if prior_precision > 0.0:
         P = P + prior_precision * np.eye(p)
-    return _beta_rhs(state, design), P
+    return _beta_rhs(state, sums, p), P
 
 
 def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng,
@@ -247,17 +259,20 @@ def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng
     Under gamma errors lam = 1, so P = tau X'X + kappa I = V diag(tau Lambda
     + kappa) V' with the design's once-per-fit eigendecomposition X'X =
     V Lambda V', and W = (V / sqrt(tau Lambda + kappa))' whitens it without
-    a factorization. Otherwise P is factored each sweep.
+    a factorization, and b needs only the first 2p columns of the product.
+    Otherwise beta = P^-1 (b + L z) with P = L L' factored each sweep
+    (`draw_mvn_from_precision`).
     """
     noise = None if z is None else z["beta"]
     if priors.error_prior == "gamma":
         evals, evecs = design.xtx_eigh
         scale = np.sqrt(_col(state.tau) * evals + priors.beta_prior_precision)
         W = np.swapaxes(evecs / scale[..., None, :], -1, -2)
-        state.beta = draw_mvn_whitened(rng, _beta_rhs(state, design), W, noise)
+        rhs = _beta_rhs(state, _beta_sums(state, design, 2 * design.p), design.p)
+        state.beta = draw_mvn_whitened(rng, rhs, W, noise)
     else:
-        rhs, P = beta_conditional(state, design, priors.beta_prior_precision)
-        state.beta = draw_mvn_whitened(rng, rhs, whitening_from_precision(P), noise)
+        state.beta = draw_mvn_from_precision(
+            rng, *beta_conditional(state, design, priors.beta_prior_precision), noise)
     state.rss = rss_closed_form(state.beta, state.u, design)
 
 
@@ -267,14 +282,21 @@ def rss_closed_form(beta: np.ndarray, u: np.ndarray, design: GroupedDesign) -> n
 
         y'y - 2 beta'X'y + beta'X'X beta + n u (u - 2 (ybar - xbar'beta)),
 
-    with beta'X'X beta as one mat-vec of the flattened XtX_g against
-    beta beta'. Clipped at 0, because cancellation can leave a tiny
-    negative value where every residual is near zero."""
-    m, p = design.m, design.p
-    outer = (beta[..., :, None] * beta[..., None, :]).reshape(beta.shape[:-1] + (p * p,))
-    rss = (design.yty_g - 2.0 * matvec(design.Xty_g, beta)
-           + matvec(design.XtX_g.reshape(m, p * p), outer))
-    rss += design.sizes * u * (u - 2.0 * (design.ybar - matvec(design.xbar, beta)))
+    where the first three terms and xbar'beta are one stacked product of
+    the design's `rss_sums` [y'y, X'y, vec X'X, xbar] with the coefficient
+    columns [1, -2 beta, vec(beta beta'), 0] and [0, 0, 0, beta]. Clipped
+    at 0, because cancellation can leave a tiny negative value where every
+    residual is near zero."""
+    p = design.p
+    chain = beta.shape[:-1]
+    coef = np.zeros(chain + (1 + 2 * p + p * p, 2))
+    coef[..., 0, 0] = 1.0
+    coef[..., 1:1 + p, 0] = -2.0 * beta
+    coef[..., 1 + p:1 + p + p * p, 0] = (beta[..., :, None] * beta[..., None, :]).reshape(
+        chain + (p * p,))
+    coef[..., 1 + p + p * p:, 1] = beta
+    sums = np.matmul(design.rss_sums, coef)  # (..., m, 2)
+    rss = sums[..., 0] + design.sizes * u * (u - 2.0 * (design.ybar - sums[..., 1]))
     return np.maximum(rss, 0.0, out=rss)
 
 
@@ -348,25 +370,33 @@ def nu_log_prior(priors: PriorConfig) -> np.ndarray:
     return np.log(l) - np.log(l + priors.k_nu)
 
 
-def nu_log_weights(u: np.ndarray, phi, priors: PriorConfig) -> np.ndarray:
+def nu_log_weights(u: np.ndarray, phi, priors: PriorConfig, out=None) -> np.ndarray:
     """(m, |support|) log weights of one chain's nu_i conditional, or
     (C, m, |support|) for C chains' u (C, m) and phi (C,): log prior plus
-    the log Student-t density of u_i at scale sqrt(1/phi).
+    the log Student-t density of u_i at scale s = sqrt(1/phi). With
+    q_i = phi u_i^2, h_j = (nu_j + 1)/2 and c_j the log prior, log
+    normalizer and h_j log nu_j of support point nu_j (`PriorConfig.
+    _nu_t_terms`, once per config),
 
-    Built support-major with in-place ops, so every operation runs along
-    the units (and chains), and returned as the view with the support last."""
-    terms = priors._nu_t_terms
-    if u.ndim > 1:
-        terms = [t[..., None] for t in terms]
-    log_prior, log_norm, half_df1, df = terms
-    scale = np.sqrt(1.0 / phi)
-    z = u / _col(scale)
-    w = z * z / df
-    np.log1p(w, out=w)
-    w *= half_df1
-    np.subtract(log_norm - _col(np.log(scale)), w, out=w)
-    w += log_prior
-    return w.transpose(*range(1, w.ndim), 0)
+        log w_ij = c_j - log s - h_j log(nu_j + q_i)
+                 = -h_j log(g_j nu_j + g_j q_i),  g_j = exp((log s - c_j) / h_j),
+
+    so a chain's table is one (|support| x 2)(2 x m) product of [g nu, g]
+    with [1; q], then one log and one multiply. It is built support-major,
+    in `out` ((|support|, C, m), or (|support|, m) for one chain) when
+    given, so every operation runs along the units and chains, and
+    returned as the view with the support last."""
+    nu_one, half_df1, const = priors._nu_t_terms
+    g = np.exp(((-0.5 * np.log(phi))[..., None] - const) / half_df1)
+    ones_q = np.empty(u.shape[:-1] + (2, u.shape[-1]))
+    ones_q[..., 0, :] = 1.0
+    np.multiply(u * u, _col(phi), out=ones_q[..., 1, :])
+    if out is None:
+        out = np.empty(half_df1.shape + u.shape)
+    np.matmul(g[..., None] * nu_one, ones_q, out=out.swapaxes(0, -2))
+    np.log(out, out=out)
+    np.multiply(out, -half_df1.reshape(half_df1.shape + (1,) * u.ndim), out=out)
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def omega_conditional_horseshoe(phiu2, varrho):
@@ -395,7 +425,7 @@ def _each_chain(rng, draw, *args):
     return np.stack(out)
 
 
-def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
+def step_omega(state: ChainState, priors: PriorConfig, rng, z=None, nu_table=None) -> None:
     """Local random-effect precisions by family.
 
     Horseshoe: omega ~ Gamma(1, phi u^2/2 + varrho), varrho ~ Gamma(1, omega+1).
@@ -404,7 +434,8 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
     pair is a valid blocked draw), then omega ~ Gamma(nu/2 + 1/2,
     phi u^2/2 + nu/2). These draw from each chain's own Generator, not
     from the sweep's up-front standard draws. The nu categorical is one
-    call for all chains, with one uniform call per chain, and the omega
+    call for all chains, with one uniform call per chain, on log weights
+    built in `nu_table` (a sweep's is `SweepLayout.nu_table`), and the omega
     Gammas are one call per chain into one buffer, divided by their rates
     at once (no per-draw check: `sweep` checks omega at its end); Laplace's
     Wald draws run chain by chain.
@@ -418,7 +449,7 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
     elif priors.reffect_prior == "laplace":
         state.omega = _each_chain(rng, lambda g, a: draw_gig(g, a, 2.0), phiu2)
     elif priors.reffect_prior == "student-t":
-        idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors))
+        idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors, nu_table))
         state.nu = np.asarray(priors.nu_support)[idx]
         shape, rate = omega_conditional_student_t(phiu2, state.nu.astype(np.float64))
         state.omega = standard_gamma_rows(rng, shape) / rate
@@ -426,16 +457,19 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None) -> None:
 
 
 class SweepLayout(NamedTuple):
-    """What a sweep's standard draws and its end check need, fixed per fit."""
+    """What a sweep's standard draws, its nu step and its end check need,
+    fixed per fit."""
 
     runs: tuple     # (shape, count) of each run of equal Gamma shapes, in draw order
     at: dict        # draw name -> (run index, index or slice within the run)
     checked: tuple  # (step, field names, what their draws need) in step order
     fields: Callable  # state -> (u, beta, then the fields that must be > 0)
     block: int      # sweeps per block of `run_chains`'s standard draws
+    nu_table: Optional[np.ndarray]  # Student-t: the nu log weights' buffer, refilled each sweep
 
 
-def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=()) -> SweepLayout:
+def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=(),
+                  chains: Optional[int] = None) -> SweepLayout:
     """A sweep's standard Gamma draws in draw order as runs of one
     `gamma_shape`: a float, or one shape per unit for lambda on an
     unbalanced panel; equal float runs are merged. Also the fields each
@@ -443,7 +477,10 @@ def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=()) -> Sweep
     others finite and > 0; the "needs" of a field name what its draw's
     parameters must be, for the error message. The block is as many
     sweeps as fit in SWEEP_BLOCK_BYTES per chain, so it depends on the
-    design's shape and the priors, never on the chains or the run length."""
+    design's shape and the priors, never on the chains or the run length.
+    Under Student-t the nu step's (|support|, chains, m) table, without
+    the chain axis for a lone chain (`chains` None), is allocated here,
+    once per fit."""
     names = [name for name in ("tau", "phi") if name not in fixed]
     if priors.error_prior == "half-cauchy":
         names += ["lam", "rho"]
@@ -478,8 +515,12 @@ def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=()) -> Sweep
         checked.append(("omega", ("omega",), gamma))
     per_sweep = design.m + design.p + sum(count for _, count in runs)
     positive = [name for _, drawn, needs in checked if needs for name in drawn]
+    nu_table = None
+    if priors.reffect_prior == "student-t":
+        nu_table = np.empty((len(priors.nu_support),) + (() if chains is None else (chains,))
+                            + (design.m,))
     return SweepLayout(tuple(runs), at, tuple(checked), attrgetter("u", "beta", *positive),
-                       max(1, SWEEP_BLOCK_BYTES // (8 * per_sweep)))
+                       max(1, SWEEP_BLOCK_BYTES // (8 * per_sweep)), nu_table)
 
 
 def _standard_draws(rngs, design: GroupedDesign, layout: SweepLayout, sweeps: int,
@@ -552,8 +593,8 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
     """
     if isinstance(rngs, np.random.Generator):
         rngs = [rngs]
-    layout = layout or _sweep_layout(design, priors, fixed)
     lone = state.u.ndim == 1  # a lone chain, held without the chain axis
+    layout = layout or _sweep_layout(design, priors, fixed, None if lone else len(state.u))
     if z is None:
         (z,) = _standard_draws(rngs, design, layout, 1, lone)
     if lone:
@@ -570,7 +611,7 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
             step_lambda_halfcauchy(state, design, rngs, z)
         if priors.reffect_prior != "gamma":
             step = "omega"
-            step_omega(state, priors, rngs, z)
+            step_omega(state, priors, rngs, z, layout.nu_table)
     except (GlmixerError, ArithmeticError, ValueError) as exc:
         err = _first_bad_step(state, layout, step, f" (step {step} then failed: {exc})")
         if err is None:
@@ -662,21 +703,26 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
         design = panel_or_design
     else:
         design = build_matrices(panel_or_design, spec)
-    stream_ids = range(chains) if isinstance(chains, numbers.Integral) else tuple(chains)
-    n_chains = len(stream_ids)
-    rngs = [RngStream(seed=seed, stream_id=k).generator() for k in stream_ids]
+    if isinstance(chains, numbers.Integral):
+        stream_ids, n_chains = range(chains), int(chains)
+    else:
+        stream_ids = tuple(chains)
+        n_chains = len(stream_ids)
     start = initialize_state(design, priors)
+    recorded = priors.recorded
+    # the draws come first, so a run size numpy refuses stops the fit
+    # before any Generator is made
+    draws = {key: allocate((n_chains, kept, *np.shape(getattr(start, attr))),
+                           np.intp if key == "nu" else np.float64)
+             for key, attr in recorded.items()}
+    rngs = [RngStream(seed=seed, stream_id=k).generator() for k in stream_ids]
     # a lone chain is held without the chain axis, which its sweep runs faster on
     state = start if n_chains == 1 else ChainState(**{
         f.name: np.repeat(np.asarray(getattr(start, f.name))[None], n_chains, axis=0)
         for f in fields(ChainState)})
     for name, value in fixed.items():
         setattr(state, name, float(value) if n_chains == 1 else np.full(n_chains, float(value)))
-    layout = _sweep_layout(design, priors, fixed)
-    recorded = priors.recorded
-    draws = {key: np.empty((n_chains, kept, *np.shape(getattr(start, attr))),
-                           dtype=np.intp if key == "nu" else np.float64)
-             for key, attr in recorded.items()}
+    layout = _sweep_layout(design, priors, fixed, None if n_chains == 1 else n_chains)
     k = 0
     for t in range(1, n_iter + 1):
         b = (t - 1) % layout.block

@@ -95,8 +95,11 @@ def _ess_workspace_bytes(c: int, k: int) -> int:
 def _block_ess(x: np.ndarray) -> np.ndarray:
     """ESS of each parameter of a C-contiguous (D, C, K) block, pooling
     chains with Geyer's initial monotone sequence. The autocovariances
-    come from one FFT along the last axis; only the pair truncation loops
-    over parameters."""
+    come from one FFT along the last axis, and the truncation runs on all
+    parameters at once: the running minimum of the pair sums along each
+    row, then each row's sum up to its first negative pair, taken for all
+    rows of one truncation length at a time, so that every sum has the
+    bits of numpy's sum of that prefix alone."""
     d, c, k = x.shape
     if k < 4:
         return np.full(d, float(c * k))
@@ -117,17 +120,15 @@ def _block_ess(x: np.ndarray) -> np.ndarray:
     pairs = rho[:, 1:2 * n_pairs:2] + rho[:, 2:2 * n_pairs + 1:2]
     negative = pairs < 0.0
     cut = np.where(negative.any(axis=1), negative.argmax(axis=1), n_pairs)
+    mono = np.minimum.accumulate(pairs[:, :cut.max(initial=0)], axis=1)
+    total = np.zeros(d)
+    for length in set(cut.tolist()) - {0}:
+        rows = np.flatnonzero(cut == length)
+        total[rows] = mono[rows, :length].sum(axis=1)
     n = c * k
     floor, cap = 1.0 / math.log10(n + 10), n * math.log10(n + 10)
-    out = np.empty(d)
-    for j in range(d):
-        if degenerate[j]:
-            out[j] = n
-            continue
-        mono = np.minimum.accumulate(pairs[j, :cut[j]])
-        tau_hat = max(-1.0 + 2.0 * rho[j, 0] + 2.0 * float(np.sum(mono)), floor)
-        out[j] = min(n / tau_hat, cap)
-    return out
+    tau_hat = np.maximum(-1.0 + 2.0 * rho[:, 0] + 2.0 * total, floor)
+    return np.where(degenerate, float(n), np.minimum(n / tau_hat, cap))
 
 
 # Wichura's AS241 (PPND16) rational approximations of the normal quantile

@@ -13,7 +13,9 @@ of one sweep, or of a block of sweeps) and `draw_categorical_log` (the
 Student-t nu draw) take all chains in one call, and `standard_gamma_rows`
 draws Student-t's omega Gammas into one buffer; inside, each chain still
 draws from its own Generator, including the nu uniforms. Laplace's Wald
-draws (`draw_gig`) are called chain by chain.
+draws (`draw_gig`) are called chain by chain. `draw_mvn_from_precision`,
+the beta draw under Half-Cauchy errors, takes a stack of precision
+matrices and draws P^-1 (b + L z) from one Cholesky factor and one solve.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))
+
+
+def allocate(shape, dtype=np.float64) -> np.ndarray:
+    """np.empty(shape, dtype), or ValidationError when numpy refuses the
+    size: more bytes than it can allocate, or a count beyond its index
+    range."""
+    try:
+        return np.empty(shape, dtype)
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"cannot hold an array of shape {shape}: "
+                              f"{type(exc).__name__}: {exc}") from None
 
 
 def _finite_positive(x, allow_zero=False) -> bool:
@@ -163,36 +176,52 @@ def draw_mvn_whitened(rng, b, W, z=None):
     return vecmat(matvec(W, b) + (rng.standard_normal(W.shape[-1]) if z is None else z), W)
 
 
-def whitening_from_precision(P, row=0):
-    """W = L^-1 from the Cholesky factorization P = L L', so W'W = P^-1; P
-    may carry a leading chain axis. A matrix that fails to factor gets
-    jitter 1e-10 * trace(P)/p on its diagonal and one retry; a second
-    failure raises NumericalError with that chain as its `row`."""
+def _cholesky(P):
+    """The lower Cholesky factor L of each precision matrix of P, and the
+    matrices factored: a matrix that fails to factor gets jitter
+    1e-10 * trace(P_c)/p on its diagonal and one retry. A second failure
+    raises NumericalError whose `row` is that chain (the lowest such)."""
     try:
-        L = np.linalg.cholesky(P)
+        return np.linalg.cholesky(P), P
     except np.linalg.LinAlgError:
-        if P.ndim > 2:
-            return np.stack([whitening_from_precision(Pc, c) for c, Pc in enumerate(P)])
-        jitter = MVN_JITTER_REL * np.trace(P) / P.shape[0]
+        pass
+    stack = P.reshape((-1,) + P.shape[-2:]).copy()
+    factors = np.empty_like(stack)
+    for c, Pc in enumerate(stack):
         try:
-            L = np.linalg.cholesky(P + jitter * np.eye(P.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            err = NumericalError(
-                f"precision matrix not positive definite even after jitter {jitter:g}")
-            err.row = row
-            raise err from exc
-    return np.linalg.inv(L)
+            factors[c] = np.linalg.cholesky(Pc)
+        except np.linalg.LinAlgError:
+            jitter = MVN_JITTER_REL * np.trace(Pc) / len(Pc)
+            Pc += jitter * np.eye(len(Pc))
+            try:
+                factors[c] = np.linalg.cholesky(Pc)
+            except np.linalg.LinAlgError as exc:
+                err = NumericalError(
+                    f"precision matrix not positive definite even after jitter {jitter:g}")
+                err.row = c
+                raise err from exc
+    return factors.reshape(P.shape), stack.reshape(P.shape)
 
 
-def draw_mvn_from_precision(rng, b, P):
-    """Draw from N(P^-1 b, P^-1) as `draw_mvn_whitened` with the W of
-    `whitening_from_precision`."""
+def draw_mvn_from_precision(rng, b, P, z=None):
+    """A draw from N(P^-1 b, P^-1) as P^-1 (b + L z), with P = L L' and z
+    standard normal (rng's unless given): its covariance is P^-1 L L' P^-1
+    = P^-1. One Cholesky factorization (`_cholesky`, with its jitter
+    retry) and one `solve`. b (p,) and P (p, p) may carry a leading chain
+    axis, and each chain gets the bits of its one-chain call. A P that is
+    not finite raises NumericalError; its `row` is the lowest such chain."""
     b = np.asarray(b, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
-    p = b.shape[0]
-    if P.shape != (p, p):
-        raise ValidationError(f"precision matrix shape {P.shape} incompatible with b of length {p}")
-    return draw_mvn_whitened(rng, b, whitening_from_precision(P))
+    if b.ndim == 0 or P.shape != b.shape + b.shape[-1:]:
+        raise ValidationError(f"precision matrix shape {P.shape} incompatible with b of "
+                              f"shape {b.shape}")
+    if not np.isfinite(P).all():
+        err = NumericalError("precision matrix is not finite")
+        err.row = int(np.argmin(np.isfinite(P).all(axis=(-2, -1)))) if P.ndim > 2 else 0
+        raise err
+    L, P = _cholesky(P)
+    noise = rng.standard_normal(b.shape[-1]) if z is None else z
+    return np.linalg.solve(P, (b + matvec(L, noise))[..., None])[..., 0]
 
 
 def draw_gig(rng, a, b):
@@ -239,7 +268,8 @@ def draw_categorical_log(rng, log_weights):
     every sweep, makes the allocator hand pages back to the system and
     fault them in again each time.
     """
-    lw = np.moveaxis(np.asarray(log_weights, dtype=np.float64), -1, 0)
+    lw = np.asarray(log_weights, dtype=np.float64)
+    lw = lw.transpose(lw.ndim - 1, *range(lw.ndim - 1))  # the support first
     top = lw.max(axis=0)  # NaN if the row holds a NaN
     finite = np.isfinite(top)
     chains = isinstance(rng, (list, tuple))
@@ -257,7 +287,10 @@ def draw_categorical_log(rng, log_weights):
         u = np.stack([g.random(size=cdf.shape[2:]) for g in rng])
     else:
         u = rng.random(size=cdf.shape[1:])
-    idx = np.count_nonzero(cdf <= u * cdf[-1], axis=0)
+    # the count as a sum of the comparison's bytes, in the smallest
+    # integer type that holds the support's length
+    below = (cdf <= u * cdf[-1]).view(np.uint8)
+    idx = np.add.reduce(below, axis=0, dtype=np.min_scalar_type(len(cdf))).astype(np.intp)
     return int(idx) if lw.ndim == 1 else idx
 
 

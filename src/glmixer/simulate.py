@@ -18,7 +18,7 @@ import numpy as np
 from .data import CSV_COLUMNS, build_panel, inv_logit
 from .design import ModelSpec, covariate_rows
 from .errors import ValidationError
-from .kernels import RngStream, draw_local_prior
+from .kernels import RngStream, allocate, draw_local_prior
 
 SIM_STREAM = 999_000  # dedicated stream so fits can reuse chain streams 0..C-1
 SIM_NU = 5.0  # degrees of freedom of the Student-t local prior
@@ -65,7 +65,10 @@ class SimConfig:
 
 
 def simulate_panel(config: SimConfig):
-    """Generate (panel, truth dict). Deterministic in config.seed."""
+    """Generate (panel, truth dict). Deterministic in config.seed. The
+    (m, n_i) errors are allocated first, so a size numpy refuses is a
+    ValidationError before anything is drawn."""
+    eps = allocate((config.m, config.n_i))
     rng = RngStream(config.seed, SIM_STREAM).generator()
     spec = ModelSpec(variant=config.variant, sex=config.sex,
                      year_offset=config.first_year + (config.n_i - 1) / 2.0)
@@ -75,12 +78,11 @@ def simulate_panel(config: SimConfig):
     n = config.m * config.n_i
     columns = {name: [] for name in CSV_COLUMNS}
     columns["sex"] = [config.sex] * n
-    eps = []
     for i in range(config.m):
         for name, lo, hi in (("reg_cdr", 2.0, 12.0), ("pct65", 0.01, 0.20),
                              ("u5mr", 0.005, 0.15), ("c5q0", 0.3, 1.0)):
             columns[name] += rng.uniform(lo, hi, size=config.n_i).tolist()
-        eps.append(rng.standard_normal(config.n_i) / np.sqrt(config.tau))
+        eps[i] = rng.standard_normal(config.n_i) / np.sqrt(config.tau)
         columns["unit_id"] += [f"U{i:03d}"] * config.n_i
         columns["year"] += range(config.first_year, config.first_year + config.n_i)
     if config.variant != 1:
@@ -88,7 +90,7 @@ def simulate_panel(config: SimConfig):
     X = covariate_rows(spec, *(columns[name]
                                for name in ("year", "reg_cdr", "pct65", "u5mr", "c5q0")))
     theta = (np.matmul(X[:, None, :], beta[:, None])[:, 0, 0]
-             + np.repeat(u, config.n_i) + np.concatenate(eps))
+             + np.repeat(u, config.n_i) + eps.ravel())
     columns["completeness"] = [min(max(inv_logit(t), 1e-6), 1.0 - 1e-6) for t in theta.tolist()]
     panel = build_panel(*(columns[name] for name in CSV_COLUMNS))
     truth = {

@@ -45,12 +45,16 @@ def fixed_design(rng):
 
 def set_y(design, y):
     """Set the y aggregates of the frozen design in place, one row per
-    row of y (C, M N_I); its cached per-fit constants do not read y."""
+    row of y (C, M N_I), and drop the cached tables that hold y sums
+    (`beta_sums`, `rss_sums`), so the next sweep builds them from these;
+    its other cached per-fit constants do not read y."""
     yg = y.reshape(-1, M, N_I)
     object.__setattr__(design, "ybar", yg.mean(axis=2))
     object.__setattr__(design, "Xty_g",
                        np.einsum("gij,cgi->cgj", design.X.reshape(M, N_I, P), yg))
     object.__setattr__(design, "yty_g", np.einsum("cgi,cgi->cg", yg, yg))
+    for name in ("beta_sums", "rss_sums"):
+        design.__dict__.pop(name, None)
 
 
 def draw_prior(rng, priors, n):

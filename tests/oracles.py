@@ -14,6 +14,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy.integrate import quad
 
+from glmixer import inference
 from glmixer.data import CSV_COLUMNS, DEFAULT_CLAMP_EPS, SEXES, inv_logit, read_csv_rows
 from glmixer.errors import ValidationError
 from glmixer.kernels import RngStream, draw_local_prior
@@ -192,6 +193,40 @@ def ess_one_parameter(chains):
     tau_hat = -1.0 + 2.0 * rho[0] + 2.0 * float(np.sum(mono))
     tau_hat = max(tau_hat, 1.0 / math.log10(c * k + 10))
     return float(min(c * k / tau_hat, c * k * math.log10(c * k + 10)))
+
+
+def block_ess_by_parameter(x):
+    """`inference._block_ess` with Geyer's truncation run one parameter at
+    a time: the same autocovariances, then each row's pair sums up to its
+    first negative pair, their running minimum and its sum."""
+    d, c, k = x.shape
+    if k < 4:
+        return np.full(d, float(c * k))
+    nfft = inference._ess_nfft(k)
+    f = np.fft.rfft(x - x.mean(axis=-1, keepdims=True), nfft, axis=-1)
+    acov = np.fft.irfft(f * np.conjugate(f), nfft, axis=-1)[..., :k] / k
+    mean_var = (acov[..., 0] * k / (k - 1.0)).mean(axis=-1)
+    var_plus = mean_var * (k - 1.0) / k
+    if c > 1:
+        var_plus += x.mean(axis=-1).var(axis=-1, ddof=1)
+    degenerate = var_plus == 0.0
+    denom = np.where(degenerate, 1.0, var_plus)
+    rho = 1.0 - (mean_var[:, None] - acov.mean(axis=1)) / denom[:, None]
+    n_pairs = (k - 1) // 2
+    pairs = rho[:, 1:2 * n_pairs:2] + rho[:, 2:2 * n_pairs + 1:2]
+    n = c * k
+    out = np.empty(d)
+    for j in range(d):
+        if degenerate[j]:
+            out[j] = n
+            continue
+        negative = np.flatnonzero(pairs[j] < 0.0)
+        cut = negative[0] if len(negative) else n_pairs
+        mono = np.minimum.accumulate(pairs[j, :cut])
+        tau_hat = max(-1.0 + 2.0 * rho[j, 0] + 2.0 * float(np.sum(mono)),
+                      1.0 / math.log10(n + 10))
+        out[j] = min(n / tau_hat, n * math.log10(n + 10))
+    return out
 
 
 def rhat_one_parameter(chains):

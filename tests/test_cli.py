@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import glmixer
-from glmixer import cli, inference
+from glmixer import cli, gibbs, inference, simulate
 from glmixer.artifacts import MANIFEST_DIGEST, load_fit, manifest_digest
 from glmixer.cli import main
 from glmixer.data import build_panel, load_panel
@@ -912,3 +912,49 @@ class TestCheckTheory:
         assert main(["check-theory", *bad, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+# Huge counts are chosen so that numpy refuses them at once on any host:
+# 10**15 doubles need more address space than a 64-bit process has, and
+# 10**20 is beyond numpy's index range.
+HUGE = (str(10 ** 15), str(10 ** 20))
+NUMBERS = ("nan", "inf", "-inf", "1e400", "-5", *HUGE)
+NUMERIC_FLAGS = {
+    "simulate": ("--m", "--n-obs", "--tau", "--phi", "--seed", "--beta"),
+    "fit": ("--iters", "--burn-in", "--thin", "--chains", "--seed", "--year-offset"),
+    "check-theory": ("--eps", "--n-obs", "--resid", "--lam-tau", "--log10-min", "--log10-max",
+                     "--grid-points"),
+}
+# the run sizes that allocate (m x n_i errors, kept draws, the phi grid)
+SIZES = {("simulate", "--m"), ("simulate", "--n-obs"), ("fit", "--iters"), ("fit", "--chains"),
+         ("check-theory", "--grid-points")}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value) for command, flags in NUMERIC_FLAGS.items() for flag in flags
+    for value in NUMBERS])
+def test_numeric_flags_exit_cleanly(sim_dir, tmp_path, capsys, monkeypatch, command, flag,
+                                    value):
+    # every number a numeric flag may be given exits 0, 2, 3 or 4 with no
+    # traceback; argparse refuses a non-integer count with exit 2
+    args = {"simulate": ["--m", "4", "--n-obs", "10"],
+            "fit": ["--input", str(sim_dir / "panel.csv"), *FIT_ARGS],
+            "check-theory": []}[command]
+    args = args[:args.index(flag)] + args[args.index(flag) + 2:] if flag in args else args
+    huge_size = (command, flag) in SIZES and value in HUGE
+    if huge_size:
+        # refused before any work: no chain or simulation stream is made
+        def no_stream(*a, **k):
+            raise AssertionError("an RngStream was made for a size numpy refuses")
+        monkeypatch.setattr(gibbs, "RngStream", no_stream)
+        monkeypatch.setattr(simulate, "RngStream", no_stream)
+    try:
+        with warnings.catch_warnings():  # quadrature warnings at extreme check-theory inputs
+            warnings.simplefilter("ignore")
+            code = main([command, *args, flag, value, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4) and "Traceback" not in err
+    if huge_size:
+        assert code == 2 and "cannot hold an array of shape" in err

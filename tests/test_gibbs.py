@@ -17,6 +17,7 @@ from glmixer.gibbs import (ERROR_PRIORS, NU_WEIGHTS, REFFECT_PRIORS, PriorConfig
                            rss_closed_form, run_chain, step_beta,
                            step_lambda_halfcauchy, sweep, tau_conditional,
                            u_conditional)
+from glmixer.kernels import draw_categorical_log
 from glmixer.simulate import SimConfig, simulate_panel
 
 from oracles import group_aggregates_by_masks, rss_by_group
@@ -307,35 +308,78 @@ class TestNuPrior:
         PriorConfig(reffect_prior="student-t", nu_weight=w) for w in NU_WEIGHTS
     ] + [PriorConfig(reffect_prior="student-t", nu_support=(2, 4, 9), k_nu=1.5)])
     def test_log_weights_equal_direct_formula_exactly(self, priors):
+        # log w = c - log s - h log(nu + q) = -h log([g nu, g] [1; q]) with
+        # q = phi u^2, h = (nu + 1)/2, g = exp((log s - c) / h) and c the log
+        # prior, log normalizer and h log nu, the product as one matmul
         u = np.array([-40.0, -3.1, -1.3, 0.0, 0.2, 2.5, 1e-8])
-        df = np.asarray(priors.nu_support, dtype=np.float64)[None, :]
+        df = np.asarray(priors.nu_support, dtype=np.float64)
+        h = (df + 1.0) / 2.0
+        log_norm = lgamma(h) - lgamma(df / 2.0) - 0.5 * np.log(df * math.pi)
+        c = nu_log_prior(priors) + log_norm + h * np.log(df)
         for phi in (1e-4, 0.5, 2.0, 350.0):
-            scale = math.sqrt(1.0 / phi)
-            z = u[:, None] / scale
-            log_t = (lgamma((df + 1.0) / 2.0) - lgamma(df / 2.0)
-                     - 0.5 * np.log(df * math.pi) - np.log(scale)
-                     - (df + 1.0) / 2.0 * np.log1p(z * z / df))
+            g = np.exp((-0.5 * np.log(phi) - c) / h)
+            q = u * u * phi
+            table = np.stack([g * df, g], axis=1) @ np.stack([np.ones_like(q), q])
             np.testing.assert_array_equal(nu_log_weights(u, phi, priors),
-                                          nu_log_prior(priors)[None, :] + log_t)
+                                          (np.log(table) * -h[:, None]).T)
 
     def test_t_normalizer_matches_scipy_gammaln(self):
         priors = PriorConfig(reffect_prior="student-t")  # nu = 1, ..., 30
         df = np.asarray(priors.nu_support, dtype=np.float64)
-        _, log_norm, _, _ = priors._nu_t_terms
-        want = gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi)
-        np.testing.assert_allclose(log_norm[:, 0], want, rtol=0, atol=1e-13)
+        nu_one, h, c = priors._nu_t_terms
+        np.testing.assert_array_equal(nu_one, np.stack([df, np.ones_like(df)], axis=1))
+        np.testing.assert_array_equal(h, (df + 1.0) / 2.0)
+        want = (gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi)
+                + nu_log_prior(priors) + h * np.log(df))
+        np.testing.assert_allclose(c, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("priors", [
         PriorConfig(reffect_prior="student-t"),
         PriorConfig(reffect_prior="student-t", nu_weight="prose", nu_support=(2, 4, 9))])
     def test_chain_rows_equal_one_chain_weights(self, priors):
+        # also when built in a table buffer that held other values, as the
+        # sweep's per-fit table does
         g = np.random.default_rng(3)
         u = g.standard_normal((4, 25)) * np.array([[1e-3], [1.0], [10.0], [1e3]])
         phi = np.array([0.5, 4.0, 1e-3, 7e5])
-        batched = nu_log_weights(u, phi, priors)
-        assert batched.shape == (4, 25, len(priors.nu_support))
-        for c in range(4):
-            assert batched[c].tobytes() == nu_log_weights(u[c], float(phi[c]), priors).tobytes()
+        table = np.full((len(priors.nu_support), 4, 25), math.nan)
+        for out in (None, table):
+            batched = nu_log_weights(u, phi, priors, out=out)
+            assert batched.shape == (4, 25, len(priors.nu_support))
+            for c in range(4):
+                assert (batched[c].tobytes()
+                        == nu_log_weights(u[c], float(phi[c]), priors).tobytes())
+        assert np.shares_memory(batched, table)
+
+    @pytest.mark.parametrize("phi", [1e-4, 7e5])
+    def test_extreme_effects_draw_in_range_with_the_t_density_odds(self, phi):
+        # |u| sqrt(phi) from 0 to 1e100 (q = phi u^2 up to 1e200): the
+        # normalized weights are the scipy t density times the prior, and
+        # the chain-axis draw on the sweep's table buffer gives indices in range
+        priors = PriorConfig(reffect_prior="student-t")
+        support = np.asarray(priors.nu_support)
+        z = np.array([0.0, 1e-8, 0.3, 4.0, 1e3, 1e8, 1e30, 1e100])
+        u = np.stack([z, -z, z[::-1], -z[::-1]]) / math.sqrt(phi)
+        table = np.empty((len(support),) + u.shape)
+        lw = nu_log_weights(u, np.full(4, phi), priors, out=table)
+        oracle = (nu_log_prior(priors)
+                  + stats.t.logpdf(u[..., None], df=support, scale=math.sqrt(1.0 / phi)))
+        p_got, p_want = (np.exp(w - w.max(axis=-1, keepdims=True)) for w in (lw, oracle))
+        np.testing.assert_allclose(p_got / p_got.sum(axis=-1, keepdims=True),
+                                   p_want / p_want.sum(axis=-1, keepdims=True),
+                                   rtol=1e-9, atol=1e-12)
+        idx = draw_categorical_log([np.random.default_rng(c) for c in range(4)], lw)
+        assert idx.shape == u.shape and idx.min() >= 0 and idx.max() < len(support)
+
+    def test_nan_effect_names_the_lowest_bad_chain(self):
+        priors = PriorConfig(reffect_prior="student-t")
+        u = np.random.default_rng(2).standard_normal((4, 6))
+        u[3, 2] = u[1, 5] = math.nan
+        table = np.empty((len(priors.nu_support), 4, 6))
+        with pytest.raises(ValidationError, match="log weights") as exc:
+            draw_categorical_log([np.random.default_rng(c) for c in range(4)],
+                                 nu_log_weights(u, np.full(4, 2.0), priors, out=table))
+        assert exc.value.row == 1
 
     def test_algorithm3_prior_median_and_tail(self):
         w = np.exp(nu_log_prior(PriorConfig()))
@@ -544,7 +588,10 @@ class TestChainMechanics:
     @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
     def test_nan_precision_stops_the_beta_step(self, design, error_prior, monkeypatch):
         # tau turns NaN after iteration 4's u step, so that sweep's beta
-        # step meets a NaN precision, under either error prior's draw
+        # step meets a NaN precision, under either error prior's draw: the
+        # whitening matrix of the eigendecomposition, or the precision
+        # matrix the Half-Cauchy draw factors
+        message = {"gamma": "whitening", "half-cauchy": "precision"}[error_prior]
         calls = []
         real = gibbs.step_u
 
@@ -556,14 +603,14 @@ class TestChainMechanics:
 
         monkeypatch.setattr(gibbs, "step_u", failing)
         with pytest.raises(NumericalError,
-                           match=r"^chain 1, iteration 4, step beta: whitening matrix is not finite"):
+                           match=rf"^chain 1, iteration 4, step beta: {message} matrix is not finite"):
             run_chain(design, ModelSpec(variant=1, year_offset=2009.5),
                       PriorConfig(error_prior=error_prior), n_iter=20, burn_in=5,
                       seed=3, stream_id=1)
 
     @pytest.mark.parametrize("priors,hook,name,step,message", [
         (PriorConfig(error_prior="gamma"), "u_conditional", "tau", "u", "whitening"),
-        (PriorConfig(), "u_conditional", "tau", "u", "whitening"),
+        (PriorConfig(), "u_conditional", "tau", "u", "precision matrix is not finite"),
         (PriorConfig(), "tau_conditional", "lam", "scales", "Gamma shape and rate"),
         (PriorConfig(), "lambda_conditional", "phi", "scales", "Gamma shape and rate"),
         (PriorConfig(reffect_prior="laplace"), "lambda_conditional", "phi", "scales", "GIG"),

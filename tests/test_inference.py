@@ -15,7 +15,7 @@ from glmixer.inference import (effective_sample_size,
                                theorem2_curve)
 from glmixer.simulate import SimConfig, simulate_panel
 
-from oracles import inv_logit_masked, summarize_per_parameter
+from oracles import block_ess_by_parameter, inv_logit_masked, summarize_per_parameter
 
 SPEC = ModelSpec(variant=1, year_offset=2009.5)
 
@@ -67,6 +67,23 @@ class TestEss:
 
     def test_short_chain_passthrough(self):
         assert effective_sample_size(np.array([[1.0, 2.0, 3.0]])) == 3.0
+
+    @pytest.mark.parametrize("d,c,k", [(300, 4, 20), (40, 4, 801), (25, 1, 3000), (6, 2, 5)])
+    def test_block_truncation_equals_the_per_parameter_loop(self, d, c, k):
+        # AR(1) rows from anti-correlated to near unit root, so the
+        # truncation lengths spread from 0 to the whole row, plus a
+        # constant row: every ESS has the bits of the one-row loop
+        rng = np.random.default_rng(d + k)
+        a = rng.uniform(-0.6, 0.995, size=(d, 1))
+        x = np.empty((d, c, k))
+        e = rng.standard_normal((d, c, k))
+        x[..., 0] = e[..., 0]
+        for t in range(1, k):
+            x[..., t] = a * x[..., t - 1] + e[..., t]
+        x[0] = 2.5
+        got = inference._block_ess(x)
+        assert got.tobytes() == block_ess_by_parameter(x).tobytes()
+        assert got[0] == c * k
 
 
 class TestSplitRhat:

@@ -154,6 +154,39 @@ class TestMvnFromPrecision:
         with pytest.raises(NumericalError):
             draw_mvn_from_precision(rng(), np.zeros(2), -np.eye(2))
 
+    def test_stack_rows_are_one_chain_draws(self):
+        g = np.random.default_rng(4)
+        A = g.standard_normal((3, 4, 4))
+        P = A @ np.swapaxes(A, -1, -2) + 4.0 * np.eye(4)
+        b, z = g.standard_normal((3, 4)), g.standard_normal((3, 4))
+        got = draw_mvn_from_precision(None, b, P, z)
+        for c in range(3):
+            assert got[c].tobytes() == draw_mvn_from_precision(None, b[c], P[c], z[c]).tobytes()
+
+    def test_stack_names_the_chain_that_fails_after_jitter(self):
+        # chain 1 is singular and factors once jittered; chain 2 is negative
+        # definite and fails again, so it is the error's row
+        P = np.stack([np.eye(2), np.ones((2, 2)), -np.eye(2)])
+        with pytest.raises(NumericalError, match="not positive definite even after jitter") as exc:
+            draw_mvn_from_precision(rng(), np.zeros((3, 2)), P)
+        assert exc.value.row == 2
+        # without chain 2, chain 1 draws from its jittered precision
+        # (jitter 1e-10 trace / p) and chain 0 as it would alone
+        jittered = np.ones((2, 2)) + 1e-10 * np.eye(2)
+        b, z = np.array([[1.0, 2.0], [0.5, -1.0]]), rng(2).standard_normal((2, 2))
+        got = draw_mvn_from_precision(None, b, P[:2], z)
+        np.testing.assert_array_equal(
+            got[1], np.linalg.solve(jittered, b[1] + np.linalg.cholesky(jittered) @ z[1]))
+        np.testing.assert_array_equal(got[0], draw_mvn_from_precision(None, b[0], P[0], z[0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_precision_names_the_lowest_bad_chain(self, bad):
+        P = np.stack([np.eye(2)] * 4)
+        P[3, 0, 1] = P[1, 1, 1] = bad
+        with pytest.raises(NumericalError, match="precision matrix is not finite") as exc:
+            draw_mvn_from_precision(rng(), np.zeros((4, 2)), P)
+        assert exc.value.row == 1
+
 
 class TestMvnWhitened:
     P = np.array([[2.0, 0.8, 0.1], [0.8, 1.5, -0.3], [0.1, -0.3, 0.7]])
@@ -176,9 +209,14 @@ class TestMvnWhitened:
         assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.02
 
     def test_precision_draw_is_cholesky_whitened_draw(self):
-        W = np.linalg.inv(np.linalg.cholesky(self.P))
-        np.testing.assert_array_equal(draw_mvn_from_precision(rng(13), self.b, self.P),
-                                      draw_mvn_whitened(rng(13), self.b, W))
+        # P^-1 (b + L z) = P^-1 b + L'^-1 z, the whitened draw with W = L^-1,
+        # up to rounding; bitwise it is the solve of b + L z with P
+        L = np.linalg.cholesky(self.P)
+        got = draw_mvn_from_precision(rng(13), self.b, self.P)
+        z = rng(13).standard_normal(3)
+        np.testing.assert_array_equal(got, np.linalg.solve(self.P, self.b + L @ z))
+        np.testing.assert_allclose(got, draw_mvn_whitened(rng(13), self.b, np.linalg.inv(L)),
+                                   rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_w(self, bad):
