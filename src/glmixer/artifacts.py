@@ -19,8 +19,9 @@ Floats are written with repr (shortest round-trip) so identical runs
 produce byte-identical files; no timestamps anywhere.
 
 Importing this module loads no numpy: only the trace-file writer and
-`load_fit` import numpy, the sampler's types and the design, so the
-manifest, digest, summary and prediction-CSV paths run without them.
+`load_fit` import numpy, and `load_fit` the design and the artifact
+records (`records`), not the sampler; the manifest, digest, summary and
+prediction-CSV paths run without them.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ import os
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .data import CSV_COLUMNS, PanelDataset, read_csv_rows
+# the panel writer lives with the reader in `data`; re-exported here
+from .data import PanelDataset, read_csv_rows, write_panel_csv  # noqa: F401
 from .errors import ValidationError
 
 if TYPE_CHECKING:
     from .design import ModelSpec
-    from .gibbs import PriorConfig, Trace
     from .inference import PosteriorSummary
+    from .records import PriorConfig, Trace
 
 MANIFEST_NAME = "manifest.json"
 SUMMARY_NAME = "summary.csv"
@@ -60,14 +62,6 @@ TRACE_CHUNK_ROWS = 64
 
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def write_panel_csv(panel: PanelDataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        w.writerows([uid, year, sex, *map(_fmt, floats), "" if c5q0 is None else _fmt(c5q0)]
-                    for uid, year, sex, *floats, c5q0 in zip(*panel.columns()))
 
 
 def chain_csv_name(chain_id: int) -> str:
@@ -274,7 +268,7 @@ def load_fit(outdir, keys=None):
     import numpy as np
 
     from .design import ModelSpec
-    from .gibbs import PriorConfig, Trace
+    from .records import PriorConfig, Trace
 
     manifest = _read_manifest(outdir)
     where = os.path.join(outdir, MANIFEST_NAME)

@@ -8,8 +8,10 @@ Partially written output directories are removed on failure.
 
 Importing this module loads no package module but `errors` and
 `defaults`: each command imports what it runs. So only simulate, fit,
-predict and check-theory load numpy, `metrics` adds only `data` and
-`metrics`, and `--help` and argument errors add nothing.
+predict and check-theory load numpy; only fit loads the sampler
+(`gibbs`), and only fit and check-theory the summaries (`inference`);
+`metrics` adds only `data` and `metrics`, and `--help` and argument
+errors add nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def run_chains(*args, **kwargs) -> list:
 # commands
 
 def cmd_simulate(args) -> None:
-    from . import artifacts
+    from .data import write_panel_csv
     from .simulate import SimConfig, simulate_panel
 
     config = SimConfig(m=args.m, n_i=args.n_obs, variant=args.model, sex=args.sex,
@@ -62,7 +64,7 @@ def cmd_simulate(args) -> None:
                        reffect_prior=args.reffect_family, seed=args.seed)
     panel, truth = simulate_panel(config)
     os.makedirs(args.out, exist_ok=True)
-    artifacts.write_panel_csv(panel, os.path.join(args.out, "panel.csv"))
+    write_panel_csv(panel, os.path.join(args.out, "panel.csv"))
     with open(os.path.join(args.out, "truth.json"), "w", encoding="utf-8") as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -105,7 +107,7 @@ def cmd_predict(args) -> None:
     from . import artifacts
     from .data import load_panel
     from .design import ModelSpec, design_rows
-    from .inference import predict_new_unit
+    from .prediction import predict_new_unit
 
     # predictions read beta and phi only; every chain file is still checked
     traces, manifest = artifacts.load_fit(args.artifact, keys=("beta", "phi"))

@@ -213,3 +213,14 @@ def load_panel(path, clamp_policy: str = "clamp",
             except (ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}: row {row_no}: {exc}") from None
     return build_panel(*columns)
+
+
+def write_panel_csv(panel: PanelDataset, path) -> None:
+    """The panel as a CSV file `load_panel` reads back, floats in repr
+    (shortest round-trip) and c5q0 blank where there is none."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(CSV_COLUMNS)
+        w.writerows([uid, year, sex, *(repr(float(v)) for v in floats),
+                     "" if c5q0 is None else repr(float(c5q0))]
+                    for uid, year, sex, *floats, c5q0 in zip(*panel.columns()))

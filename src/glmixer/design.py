@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -27,17 +27,17 @@ MODEL2 = 2
 RCOND_MIN = 1e-12
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    variant: int = MODEL1
-    sex: str = "both"
-    year_offset: float = 0.0
+class ModelSpec(namedtuple("ModelSpec", "variant sex year_offset",
+                           defaults=(MODEL1, "both", 0.0))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.variant not in (MODEL1, MODEL2):
             raise ValidationError(f"model variant must be 1 or 2, got {self.variant!r}")
         if not math.isfinite(self.year_offset):
             raise ValidationError("year_offset must be finite")
+        return self
 
     @property
     def p(self) -> int:
@@ -48,7 +48,7 @@ class ModelSpec:
                 + (["c5q0"] if self.variant == MODEL1 else []) + ["year"])
 
     def to_dict(self) -> dict:
-        return {"variant": self.variant, "sex": self.sex, "year_offset": self.year_offset}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
@@ -100,7 +100,6 @@ def _side_by_side(*parts) -> np.ndarray:
     return np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]) for a in parts], axis=-1)
 
 
-@dataclass(frozen=True)
 class GroupedDesign:
     """Stacked design with per-group sufficient statistics for the sampler.
 
@@ -113,16 +112,17 @@ class GroupedDesign:
     carry a leading chain axis.
     """
 
-    X: np.ndarray          # (n, p)
-    y: np.ndarray          # (n,) logit completeness
-    group_idx: np.ndarray  # (n,) int, row -> group
-    sizes: np.ndarray      # (m,) int
-    unit_ids: tuple
-    xbar: np.ndarray       # (m, p) per-group covariate means
-    ybar: np.ndarray       # (m,)
-    XtX_g: np.ndarray      # (m, p, p)
-    Xty_g: np.ndarray      # (m, p)
-    yty_g: np.ndarray      # (m,) per-group sums of y^2
+    def __init__(self, X, y, group_idx, sizes, unit_ids, xbar, ybar, XtX_g, Xty_g, yty_g):
+        self.X = X                  # (n, p)
+        self.y = y                  # (n,) logit completeness
+        self.group_idx = group_idx  # (n,) int, row -> group
+        self.sizes = sizes          # (m,) int
+        self.unit_ids = unit_ids    # tuple
+        self.xbar = xbar            # (m, p) per-group covariate means
+        self.ybar = ybar            # (m,)
+        self.XtX_g = XtX_g          # (m, p, p)
+        self.Xty_g = Xty_g          # (m, p)
+        self.yty_g = yty_g          # (m,) per-group sums of y^2
 
     @property
     def m(self) -> int:

@@ -36,13 +36,11 @@ omega Gammas, one buffer for all chains, and Laplace's Wald draws, chain
 by chain. Chain k of `run_chains` draws from RngStream(seed, k) alone, so
 its draws do not depend on how many chains run. The sweep checks its
 draws once, at its end. Called alone, a step draws from its rng.
-The nu prior's log-Gamma normalizer is the standard library's
-`math.lgamma`, so a fit loads no scipy.
+The records a fit writes and the nu prior are in `records`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -57,10 +55,9 @@ from .errors import GlmixerError, NumericalError, ValidationError
 from .kernels import (RngStream, allocate, draw_categorical_log, draw_gamma, draw_gig,
                       draw_mvn_from_precision, draw_mvn_whitened, draw_standard, matvec,
                       standard_gamma_rows, vecmat)
-
-ERROR_PRIORS = ("gamma", "half-cauchy")
-REFFECT_PRIORS = ("gamma", "student-t", "horseshoe", "laplace")
-NU_WEIGHTS = ("algorithm3", "prose")
+# re-exported: `predict` loads the records without the sampler
+from .records import (ERROR_PRIORS, NU_WEIGHTS, REFFECT_PRIORS, PriorConfig,  # noqa: F401
+                      Trace, nu_log_prior)
 
 INIT_SCALE_MIN = 1e-6
 INIT_SCALE_MAX = 1e6
@@ -68,92 +65,6 @@ INIT_SCALE_MAX = 1e6
 # Each chain of `run_chains` draws its standard variates a block of sweeps
 # at a time, as many sweeps as fit in this many bytes (at least one).
 SWEEP_BLOCK_BYTES = 32 * 1024
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    error_prior: str = "half-cauchy"
-    reffect_prior: str = "horseshoe"
-    a_phi: float = 1e-10
-    b_phi: float = 1e-10
-    a_tau: float = 1e-10
-    b_tau: float = 1e-10
-    k_nu: float = 2.84
-    nu_support: tuple = tuple(range(1, 31))
-    nu_weight: str = "algorithm3"
-    # 0 = the flat improper prior; positive values give beta a proper
-    # N(0, 1/precision I) prior (needed by forward simulation in tests).
-    beta_prior_precision: float = 0.0
-
-    def __post_init__(self):
-        if self.error_prior not in ERROR_PRIORS:
-            raise ValidationError(f"error_prior must be one of {ERROR_PRIORS}")
-        if self.reffect_prior not in REFFECT_PRIORS:
-            raise ValidationError(f"reffect_prior must be one of {REFFECT_PRIORS}")
-        if self.nu_weight not in NU_WEIGHTS:
-            raise ValidationError(f"nu_weight must be one of {NU_WEIGHTS}")
-        for name in ("a_phi", "b_phi", "a_tau", "b_tau", "k_nu"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
-        if not self.nu_support or any(
-                (not isinstance(v, (int, np.integer))) or v <= 0 for v in self.nu_support):
-            raise ValidationError("nu_support must be a non-empty tuple of positive integers")
-        if self.beta_prior_precision < 0:
-            raise ValidationError("beta_prior_precision must be >= 0")
-
-    @property
-    def tau_name(self) -> str:
-        return "zeta_eps" if self.error_prior == "gamma" else "tau"
-
-    @property
-    def phi_name(self) -> str:
-        return "zeta_u" if self.reffect_prior == "gamma" else "phi"
-
-    @property
-    def recorded(self) -> dict:
-        """Trace key -> ChainState attribute of each quantity the sampler
-        draws, in the order of a chain file's columns: omega only under a
-        local random-effect prior, lambda only under Half-Cauchy errors,
-        nu only under Student-t. The common-Gamma settings hold omega and
-        lambda at 1 and never draw them, so they are not recorded."""
-        keys = {"beta": "beta", "u": "u", "tau": "tau", "phi": "phi"}
-        if self.reffect_prior != "gamma":
-            keys["omega"] = "omega"
-        if self.error_prior == "half-cauchy":
-            keys["lambda"] = "lam"
-        if self.reffect_prior == "student-t":
-            keys["nu"] = "nu"
-        return keys
-
-    @functools.cached_property
-    def _nu_t_terms(self):
-        """Support-only terms of the nu_i conditional (see `nu_log_weights`),
-        combined once per config: the (|support|, 2) columns [nu, 1], and
-        h = (nu + 1)/2 and c = log prior + log Student-t normalizer + h log nu
-        as (|support|,) arrays."""
-        df = np.asarray(self.nu_support, dtype=np.float64)
-        gammaln = np.vectorize(math.lgamma, otypes=[np.float64])
-        half_df1 = (df + 1.0) / 2.0
-        log_norm = gammaln(half_df1) - gammaln(df / 2.0) - 0.5 * np.log(df * math.pi)
-        terms = (np.stack([df, np.ones_like(df)], axis=1), half_df1,
-                 nu_log_prior(self) + log_norm + half_df1 * np.log(df))
-        for a in terms:
-            a.setflags(write=False)
-        return terms
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "error_prior", "reffect_prior", "a_phi", "b_phi", "a_tau", "b_tau", "k_nu",
-            "nu_weight", "beta_prior_precision")}
-        d["nu_support"] = list(self.nu_support)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PriorConfig":
-        d = dict(d)
-        d["nu_support"] = tuple(int(v) for v in d["nu_support"])
-        return cls(**d)
 
 
 @dataclass
@@ -171,26 +82,6 @@ class ChainState:
     nu: np.ndarray         # (m,) int, Student-t degrees of freedom
     rss: np.ndarray        # (m,) per-unit residual sums of squares at beta and u,
                            # refreshed by the beta step for the tau and lambda steps
-
-
-@dataclass(frozen=True)
-class Trace:
-    """Kept draws from one chain plus run metadata."""
-
-    draws: dict                  # name -> array, leading dim = kept count
-    seed: int
-    chain_id: int
-    n_iter: int
-    burn_in: int
-    thin: int
-    priors: PriorConfig
-    spec: ModelSpec
-    unit_ids: tuple
-    sizes: tuple
-
-    @property
-    def kept(self) -> int:
-        return self.draws["beta"].shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +250,12 @@ def step_lambda_halfcauchy(state: ChainState, design: GroupedDesign, rng, z=None
     state.rho = _gamma(rng, z, "rho", gamma_shape("rho"), state.lam + 1.0, size=design.m)
 
 
-def nu_log_prior(priors: PriorConfig) -> np.ndarray:
-    """Unnormalized log prior over the discrete nu support.
-
-    'algorithm3' is the gamma-gamma form l / (l + k)^3; 'prose' is the
-    lighter l / (l + k)."""
-    l = np.asarray(priors.nu_support, dtype=np.float64)
-    if priors.nu_weight == "algorithm3":
-        return np.log(l) - 3.0 * np.log(l + priors.k_nu)
-    return np.log(l) - np.log(l + priors.k_nu)
-
-
 def nu_log_weights(u: np.ndarray, phi, priors: PriorConfig, out=None) -> np.ndarray:
     """(m, |support|) log weights of one chain's nu_i conditional, or
     (C, m, |support|) for C chains' u (C, m) and phi (C,): log prior plus
     the log Student-t density of u_i at scale s = sqrt(1/phi). With
     q_i = phi u_i^2, h_j = (nu_j + 1)/2 and c_j the log prior, log
-    normalizer and h_j log nu_j of support point nu_j (`PriorConfig.
+    normalizer and h_j log nu_j of support point nu_j (`records.
     _nu_t_terms`, once per config),
 
         log w_ij = c_j - log s - h_j log(nu_j + q_i)

@@ -1,25 +1,21 @@
-"""Posterior summaries, predictions, shrinkage diagnostics, and the
-quadrature checker for the shrinkage-factor concentration rates.
+"""Posterior summaries, fitted completeness, shrinkage diagnostics, and
+the quadrature checker for the shrinkage-factor concentration rates.
 
-All operations are pure over immutable traces. Every empirical
-quantile comes from one sort of the draws per block (`_linear_quantiles`)
-and has the bits of numpy's inclusive linear rule, `numpy.quantile(...,
-method="linear")`, so credible intervals are bit-reproducible without
-numpy's selection, which is slower and loads `numpy.ma`. Split R-hat's
-normal scores are Wichura's AS241 quantile, vectorized with the
-operations of the standard library's `NormalDist().inv_cdf`, so
-summaries load neither scipy nor `statistics` (which loads `decimal` and
-`fractions`). Predictions for new units need only the beta
-and phi draws and the design rows; they are evaluated over blocks of
-whole units of bounded size, and each unit gets the bits of predicting
-it alone.
+All operations are pure over immutable traces. Every empirical quantile
+comes from `prediction._linear_quantiles`, with the bits of numpy's
+inclusive linear rule. Split R-hat's normal scores are Wichura's AS241
+quantile, vectorized with the operations of the standard library's
+`NormalDist().inv_cdf`, so summaries load neither scipy nor `statistics`
+(which loads `decimal` and `fractions`). Predictions for new units are
+in `prediction`, which `predict` loads without this module; its names
+are re-exported here.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +23,8 @@ import numpy as np
 from .data import PanelDataset
 from .design import ModelSpec, design_rows
 from .errors import NumericalError, SpecMismatchError, ValidationError
-from .gibbs import nu_log_prior
-from .kernels import RngStream, draw_local_prior
+from .prediction import (PredictionResult, _inv_logit_arr, _linear_quantiles,  # noqa: F401
+                         predict_new_unit)
 
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
@@ -36,12 +32,6 @@ QUAD_EPSREL = 1e-8
 # on a window QUAD_WINDOW log units beyond the cut and the prior's bulk.
 LOG_OMEGA_CLAMP = 600.0
 QUAD_WINDOW = 200.0
-
-PREDICT_STREAM_BASE = 10 ** 6
-# Draws x design rows evaluated at once by predict_new_unit: about 128 KB
-# per work array, so its memory stays flat in the number of units.
-PREDICT_BLOCK_VALUES = 1 << 14
-
 
 # ---------------------------------------------------------------------------
 # summaries
@@ -286,44 +276,7 @@ def summarize(traces) -> PosteriorSummary:
 
 
 # ---------------------------------------------------------------------------
-# fitted and predictive completeness
-
-def _inv_logit_arr(theta: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-theta)) for theta >= 0 and e / (1 + e), e = exp(theta),
-    otherwise, so no exp overflows; NaN stays NaN, with its sign."""
-    e = np.exp(np.minimum(theta, -theta))  # exp(-|theta|); minimum keeps a NaN's sign
-    d = 1.0 + e
-    return np.divide(1.0, d, out=e / d, where=theta >= 0)
-
-
-def _linear_quantiles(x: np.ndarray, qs) -> np.ndarray:
-    """(len(qs), ...) quantiles over axis 0 of the draws x, with the bits
-    of `numpy.quantile(x, qs, axis=0, method="linear")`, from one sort of
-    a copy in which each column's draws are contiguous: virtual index
-    (n - 1) q, neighbours clipped to the last draw, numpy's two-sided
-    lerp, and NaN wherever a column holds a NaN (it sorts last). Only
-    -0.0 and 0.0 among tied draws may come out in the other sign, since a
-    sort and numpy's selection may order them apart."""
-    s = x.T.copy()  # always a copy: x keeps its order for the means
-    s.sort()
-    s = s.T
-    n = s.shape[0]
-    out = np.empty((len(qs), *s.shape[1:]))
-    for row, q in zip(out, qs):
-        v = (n - 1) * q
-        i = math.floor(v) if v < n - 1 else -1  # numpy's gamma counts from index -1
-        a, b = s[i], s[i + 1 if i >= 0 else -1]
-        g = v - i
-        diff = b - a
-        if g >= 0.5:
-            np.subtract(b, diff * (1 - g), out=row)
-        else:
-            np.add(a, diff * g, out=row)
-    nan = np.isnan(s[-1])
-    if nan.any():
-        np.copyto(out, s[-1], where=nan)
-    return out
-
+# fitted completeness
 
 def _completeness_bands(theta: np.ndarray):
     """(mean, 2.5 % quantile, 97.5 % quantile) over the draws (axis 0) of
@@ -358,81 +311,6 @@ def fitted_completeness(traces, panel: PanelDataset, spec: ModelSpec) -> FittedC
         *_completeness_bands(theta_fixed + np.repeat(u, sizes, axis=1)),
         mean_minus_u=_inv_logit_arr(theta_fixed).mean(axis=0),
     )
-
-
-@dataclass(frozen=True)
-class PredictionResult:
-    """Posterior predictive completeness per design row."""
-    mode: str
-    mean: np.ndarray    # (n,)
-    q2_5: np.ndarray
-    q97_5: np.ndarray
-
-
-def _new_unit_effects(trace) -> np.ndarray:
-    """One new-unit effect u* ~ N(0, 1/(omega* phi)) per kept draw, with
-    omega* (and nu* under Student-t) from the local prior, drawn from the
-    chain's prediction stream."""
-    rng = RngStream(trace.seed, PREDICT_STREAM_BASE + trace.chain_id).generator()
-    priors, k = trace.priors, trace.kept
-    nu = None
-    if priors.reffect_prior == "student-t":  # nu* from its discrete prior
-        logw = nu_log_prior(priors)
-        w = np.exp(logw - logw.max())
-        nu = np.asarray(priors.nu_support, dtype=np.float64)[
-            rng.choice(len(w), size=k, p=w / w.sum())]
-    omega = draw_local_prior(rng, priors.reffect_prior, k, nu=nu)
-    return rng.standard_normal(k) / np.sqrt(omega * trace.draws["phi"])
-
-
-def predict_new_unit(traces, rows: np.ndarray, sizes,
-                     mode: str = "integrate_reffect") -> PredictionResult:
-    """Posterior predictive completeness for the design rows of new units,
-    `sizes[i]` consecutive rows per unit; a single new unit is one group.
-
-    fixed_only uses x'beta per draw; integrate_reffect adds a new-unit
-    random effect u* per posterior draw, shared across rows and units.
-    Each chain draws its u* once, from its prediction stream (stream_id
-    = 1e6 + chain_id) so fits stay reproducible.
-
-    The rows are evaluated in blocks of whole units of at most
-    PREDICT_BLOCK_VALUES draws x rows (or one unit, if larger). Each unit
-    keeps its own x'beta product and its own mean over the draws, since
-    the bits of both depend on the width of the array; the inverse logit
-    runs once per block, and the block's draws are sorted once, column
-    by column, for the 2.5 % and 97.5 % quantiles (`_linear_quantiles`).
-    So each unit gets the bits of predicting it alone.
-    """
-    if mode not in ("fixed_only", "integrate_reffect"):
-        raise ValidationError(f"unknown prediction mode {mode!r}")
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    p = traces[0].draws["beta"].shape[1]
-    if rows.shape[1] != p:
-        raise SpecMismatchError(f"design rows have {rows.shape[1]} columns, fit expects {p}")
-    ends = np.cumsum(sizes)
-    if len(ends) == 0 or np.any(np.asarray(sizes) < 1) or ends[-1] != rows.shape[0]:
-        raise ValidationError(f"unit sizes do not partition the {rows.shape[0]} design rows")
-    shifts = [_new_unit_effects(t)[:, None] if mode == "integrate_reffect" else 0.0
-              for t in traces]
-    k = sum(t.kept for t in traces)
-    ends = ends.tolist()
-    starts = [0, *ends[:-1]]
-    bands = np.empty((3, ends[-1]))
-    first = 0
-    while first < len(ends):
-        lo = starts[first]
-        last = max(first + 1, bisect.bisect_right(ends, lo + PREDICT_BLOCK_VALUES // k))
-        hi = ends[last - 1]
-        units = list(zip(starts[first:last], ends[first:last]))
-        theta = np.concatenate([                                   # (K, hi - lo)
-            np.concatenate([t.draws["beta"] @ rows[a:b].T for a, b in units], axis=1) + shift
-            for t, shift in zip(traces, shifts)])
-        delta = _inv_logit_arr(theta)
-        bands[1:, lo:hi] = _linear_quantiles(delta, (0.025, 0.975))
-        for a, b in units:
-            bands[0, a:b] = delta[:, a - lo:b - lo].mean(axis=0)
-        first = last
-    return PredictionResult(mode, *bands)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +361,7 @@ def _tail_prob(log_f, log_cut: float) -> float:
     """P(X < cut) for the density exp(log_f(log x)) dx, by quadrature on
     the log axis with peak normalization."""
     # imported here so that loading the CLI does not pay for scipy.integrate
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
     # finite window around the cut and the prior's bulk near log x = 0:
     # the local priors all decay at least exponentially on the log axis,
@@ -503,8 +381,13 @@ def _tail_prob(log_f, log_cut: float) -> float:
         def g(t):
             return math.exp(min(log_f(t) + t - mscale, 0.0))
 
-        val, _ = quad(g, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                      limit=300, points=grid[np.argsort(exponents)[-4:]])
+        with warnings.catch_warnings():  # a quadrature that does not converge warns
+            warnings.simplefilter("error", IntegrationWarning)
+            try:
+                val, _ = quad(g, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                              limit=300, points=grid[np.argsort(exponents)[-4:]])
+            except IntegrationWarning as exc:
+                raise NumericalError(str(exc).split("\n")[0]) from None
         if val <= 0.0:
             return -np.inf
         return math.log(val) + mscale

@@ -21,7 +21,7 @@ matrices and draws P^-1 (b + L z) from one Cholesky factor and one solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,16 +34,16 @@ GIG_TINY = 1e-30
 MVN_JITTER_REL = 1e-10
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(namedtuple("RngStream", "seed stream_id", defaults=(0,))):
     """One reproducible stream per chain: same (seed, stream_id), same draws."""
 
-    seed: int
-    stream_id: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        return self
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))

@@ -11,7 +11,7 @@ columns, and each row's x'beta is a stacked matmul with the bits of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,20 +29,17 @@ DEFAULT_TRUE_BETA_M1 = (0.5, 0.15, -0.008, -3.0, -0.45, 0.9, 0.02)
 DEFAULT_TRUE_BETA_M2 = (0.5, 0.15, -0.008, -3.0, -0.45, 0.02)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    m: int = 30
-    n_i: int = 20
-    variant: int = 1
-    sex: str = "both"
-    beta: tuple = None
-    tau: float = 25.0        # error precision lambda_i tau with lambda_i = 1
-    phi: float = 4.0         # effect precision omega_i phi with omega_i = 1
-    reffect_prior: str = "gamma"  # local omega family for heterogeneity
-    first_year: int = 2000
-    seed: int = 0
+class SimConfig(namedtuple("SimConfig", (
+        "m", "n_i", "variant", "sex", "beta", "tau", "phi", "reffect_prior", "first_year",
+        "seed"), defaults=(30, 20, 1, "both", None, 25.0, 4.0, "gamma", 2000, 0))):
+    """A synthetic panel's settings: tau is the error precision lambda_i tau
+    with lambda_i = 1, phi the effect precision omega_i phi with omega_i =
+    1, and reffect_prior the local omega family for heterogeneity."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, value in (("m", self.m), ("n_i", self.n_i)):
             if value < 1:
                 raise ValidationError(f"{name} must be >= 1, got {value}")
@@ -51,6 +48,7 @@ class SimConfig:
                 raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
         if self.beta is not None and not np.isfinite(self.beta).all():
             raise ValidationError(f"true beta must be finite, got {self.beta!r}")
+        return self
 
     def resolved_beta(self) -> np.ndarray:
         if self.beta is not None:

@@ -7,6 +7,7 @@ per-parameter loops below are the references the vectorized kernels and
 the batched summaries are checked against.
 """
 
+import inspect
 import math
 import warnings
 from statistics import NormalDist
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 
 from glmixer import inference
 from glmixer.data import CSV_COLUMNS, DEFAULT_CLAMP_EPS, SEXES, inv_logit, read_csv_rows
+from glmixer.design import GroupedDesign
 from glmixer.errors import ValidationError
 from glmixer.kernels import RngStream, draw_local_prior
 from glmixer.simulate import SIM_NU, SIM_STREAM
@@ -110,6 +112,13 @@ def group_aggregates_by_masks(X, y, group_idx, m):
         Xty_g[g] = Xg.T @ yg
         yty_g[g] = yg @ yg
     return xbar, ybar, XtX_g, Xty_g, yty_g
+
+
+def replace_design(design, **changes):
+    """A new GroupedDesign with the constructor's fields of `design` but
+    `changes`, and none of its per-design constants computed yet."""
+    fields = inspect.signature(GroupedDesign).parameters
+    return GroupedDesign(**{**{name: getattr(design, name) for name in fields}, **changes})
 
 
 def rss_by_group(state, design):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import glmixer
-from glmixer import cli, gibbs, inference, simulate
+from glmixer import cli, gibbs, prediction, simulate
 from glmixer.artifacts import MANIFEST_DIGEST, load_fit, manifest_digest
 from glmixer.cli import main
 from glmixer.data import build_panel, load_panel
@@ -447,17 +447,17 @@ class TestPredictAndMetrics:
     def test_predict_is_one_call_with_one_stream_per_chain(self, sim_dir, fit_dir, tmp_path,
                                                            monkeypatch):
         calls, opened = [], []
-        predict = inference.predict_new_unit
-        monkeypatch.setattr(inference, "predict_new_unit",
+        predict = prediction.predict_new_unit
+        monkeypatch.setattr(prediction, "predict_new_unit",
                             lambda *a, **k: calls.append(list(a[2])) or predict(*a, **k))
-        generator = inference.RngStream.generator
-        monkeypatch.setattr(inference.RngStream, "generator",
+        generator = prediction.RngStream.generator
+        monkeypatch.setattr(prediction.RngStream, "generator",
                             lambda self: opened.append(self.stream_id) or generator(self))
         assert main(["predict", "--artifact", str(fit_dir),
                      "--input", str(sim_dir / "panel.csv"),
                      "--out", str(tmp_path / "pred")]) == 0
         assert calls == [[10, 10, 10, 10]]
-        assert opened == [inference.PREDICT_STREAM_BASE, inference.PREDICT_STREAM_BASE + 1]
+        assert opened == [prediction.PREDICT_STREAM_BASE, prediction.PREDICT_STREAM_BASE + 1]
 
     @pytest.mark.parametrize("section,key,value", [
         (None, "seed", 8), ("priors", "b_phi", 1.0), ("priors", "reffect_prior", "laplace")])
@@ -756,6 +756,25 @@ def test_metrics_loads_only_what_it_runs(sim_dir, pred_csv, tmp_path, module):
         f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", module) == 0
 
 
+@pytest.mark.parametrize("module", ["dataclasses", "glmixer.gibbs", "glmixer.inference", "scipy"])
+def test_predict_loads_only_what_it_runs(fit_dir, sim_dir, tmp_path, module):
+    # predictions read the artifact records and the prediction module: no
+    # sampler, no summaries, no dataclass
+    args = ["predict", "--artifact", str(fit_dir), "--input", str(sim_dir / "panel.csv"),
+            "--out", str(tmp_path / "pred")]
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", module) == 0
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "glmixer.artifacts", "glmixer.gibbs",
+                                    "glmixer.inference"])
+def test_simulate_loads_only_what_it_runs(tmp_path, module):
+    # the panel writer is in data: no fit-artifact code, no dataclass
+    args = ["simulate", "--m", "3", "--n-obs", "4", "--out", str(tmp_path / "sim")]
+    assert _loaded_after(
+        f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", module) == 0
+
+
 def test_diagnose_loads_no_dataclasses(fit_dir, tmp_path):
     args = ["diagnose", "--artifact", str(fit_dir), "--out", str(tmp_path / "diag")]
     assert _loaded_after(
@@ -890,6 +909,28 @@ class TestCheckTheory:
         curve = [float(r.split(",")[1]) for r in rows]
         assert all(a >= b for a, b in zip(curve, curve[1:]))
         assert 1.0 - curve[0] <= 2e-4 and curve[-1] < curve[0]
+
+    def test_unconverged_quadrature_exits_3(self, tmp_path, capsys):
+        # at n_i = 10^15 scipy's quad does not reach its tolerance: that is a
+        # numerical error, not a curve of 1.0 marked "pass": false
+        out = tmp_path / "th"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check-theory", "--n-obs", str(10 ** 15), "--out", str(out)]) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: quadrature failed at phi = ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_obs", [1, 10, 100, 10000])
+    @pytest.mark.parametrize("prior", ["horseshoe", "laplace", "student-t"])
+    def test_default_grid_raises_no_warning(self, tmp_path, prior, n_obs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check-theory", "--prior", prior, "--n-obs", str(n_obs),
+                         "--out", str(tmp_path)]) == 0
+        assert [str(w.message) for w in caught] == []
 
     def test_bad_eps_exits_2(self, tmp_path):
         out = tmp_path / "th"

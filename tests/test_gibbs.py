@@ -20,7 +20,7 @@ from glmixer.gibbs import (ERROR_PRIORS, NU_WEIGHTS, REFFECT_PRIORS, PriorConfig
 from glmixer.kernels import draw_categorical_log
 from glmixer.simulate import SimConfig, simulate_panel
 
-from oracles import group_aggregates_by_masks, rss_by_group
+from oracles import group_aggregates_by_masks, replace_design, rss_by_group
 
 
 lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
@@ -51,7 +51,7 @@ def make_state(design, rng=None, priors=None):
 def with_y(design, y):
     """The design with response y and every per-group sum recomputed."""
     sums = group_aggregates_by_masks(design.X, y, design.group_idx, design.m)
-    return dataclasses.replace(
+    return replace_design(
         design, y=y, **dict(zip(("xbar", "ybar", "XtX_g", "Xty_g", "yty_g"), sums)))
 
 
@@ -485,8 +485,8 @@ class TestLockstep:
         own = []
         for _ in range(3):
             y_design = with_y(design, design.y + g.standard_normal(design.n))
-            own.append(dataclasses.replace(design, **{k: getattr(y_design, k) for k in names}))
-        stacked = dataclasses.replace(
+            own.append(replace_design(design, **{k: getattr(y_design, k) for k in names}))
+        stacked = replace_design(
             design, **{k: np.stack([getattr(d, k) for d in own]) for k in names})
         singles = [initialize_state(d, priors) for d in own]
         batch = gibbs.ChainState(**{f.name: np.stack([getattr(s, f.name) for s in singles])
@@ -717,7 +717,7 @@ class TestChainMechanics:
     def test_sweep_reads_no_data_rows(self, design, error_prior, reffect_prior):
         priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior,
                              beta_prior_precision=0.5)
-        rows_gone = dataclasses.replace(design, X=None, y=None, group_idx=None)
+        rows_gone = replace_design(design, X=None, y=None, group_idx=None)
         states = []
         for d in (design, rows_gone):
             state = initialize_state(design, priors)

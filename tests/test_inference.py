@@ -7,7 +7,7 @@ import pytest
 from glmixer.data import inv_logit
 from glmixer.design import ModelSpec, design_rows
 from glmixer.errors import SpecMismatchError, ValidationError
-from glmixer import inference
+from glmixer import inference, prediction
 from glmixer.gibbs import PriorConfig, Trace, run_chain
 from glmixer.inference import (effective_sample_size,
                                fitted_completeness, predict_new_unit,
@@ -432,9 +432,9 @@ class TestPredictNewUnit:
         sizes = [1, 2, 12, 1, 12, 2, 1, 41]
         k = sum(t.kept for t in traces)
         budget = {"below_one_unit": 1, "a_few_units": 13 * k, "above_panel": 2 * k * len(X)}
-        monkeypatch.setattr(inference, "PREDICT_BLOCK_VALUES", budget[block])
+        monkeypatch.setattr(prediction, "PREDICT_BLOCK_VALUES", budget[block])
         got = predict_new_unit(traces, X, sizes, mode=mode)
-        shifts = [inference._new_unit_effects(t)[:, None] if mode == "integrate_reffect"
+        shifts = [prediction._new_unit_effects(t)[:, None] if mode == "integrate_reffect"
                   else 0.0 for t in traces]
         want, lo = np.empty((3, len(X))), 0
         for size in sizes:
@@ -457,12 +457,12 @@ class TestPredictNewUnit:
         panel, spec, traces = fit
         X, _, sizes = design_rows(panel, spec)
         opened = []
-        generator = inference.RngStream.generator
-        monkeypatch.setattr(inference.RngStream, "generator",
+        generator = prediction.RngStream.generator
+        monkeypatch.setattr(prediction.RngStream, "generator",
                             lambda self: opened.append(self.stream_id) or generator(self))
         predict_new_unit(traces, X, sizes)
         assert len(sizes) > 1
-        assert opened == [inference.PREDICT_STREAM_BASE + t.chain_id for t in traces]
+        assert opened == [prediction.PREDICT_STREAM_BASE + t.chain_id for t in traces]
 
 
 class TestShrinkageAndDeviances:

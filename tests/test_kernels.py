@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import glmixer
-from glmixer import gibbs, inference, simulate
+from glmixer import gibbs, prediction, simulate
 from glmixer.design import ModelSpec, build_matrices
 from glmixer.errors import NumericalError, ValidationError
 from glmixer.gibbs import ERROR_PRIORS, REFFECT_PRIORS, PriorConfig, run_chain
@@ -18,7 +17,7 @@ from glmixer.kernels import (RngStream, draw_categorical_log, draw_gamma, draw_g
                              draw_mvn_whitened, draw_standard, standard_gamma_rows)
 
 from oracles import (categorical_by_searchsorted, ecdf_sup_distance, gamma_pdf,
-                     gig_half_mean, gig_neg_half_by_masks, gig_pdf)
+                     gig_half_mean, gig_neg_half_by_masks, gig_pdf, replace_design)
 
 
 def rng(seed=0, stream=0):
@@ -75,7 +74,7 @@ class TestDrawStandard:
         # differ for every unit, so lambda is one array-shape call
         panel, truth = simulate.simulate_panel(simulate.SimConfig(m=5, n_i=20, seed=2))
         design = build_matrices(panel, ModelSpec.from_dict(truth["spec"]))
-        design = dataclasses.replace(design, sizes=np.asarray(sizes))
+        design = replace_design(design, sizes=np.asarray(sizes))
         priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior,
                              a_tau=0.7, a_phi=1.3)
         m, p, n = design.m, design.p, sum(sizes)
@@ -388,7 +387,7 @@ class TestLocalPrior:
             return draw_local_prior(rng_, fam, size, nu=nu)
 
         monkeypatch.setattr(simulate, "draw_local_prior", spy)
-        monkeypatch.setattr(inference, "draw_local_prior", spy)
+        monkeypatch.setattr(prediction, "draw_local_prior", spy)
         cfg = simulate.SimConfig(m=4, n_i=10, seed=3, reffect_prior=family)
         panel, truth = simulate.simulate_panel(cfg)
         assert calls == [(family, 4, 5.0)]
@@ -402,7 +401,7 @@ class TestLocalPrior:
         traces = [run_chain(panel, spec, priors, n_iter=30, burn_in=10, thin=1, seed=5,
                             stream_id=k)
                   for k in range(2)]
-        inference.predict_new_unit(traces, build_matrices(panel, spec).X[:3], [3])
+        prediction.predict_new_unit(traces, build_matrices(panel, spec).X[:3], [3])
         assert [(fam, size) for fam, size, _ in calls] == [(family, 20)] * 2
         for *_, nu in calls:
             if family == "student-t":
