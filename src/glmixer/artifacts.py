@@ -16,7 +16,9 @@ draw keys; `predict` asks for beta and phi, 8 of the 99 columns of the
 default 30-unit Model 1 fit.
 
 Floats are written with repr (shortest round-trip) so identical runs
-produce byte-identical files; no timestamps anywhere.
+produce byte-identical files; no timestamps anywhere. `fit`'s chain files
+come from the helper process of `chainfiles`, which defines their lines;
+`write_fit` given traces alone writes the same bytes in-process.
 
 Importing this module loads no numpy: only the trace-file writer and
 `load_fit` import numpy, and `load_fit` the design and the artifact
@@ -34,11 +36,13 @@ import os
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .chainfiles import chain_csv_name, format_rows
 # the panel writer lives with the reader in `data`; re-exported here
-from .data import PanelDataset, read_csv_rows, write_panel_csv  # noqa: F401
+from .data import PanelDataset, csv_rows, write_panel_csv  # noqa: F401
 from .errors import ValidationError
 
 if TYPE_CHECKING:
+    from .chainfiles import ChainWriter
     from .design import ModelSpec
     from .inference import PosteriorSummary
     from .records import PriorConfig, Trace
@@ -64,11 +68,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def chain_csv_name(chain_id: int) -> str:
-    return f"chain_{chain_id}.csv"
-
-
-def _trace_layout(priors: PriorConfig, spec: ModelSpec, m: int):
+def trace_layout(priors: PriorConfig, spec: ModelSpec, m: int):
     """(columns, header) of a chain file: columns lists (draw key, width)
     of the keys `priors.recorded`, in the order run_chains fills
     Trace.draws: beta p columns, tau and phi one each, the per-unit keys m;
@@ -102,7 +102,7 @@ def write_trace_csv(trace: Trace, columns, header: str, path) -> str:
             hi = min(lo + TRACE_CHUNK_ROWS, trace.kept)
             block = np.concatenate([trace.draws[key][lo:hi].reshape(hi - lo, width)
                                     for key, width in columns], axis=1, dtype=np.float64)
-            yield "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+            yield format_rows(block.tolist())
 
     return _write_hashed(path, chunks())
 
@@ -142,15 +142,19 @@ def write_predictions_csv(prediction, panel: PanelDataset, path) -> None:
 
 
 def write_fit(outdir, traces, summary: PosteriorSummary, *, seed: int,
-              clamp_policy: str = "clamp") -> None:
-    """Chain files and summary first, then the manifest with their digests."""
+              clamp_policy: str = "clamp", chain_files: ChainWriter = None) -> None:
+    """Chain files and summary first, then the manifest with their digests;
+    the chain files are `chain_files`'s, once it has the traces' rows."""
     os.makedirs(outdir, exist_ok=True)
     t0 = traces[0]
-    columns, header = _trace_layout(t0.priors, t0.spec, len(t0.unit_ids))
-    digests = {chain_csv_name(trace.chain_id):
-               write_trace_csv(trace, columns, header,
-                               os.path.join(outdir, chain_csv_name(trace.chain_id)))
-               for trace in traces}
+    if chain_files is not None:
+        digests = chain_files.digests()
+    else:
+        columns, header = trace_layout(t0.priors, t0.spec, len(t0.unit_ids))
+        digests = {chain_csv_name(trace.chain_id):
+                   write_trace_csv(trace, columns, header,
+                                   os.path.join(outdir, chain_csv_name(trace.chain_id)))
+                   for trace in traces}
     digests[SUMMARY_NAME] = write_summary_csv(summary, os.path.join(outdir, SUMMARY_NAME))
     manifest = {
         "software": "glmixer",
@@ -288,7 +292,7 @@ def load_fit(outdir, keys=None):
     kept = run.pop("kept")
     if kept != (run["n_iter"] - run["burn_in"]) // run["thin"]:
         raise ValidationError(f"{where}: kept {kept} does not follow from n_iter, burn_in, thin")
-    columns, header = _trace_layout(priors, spec, len(unit_ids))
+    columns, header = trace_layout(priors, spec, len(unit_ids))
     # the loaded keys in the file's order, their columns and the last one
     loaded, usecols, width = [], [], 0
     for key, w in columns:
@@ -319,10 +323,10 @@ def load_fit(outdir, keys=None):
 
 
 def load_summary_rows(outdir) -> list:
-    """summary.csv's data rows as dicts of the written field strings, after
-    checking the file against the manifest's digest."""
-    path, _ = _verified_bytes(outdir, _read_manifest(outdir), SUMMARY_NAME)
-    rows = read_csv_rows(path)
+    """summary.csv's data rows as dicts of the written field strings, parsed
+    from the one read whose bytes matched the manifest's digest."""
+    path, data = _verified_bytes(outdir, _read_manifest(outdir), SUMMARY_NAME)
+    rows = csv_rows(data, path)
     if not rows or tuple(rows[0]) != SUMMARY_COLUMNS or any(
             len(row) != len(SUMMARY_COLUMNS) for row in rows[1:]):
         raise ValidationError(f"{path}: not a summary table")

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O.
 All randomness flows from one --seed: chain k uses stream_id k and
 prediction sampling uses stream_id 1e6 + k. `fit` samples its chains in
 lockstep in one process, so chain k's draws do not depend on --chains.
-Partially written output directories are removed on failure.
+A helper process writes the chain files while the chains sample
+(`chainfiles`). Partially written output directories are removed on failure.
 
 Importing this module loads no package module but `errors` and
 `defaults`: each command imports what it runs. So only simulate, fit,
@@ -78,29 +79,35 @@ def _check_counts(args) -> None:
 
 
 def cmd_fit(args) -> None:
-    import numpy as np
-
-    from . import artifacts
-    from .data import load_panel
-    from .design import ModelSpec, build_matrices
-    from .gibbs import PriorConfig
-    from .inference import summarize
+    from .chainfiles import ChainWriter
 
     _check_counts(args)
-    panel = load_panel(args.input, clamp_policy=args.clamp_policy)
-    panel = _filter_sex(panel, args.sex)
-    offset = args.year_offset if args.year_offset is not None else float(np.mean(panel.year))
-    spec = ModelSpec(variant=args.model, sex=args.sex, year_offset=offset)
-    priors = PriorConfig(error_prior=args.error_prior, reffect_prior=args.local_prior,
-                         nu_weight=args.nu_weight)
-    design = build_matrices(panel, spec)
-    traces = run_chains(design, spec, priors, n_iter=args.iters,
-                        burn_in=args.burn_in, thin=args.thin, seed=args.seed,
-                        chains=args.chains)
-    summary = summarize(traces)
     os.makedirs(args.out, exist_ok=True)
-    artifacts.write_fit(args.out, traces, summary, seed=args.seed,
-                        clamp_policy=args.clamp_policy)
+    # the helper starts while numpy loads, and writes as the chains sample
+    with ChainWriter(args.out, args.chains) as chain_files:
+        import numpy as np
+
+        from . import artifacts
+        from .data import load_panel
+        from .design import ModelSpec, build_matrices
+        from .gibbs import PriorConfig
+
+        panel = load_panel(args.input, clamp_policy=args.clamp_policy)
+        panel = _filter_sex(panel, args.sex)
+        offset = args.year_offset if args.year_offset is not None else float(np.mean(panel.year))
+        spec = ModelSpec(variant=args.model, sex=args.sex, year_offset=offset)
+        priors = PriorConfig(error_prior=args.error_prior, reffect_prior=args.local_prior,
+                             nu_weight=args.nu_weight)
+        design = build_matrices(panel, spec)
+        chain_files.begin(artifacts.trace_layout(priors, spec, design.m)[1])
+        traces = run_chains(design, spec, priors, n_iter=args.iters,
+                            burn_in=args.burn_in, thin=args.thin, seed=args.seed,
+                            chains=args.chains, sink=chain_files)
+        from .inference import summarize  # loaded while the helper catches up
+
+        summary = summarize(traces)
+        artifacts.write_fit(args.out, traces, summary, seed=args.seed,
+                            clamp_policy=args.clamp_policy, chain_files=chain_files)
 
 
 def cmd_predict(args) -> None:

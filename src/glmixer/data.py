@@ -124,12 +124,17 @@ def build_panel(unit_id, year, sex, completeness, reg_cdr, pct65, u5mr, c5q0) ->
 
 
 def read_csv_rows(path) -> list:
-    """The records of a UTF-8 CSV file, header included, with a leading
-    byte-order mark dropped; a file that is not UTF-8 or that csv cannot
-    parse is a ValidationError naming it (and a bad byte's file offset)."""
+    """The records of a UTF-8 CSV file (`csv_rows`)."""
+    with open(path, "rb") as fh:
+        return csv_rows(fh.read(), path)
+
+
+def csv_rows(data: bytes, path) -> list:
+    """The records of the bytes of a UTF-8 CSV file, header included, with
+    a leading byte-order mark dropped; bytes not UTF-8 or not CSV are a
+    ValidationError naming `path` (and a bad byte's offset)."""
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        text = data.decode("utf-8")
         return list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

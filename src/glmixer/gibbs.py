@@ -546,7 +546,7 @@ def run_chain(panel_or_design, spec: ModelSpec, priors: PriorConfig,
 def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
                n_iter: int = DEFAULT_N_ITER, burn_in: int = DEFAULT_BURN_IN,
                thin: int = DEFAULT_THIN, seed: int = 0, chains=DEFAULT_CHAINS,
-               fixed: Optional[dict] = None) -> list:
+               fixed: Optional[dict] = None, sink: Optional[Callable] = None) -> list:
     """The Traces of `chains` chains on streams 0, 1, ... (or on the stream
     ids given), sampled in lockstep in this process. Chain k draws from
     RngStream(seed, k) alone, so its Trace does not depend on the others.
@@ -558,6 +558,9 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
     `SweepLayout.block` sweeps at a time (`_standard_draws`), and always a
     whole block, so its first N sweeps depend neither on `n_iter` nor on
     the other chains.
+
+    `sink` (`fit`'s `chainfiles.ChainWriter`) gets each block's kept rows,
+    a (chains, rows, width) float64 array in the chain file's column order.
 
     `fixed` pins the global precisions tau and/or phi (e.g. {"phi": 100.0})
     for diagnostics and oracle tests; pinned values must be finite and
@@ -603,7 +606,7 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
     for name, value in fixed.items():
         setattr(state, name, float(value) if n_chains == 1 else np.full(n_chains, float(value)))
     layout = _sweep_layout(design, priors, fixed, None if n_chains == 1 else n_chains)
-    k = 0
+    k = sent = 0
     for t in range(1, n_iter + 1):
         b = (t - 1) % layout.block
         if b == 0:
@@ -618,6 +621,10 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
             for key, attr in recorded.items():
                 draws[key][:, k] = getattr(state, attr)
             k += 1
+        if sink is not None and k > sent and (b == layout.block - 1 or t == n_iter):
+            sink(np.concatenate([d[:, sent:k].reshape(n_chains, k - sent, -1)
+                                 for d in draws.values()], axis=2, dtype=np.float64))
+            sent = k
     return [Trace(draws={key: d[c] for key, d in draws.items()}, seed=seed, chain_id=chain,
                   n_iter=n_iter, burn_in=burn_in, thin=thin, priors=priors, spec=spec,
                   unit_ids=design.unit_ids, sizes=tuple(int(s) for s in design.sizes))
