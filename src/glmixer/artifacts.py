@@ -36,7 +36,6 @@ import os
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .chainfiles import chain_csv_name, format_rows
 # the panel writer lives with the reader in `data`; re-exported here
 from .data import PanelDataset, csv_rows, write_panel_csv  # noqa: F401
 from .errors import ValidationError
@@ -60,12 +59,18 @@ SUMMARY_COLUMNS = ("param", "index", "mean", "sd", "q2.5", "q50", "q97.5", "ess"
 FORMAT = 4
 # Manifest field holding the sha256 of the manifest's other fields.
 MANIFEST_DIGEST = "manifest_sha256"
+# A chain file's name, given its chain id.
+CHAIN_CSV = "chain_{}.csv"
 # Kept draws formatted per write call of a chain file.
 TRACE_CHUNK_ROWS = 64
 
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def chain_csv_name(chain_id: int) -> str:
+    return CHAIN_CSV.format(chain_id)
 
 
 def trace_layout(priors: PriorConfig, spec: ModelSpec, m: int):
@@ -95,6 +100,8 @@ def write_trace_csv(trace: Trace, columns, header: str, path) -> str:
     """One header row, then one row of repr floats per kept draw, built
     TRACE_CHUNK_ROWS rows at a time; returns the file's sha256."""
     import numpy as np
+
+    from .chainfiles import format_rows
 
     def chunks():
         yield header.encode() + b"\n"
@@ -147,14 +154,10 @@ def write_fit(outdir, traces, summary: PosteriorSummary, *, seed: int,
     the chain files are `chain_files`'s, once it has the traces' rows."""
     os.makedirs(outdir, exist_ok=True)
     t0 = traces[0]
-    if chain_files is not None:
-        digests = chain_files.digests()
-    else:
-        columns, header = trace_layout(t0.priors, t0.spec, len(t0.unit_ids))
-        digests = {chain_csv_name(trace.chain_id):
-                   write_trace_csv(trace, columns, header,
-                                   os.path.join(outdir, chain_csv_name(trace.chain_id)))
-                   for trace in traces}
+    columns, header = trace_layout(t0.priors, t0.spec, len(t0.unit_ids))
+    digests = chain_files.digests() if chain_files is not None else {
+        name: write_trace_csv(trace, columns, header, os.path.join(outdir, name))
+        for trace in traces for name in [chain_csv_name(trace.chain_id)]}
     digests[SUMMARY_NAME] = write_summary_csv(summary, os.path.join(outdir, SUMMARY_NAME))
     manifest = {
         "software": "glmixer",

@@ -1,12 +1,13 @@
 """A fit's chain files: the one definition of their lines (a header, then
 one line per kept draw of repr floats joined by ","), and the helper
-process `fit` writes and hashes them in while its chains sample. Run as a
-script under `python -I -S`, it loads no `site`, numpy or glmixer module.
-Its stdin holds the header line, then frames: a native uint64 row count n
-and n rows of native float64 values of each chain in turn. A frame of 0
-rows ends the stream: the helper renames its part files into place and
-prints their sha256, one line per chain. On a stream that ends otherwise
-it removes its part files and exits 1; on an I/O error, exits 4."""
+process `fit` writes and hashes them in while its chains sample. Run as
+`python -I -S chainfiles.py OUTDIR CHAINS PATTERN`, it loads only the
+standard library. Its stdin holds the header line, then frames: a native
+uint64 row count n and n rows of native float64 values of each chain in
+turn. A frame of 0 rows ends the stream: the helper renames its part files
+into place, PATTERN.format(k) for k < CHAINS, and prints their sha256s. A
+stream that ends otherwise exits 1, an I/O error 4, after removing the
+part files and the output directory if the helper made it."""
 
 from __future__ import annotations
 
@@ -17,12 +18,7 @@ import struct
 import sys
 
 FRAME = struct.Struct("=Q")  # rows in the frame
-PIPE_BYTES = 1 << 20  # room for several frames, so `fit` seldom waits for the helper
 STOP_SECONDS = 10  # a stopped helper's time to clean up before it is killed
-
-
-def chain_csv_name(chain_id: int) -> str:
-    return f"chain_{chain_id}.csv"
 
 
 def format_rows(rows) -> bytes:
@@ -30,8 +26,8 @@ def format_rows(rows) -> bytes:
     return "".join(",".join(map(repr, row)) + "\n" for row in rows).encode()
 
 
-def _parts(outdir, chains: int) -> list:
-    return [os.path.join(outdir, chain_csv_name(k)) + ".part" for k in range(chains)]
+def _paths(outdir, chains: int, pattern: str) -> list:
+    return [os.path.join(outdir, pattern.format(k)) for k in range(chains)]
 
 
 class ChainWriter:
@@ -39,15 +35,12 @@ class ChainWriter:
     the header (`begin`), then frames as `run_chains`'s sink; `digests()` ends
     the stream. A helper that fails is an OSError; leaving `with` stops it."""
 
-    def __init__(self, outdir, chains: int):
-        import fcntl
+    def __init__(self, outdir, chains: int, pattern: str):
         import subprocess
 
-        self.outdir, self.chains, self.framed = outdir, chains, False
-        self.proc = subprocess.Popen([sys.executable, "-I", "-S", __file__, outdir, str(chains)],
-                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        with contextlib.suppress(OSError):  # a refused size only makes `fit` wait more
-            fcntl.fcntl(self.proc.stdin, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        self.outdir, self.chains, self.pattern, self.framed = outdir, chains, pattern, False
+        self.proc = subprocess.Popen([sys.executable, "-I", "-S", __file__, outdir, str(chains),
+                                      pattern], stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
     def begin(self, header: str) -> None:
         self._send(header.encode() + b"\n")
@@ -71,7 +64,7 @@ class ChainWriter:
         if self.proc.returncode or len(lines) != self.chains:
             raise OSError(f"the chain file writer exited with code {self._stop()} "
                           f"after {len(lines)} of {self.chains} chain files")
-        return {chain_csv_name(k): digest for k, digest in enumerate(lines)}
+        return {self.pattern.format(k): digest for k, digest in enumerate(lines)}
 
     def _stop(self) -> int:
         """End the stream, reap the helper and remove its part files; its exit code."""
@@ -85,9 +78,9 @@ class ChainWriter:
             self.proc.kill()
             self.proc.wait()
         self.proc.stdout.close()
-        for path in _parts(self.outdir, self.chains) if self.framed else ():  # from frame 1
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
+        for path in _paths(self.outdir, self.chains, self.pattern) if self.framed else ():
+            with contextlib.suppress(FileNotFoundError):  # part files come at frame 1
+                os.remove(path + ".part")
         return self.proc.returncode
 
     def __enter__(self) -> ChainWriter:
@@ -105,17 +98,20 @@ def _read(stream, size: int) -> bytes:
     return data
 
 
-def serve(outdir: str, chains: int, stream, out) -> int:
+def serve(outdir: str, chains: int, pattern: str, stream, out) -> int:
     """The helper's work, from the header on `stream` to the digests on
-    `out`; its exit code. It opens the part files at the first frame."""
+    `out`; its exit code. It makes `outdir` and the part files at frame 1."""
     header = stream.readline()
     width = header.count(b",") + 1
-    files = []  # (part file, sha256) per chain
+    files, made = [], False  # (part file, sha256) per chain
     try:
         while rows := FRAME.unpack(_read(stream, FRAME.size))[0]:
-            for path in _parts(outdir, chains) if not files else ():
-                files.append((open(path, "wb"), hashlib.sha256(header)))
-                files[-1][0].write(header)
+            if not files:
+                made = not os.path.isdir(outdir)
+                os.makedirs(outdir, exist_ok=True)
+                for path in _paths(outdir, chains, pattern):
+                    files.append((open(path + ".part", "wb"), hashlib.sha256(header)))
+                    files[-1][0].write(header)
             values = memoryview(_read(stream, 8 * rows * width * chains)).cast("d").tolist()
             size = rows * width
             for k, (fh, digest) in enumerate(files):
@@ -137,6 +133,9 @@ def serve(outdir: str, chains: int, stream, out) -> int:
         fh.close()
         with contextlib.suppress(FileNotFoundError):
             os.remove(fh.name)
+    if made:
+        with contextlib.suppress(OSError):  # one left holding files is the caller's to remove
+            os.rmdir(outdir)
     return code
 
 
@@ -144,4 +143,4 @@ if __name__ == "__main__":
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches `fit` too, which ends the stream
-    sys.exit(serve(sys.argv[1], int(sys.argv[2]), sys.stdin.buffer, sys.stdout))
+    sys.exit(serve(sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.stdin.buffer, sys.stdout))

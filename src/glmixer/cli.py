@@ -79,15 +79,14 @@ def _check_counts(args) -> None:
 
 
 def cmd_fit(args) -> None:
+    from . import artifacts
     from .chainfiles import ChainWriter
 
     _check_counts(args)
-    os.makedirs(args.out, exist_ok=True)
     # the helper starts while numpy loads, and writes as the chains sample
-    with ChainWriter(args.out, args.chains) as chain_files:
+    with ChainWriter(args.out, args.chains, artifacts.CHAIN_CSV) as chain_files:
         import numpy as np
 
-        from . import artifacts
         from .data import load_panel
         from .design import ModelSpec, build_matrices
         from .gibbs import PriorConfig

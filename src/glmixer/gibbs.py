@@ -557,10 +557,9 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
     Each chain draws its normals and rate-free Gammas a block of
     `SweepLayout.block` sweeps at a time (`_standard_draws`), and always a
     whole block, so its first N sweeps depend neither on `n_iter` nor on
-    the other chains.
-
-    `sink` (`fit`'s `chainfiles.ChainWriter`) gets each block's kept rows,
-    a (chains, rows, width) float64 array in the chain file's column order.
+    the other chains. `sink` (`fit`'s `chainfiles.ChainWriter`) gets each
+    block's kept rows, a (chains, rows, width) float64 array in the chain
+    file's column order.
 
     `fixed` pins the global precisions tau and/or phi (e.g. {"phi": 100.0})
     for diagnostics and oracle tests; pinned values must be finite and

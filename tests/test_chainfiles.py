@@ -132,7 +132,8 @@ def test_helper_loads_only_the_standard_library(panels, tmp_path, helpers):
     assert main(fit_args(panels / "panel.csv", tmp_path / "fit")) == 0
     argv = helpers[0].args
     assert argv[:4] == [sys.executable, "-I", "-S", chainfiles.__file__]
-    proc = subprocess.run([*argv[:3], "-X", "importtime", argv[3], str(tmp_path), "1"],
+    proc = subprocess.run([*argv[:3], "-X", "importtime", argv[3], str(tmp_path), "1",
+                           "c{}.csv"],
                           input=b"a\n" + frame(np.ones((1, 1, 1))) + chainfiles.FRAME.pack(0),
                           capture_output=True, timeout=TIMEOUT)
     assert proc.returncode == 0
@@ -241,12 +242,17 @@ def test_keyboard_interrupt_stops_the_helper(panels, tmp_path, helpers, monkeypa
     with pytest.raises(KeyboardInterrupt):
         main(fit_args(panels / "panel.csv", out))
     assert helpers[-1].returncode is not None
-    assert chain_and_part_files(out) == []
+    assert not out.exists()
+    out.mkdir()
+    with pytest.raises(KeyboardInterrupt):
+        main(fit_args(panels / "panel.csv", out))
+    assert list(out.iterdir()) == []
 
 
 def helper(outdir, chains):
     return subprocess.Popen([sys.executable, "-I", "-S", chainfiles.__file__, str(outdir),
-                             str(chains)], stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                             str(chains), "chain_{}.csv"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
 
 def frame(rows):
@@ -256,6 +262,13 @@ def frame(rows):
 def test_stream_without_end_frame_leaves_no_file(tmp_path):
     proc = helper(tmp_path, 2)
     out, _ = proc.communicate(b"a[0],b[0]\n" + frame(np.ones((2, 3, 2))), timeout=TIMEOUT)
+    assert proc.returncode == 1 and out == b""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stream_without_end_frame_removes_the_directory_it_made(tmp_path):
+    proc = helper(tmp_path / "fit", 2)
+    out, _ = proc.communicate(b"a\n" + frame(np.ones((2, 3, 1))), timeout=TIMEOUT)
     assert proc.returncode == 1 and out == b""
     assert list(tmp_path.iterdir()) == []
 
@@ -278,7 +291,7 @@ def test_helper_of_a_killed_fit_removes_its_part_files(tmp_path):
     src = str(Path(chainfiles.__file__).resolve().parents[1])
     code = (f"import sys, numpy as np; sys.path.insert(0, {src!r})\n"
             "from glmixer.chainfiles import ChainWriter\n"
-            f"w = ChainWriter({str(tmp_path)!r}, 2)\n"
+            f"w = ChainWriter({str(tmp_path)!r}, 2, 'chain_{{}}.csv')\n"
             "w.begin('a,b'); w(np.zeros((2, 3, 2)))\n"
             "print(w.proc.pid, flush=True); sys.stdin.read()\n")
     fit = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
