@@ -9,8 +9,6 @@ into place, PATTERN.format(k) for k < CHAINS, and prints their sha256s. A
 stream that ends otherwise exits 1, an I/O error 4, after removing the
 part files and the output directory if the helper made it."""
 
-from __future__ import annotations
-
 import contextlib
 import hashlib
 import os
@@ -41,6 +39,9 @@ class ChainWriter:
         self.outdir, self.chains, self.pattern, self.framed = outdir, chains, pattern, False
         self.proc = subprocess.Popen([sys.executable, "-I", "-S", __file__, outdir, str(chains),
                                       pattern], stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        with contextlib.suppress(ImportError, AttributeError, OSError):  # F_SETPIPE_SZ: Linux
+            import fcntl
+            fcntl.fcntl(self.proc.stdin, fcntl.F_SETPIPE_SZ, 1 << 20)  # sampling runs on ahead
 
     def begin(self, header: str) -> None:
         self._send(header.encode() + b"\n")
@@ -83,7 +84,7 @@ class ChainWriter:
                 os.remove(path + ".part")
         return self.proc.returncode
 
-    def __enter__(self) -> ChainWriter:
+    def __enter__(self) -> "ChainWriter":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -113,10 +114,9 @@ def serve(outdir: str, chains: int, pattern: str, stream, out) -> int:
                     files.append((open(path + ".part", "wb"), hashlib.sha256(header)))
                     files[-1][0].write(header)
             values = memoryview(_read(stream, 8 * rows * width * chains)).cast("d").tolist()
-            size = rows * width
+            split = [values[i:i + width] for i in range(0, len(values), width)]
             for k, (fh, digest) in enumerate(files):
-                lines = format_rows(values[i:i + width]
-                                    for i in range(k * size, (k + 1) * size, width))
+                lines = format_rows(split[k * rows:(k + 1) * rows])
                 digest.update(lines)
                 fh.write(lines)
         for fh, _ in files:

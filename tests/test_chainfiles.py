@@ -128,6 +128,26 @@ def test_partial_last_frame_matches_in_process_write(panels, tmp_path, monkeypat
     assert tree(tmp_path / "cli") == tree(tmp_path / "lib")
 
 
+@pytest.mark.parametrize("fcntl", ["no module", "no F_SETPIPE_SZ", "refused"])
+def test_fit_without_a_larger_pipe(panels, tmp_path, helpers, monkeypatch, fcntl):
+    # the pipe is enlarged where the platform allows it, and left as it is elsewhere
+    import fcntl as module
+
+    if fcntl == "no module":
+        monkeypatch.setitem(sys.modules, "fcntl", None)
+    elif fcntl == "no F_SETPIPE_SZ":
+        monkeypatch.delattr(module, "F_SETPIPE_SZ")
+    else:
+        def refused(*args):
+            raise PermissionError("pipe size")
+        monkeypatch.setattr(module, "fcntl", refused)
+    assert main(fit_args(panels / "panel.csv", tmp_path / "cli", thin=2)) == 0
+    in_process_fit(panels / "panel.csv", tmp_path / "lib", "half-cauchy", "horseshoe", chains=2,
+                   iters=60, burn_in=10, thin=2)
+    assert tree(tmp_path / "cli") == tree(tmp_path / "lib")
+    assert [p.returncode for p in helpers] == [0]
+
+
 def test_helper_loads_only_the_standard_library(panels, tmp_path, helpers):
     assert main(fit_args(panels / "panel.csv", tmp_path / "fit")) == 0
     argv = helpers[0].args
