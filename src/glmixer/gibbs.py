@@ -22,7 +22,7 @@ P^-1 (b + L z) with P = L L' (`kernels.draw_mvn_from_precision`), under
 gamma errors from the design's once-per-fit eigendecomposition.
 
 `sweep` has one draw path: one Generator per chain, and each step run
-once on (C, .) arrays (a lone chain may drop the axis). Each chain's
+once on (C, .) arrays; one chain is the case C = 1. Each chain's
 normals and rate-free Gammas are drawn ahead from its own Generator, in
 the order the steps read them; the steps scale them by their rates, and
 each Gamma shape is defined once, in `gamma_shape`. `run_chains` draws
@@ -53,8 +53,8 @@ from .defaults import DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER, DEFAULT_T
 from .design import GroupedDesign, ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
 from .kernels import (RngStream, allocate, draw_categorical_log, draw_gamma, draw_gig,
-                      draw_mvn_from_precision, draw_mvn_whitened, draw_standard, matvec,
-                      standard_gamma_rows, vecmat)
+                      draw_mvn_from_precision, draw_mvn_whitened, draw_standard, generators,
+                      matvec, standard_gamma_rows, vecmat)
 # re-exported: `predict` loads the records without the sampler
 from .records import (ERROR_PRIORS, NU_WEIGHTS, REFFECT_PRIORS, PriorConfig,  # noqa: F401
                       Trace, nu_log_prior)
@@ -69,29 +69,25 @@ SWEEP_BLOCK_BYTES = 32 * 1024
 
 @dataclass
 class ChainState:
-    """One chain's state; C chains in lockstep add a leading axis to each field."""
+    """The state of C chains in lockstep: each field leads with the chain
+    axis, also for one chain (C = 1)."""
 
-    beta: np.ndarray       # (p,)
-    u: np.ndarray          # (m,)
-    tau: float             # global error precision (zeta_eps under common Gamma)
-    phi: float             # global random-effect precision (zeta_u under common Gamma)
-    omega: np.ndarray      # (m,) local effect precisions, 1 under common Gamma
-    lam: np.ndarray        # (m,) local error precisions, 1 under common Gamma
-    rho: np.ndarray        # (m,) Half-Cauchy auxiliaries for lam
-    varrho: np.ndarray     # (m,) Horseshoe auxiliaries for omega
-    nu: np.ndarray         # (m,) int, Student-t degrees of freedom
-    rss: np.ndarray        # (m,) per-unit residual sums of squares at beta and u,
+    beta: np.ndarray       # (C, p)
+    u: np.ndarray          # (C, m)
+    tau: np.ndarray        # (C,) global error precision (zeta_eps under common Gamma)
+    phi: np.ndarray        # (C,) global random-effect precision (zeta_u under common Gamma)
+    omega: np.ndarray      # (C, m) local effect precisions, 1 under common Gamma
+    lam: np.ndarray        # (C, m) local error precisions, 1 under common Gamma
+    rho: np.ndarray        # (C, m) Half-Cauchy auxiliaries for lam
+    varrho: np.ndarray     # (C, m) Horseshoe auxiliaries for omega
+    nu: np.ndarray         # (C, m) int, Student-t degrees of freedom
+    rss: np.ndarray        # (C, m) per-unit residual sums of squares at beta and u,
                            # refreshed by the beta step for the tau and lambda steps
 
 
 # ---------------------------------------------------------------------------
 # conditional-parameter helpers (pure, unit-testable) and the draw steps, for
-# one chain or C in lockstep (see ChainState), each chain with its own bits
-
-
-def _col(x, axes=1):
-    """A per-chain scalar: one chain's number, or (C,) with `axes` axes added."""
-    return x.reshape(x.shape + (1,) * axes) if isinstance(x, np.ndarray) else x
+# C chains in lockstep (see ChainState), each chain with its own bits
 
 
 def u_conditional(state: ChainState, design: GroupedDesign):
@@ -102,8 +98,8 @@ def u_conditional(state: ChainState, design: GroupedDesign):
     gamma_i / (n_i lam_i tau).
     """
     n_i = design.sizes
-    lt = state.lam * _col(state.tau)
-    of = state.omega * _col(state.phi)
+    lt = state.lam * state.tau[:, None]
+    of = state.omega * state.phi[:, None]
     gamma = lt / (lt + of / n_i)
     resid = design.ybar - matvec(design.xbar, state.beta)
     return gamma * resid, gamma / (n_i * lt), gamma
@@ -126,7 +122,7 @@ def _beta_sums(state: ChainState, design: GroupedDesign, columns: int) -> np.nda
 
 def _beta_rhs(state: ChainState, sums: np.ndarray, p: int) -> np.ndarray:
     """b = tau sum_i lam_i (X_i'y_i - u_i n_i xbar_i) from `_beta_sums`."""
-    return _col(state.tau) * (sums[..., 0, :p] - sums[..., 1, p:2 * p])
+    return state.tau[:, None] * (sums[..., 0, :p] - sums[..., 1, p:2 * p])
 
 
 def beta_conditional(state: ChainState, design: GroupedDesign, prior_precision: float = 0.0):
@@ -136,7 +132,7 @@ def beta_conditional(state: ChainState, design: GroupedDesign, prior_precision: 
     product of the weights [lam; lam u] with the design's `beta_sums`."""
     p = design.p
     sums = _beta_sums(state, design, 2 * p + p * p)
-    P = _col(state.tau, 2) * sums[..., 0, 2 * p:].reshape(sums.shape[:-2] + (p, p))
+    P = state.tau[:, None, None] * sums[..., 0, 2 * p:].reshape(sums.shape[:-2] + (p, p))
     if prior_precision > 0.0:
         P = P + prior_precision * np.eye(p)
     return _beta_rhs(state, sums, p), P
@@ -157,7 +153,7 @@ def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng
     noise = None if z is None else z["beta"]
     if priors.error_prior == "gamma":
         evals, evecs = design.xtx_eigh
-        scale = np.sqrt(_col(state.tau) * evals + priors.beta_prior_precision)
+        scale = np.sqrt(state.tau[:, None] * evals + priors.beta_prior_precision)
         W = np.swapaxes(evecs / scale[..., None, :], -1, -2)
         rhs = _beta_rhs(state, _beta_sums(state, design, 2 * design.p), design.p)
         state.beta = draw_mvn_whitened(rng, rhs, W, noise)
@@ -240,7 +236,7 @@ def lambda_conditional(state: ChainState, design: GroupedDesign):
     """(shape, rate) of lam_i ~ Gamma(n_i/2 + 1, (tau/2) RSS_i + rho_i),
     with RSS from state.rss. The shape is the design's per-fit constant:
     one float for a balanced panel, else one entry per unit."""
-    return gamma_shape("lam", design), 0.5 * _col(state.tau) * state.rss + state.rho
+    return gamma_shape("lam", design), 0.5 * state.tau[:, None] * state.rss + state.rho
 
 
 def step_lambda_halfcauchy(state: ChainState, design: GroupedDesign, rng, z=None) -> None:
@@ -251,32 +247,30 @@ def step_lambda_halfcauchy(state: ChainState, design: GroupedDesign, rng, z=None
 
 
 def nu_log_weights(u: np.ndarray, phi, priors: PriorConfig, out=None) -> np.ndarray:
-    """(m, |support|) log weights of one chain's nu_i conditional, or
-    (C, m, |support|) for C chains' u (C, m) and phi (C,): log prior plus
-    the log Student-t density of u_i at scale s = sqrt(1/phi). With
-    q_i = phi u_i^2, h_j = (nu_j + 1)/2 and c_j the log prior, log
-    normalizer and h_j log nu_j of support point nu_j (`records.
-    _nu_t_terms`, once per config),
+    """(C, m, |support|) log weights of the nu_i conditionals of C chains'
+    u (C, m) and phi (C,): log prior plus the log Student-t density of u_i
+    at scale s = sqrt(1/phi). With q_i = phi u_i^2, h_j = (nu_j + 1)/2 and
+    c_j the log prior, log normalizer and h_j log nu_j of support point
+    nu_j (`records._nu_t_terms`, once per config),
 
         log w_ij = c_j - log s - h_j log(nu_j + q_i)
                  = -h_j log(g_j nu_j + g_j q_i),  g_j = exp((log s - c_j) / h_j),
 
     so a chain's table is one (|support| x 2)(2 x m) product of [g nu, g]
     with [1; q], then one log and one multiply. It is built support-major,
-    in `out` ((|support|, C, m), or (|support|, m) for one chain) when
-    given, so every operation runs along the units and chains, and
-    returned as the view with the support last."""
+    in `out` ((|support|, C, m)) when given, so every operation runs along
+    the units and chains, and returned as the view with the support last."""
     nu_one, half_df1, const = priors._nu_t_terms
-    g = np.exp(((-0.5 * np.log(phi))[..., None] - const) / half_df1)
-    ones_q = np.empty(u.shape[:-1] + (2, u.shape[-1]))
-    ones_q[..., 0, :] = 1.0
-    np.multiply(u * u, _col(phi), out=ones_q[..., 1, :])
+    g = np.exp(((-0.5 * np.log(phi))[:, None] - const) / half_df1)
+    ones_q = np.empty((len(u), 2, u.shape[1]))
+    ones_q[:, 0] = 1.0
+    np.multiply(u * u, phi[:, None], out=ones_q[:, 1])
     if out is None:
         out = np.empty(half_df1.shape + u.shape)
-    np.matmul(g[..., None] * nu_one, ones_q, out=out.swapaxes(0, -2))
+    np.matmul(g[..., None] * nu_one, ones_q, out=out.swapaxes(0, 1))
     np.log(out, out=out)
-    np.multiply(out, -half_df1.reshape(half_df1.shape + (1,) * u.ndim), out=out)
-    return out.transpose(*range(1, out.ndim), 0)
+    np.multiply(out, -half_df1[:, None, None], out=out)
+    return out.transpose(1, 2, 0)
 
 
 def omega_conditional_horseshoe(phiu2, varrho):
@@ -291,14 +285,12 @@ def omega_conditional_student_t(phiu2, nu):
 
 
 def _each_chain(rng, draw, *args):
-    """draw(g, *rows) stacked over each chain's Generator g and rows of args
-    (a failing chain is the error's `row`); draw(rng, *args) for one chain."""
-    if isinstance(rng, np.random.Generator):
-        return draw(rng, *args)
+    """draw(g, *rows) stacked over each chain's Generator g (`generators`)
+    and rows of args; a failing chain is the error's `row`."""
     out = []
-    for c, g in enumerate(rng):
+    for c, (g, *rows) in enumerate(zip(generators(rng), *args, strict=True)):
         try:
-            out.append(draw(g, *(a[c] for a in args)))
+            out.append(draw(g, *rows))
         except (GlmixerError, ArithmeticError, ValueError) as exc:
             exc.row = c
             raise
@@ -321,7 +313,7 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None, nu_table=Non
     Wald draws run chain by chain.
     """
     m = state.u.shape[-1]
-    phiu2 = _col(state.phi) * state.u * state.u
+    phiu2 = state.phi[:, None] * state.u * state.u
     if priors.reffect_prior == "horseshoe":
         shape, rate = omega_conditional_horseshoe(phiu2, state.varrho)
         state.omega = _gamma(rng, z, "omega", shape, rate, size=m)
@@ -349,7 +341,7 @@ class SweepLayout(NamedTuple):
 
 
 def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=(),
-                  chains: Optional[int] = None) -> SweepLayout:
+                  chains: int = 1) -> SweepLayout:
     """A sweep's standard Gamma draws in draw order as runs of one
     `gamma_shape`: a float, or one shape per unit for lambda on an
     unbalanced panel; equal float runs are merged. Also the fields each
@@ -358,9 +350,8 @@ def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=(),
     parameters must be, for the error message. The block is as many
     sweeps as fit in SWEEP_BLOCK_BYTES per chain, so it depends on the
     design's shape and the priors, never on the chains or the run length.
-    Under Student-t the nu step's (|support|, chains, m) table, without
-    the chain axis for a lone chain (`chains` None), is allocated here,
-    once per fit."""
+    Under Student-t the nu step's (|support|, chains, m) table is
+    allocated here, once per fit."""
     names = [name for name in ("tau", "phi") if name not in fixed]
     if priors.error_prior == "half-cauchy":
         names += ["lam", "rho"]
@@ -397,23 +388,19 @@ def _sweep_layout(design: GroupedDesign, priors: PriorConfig, fixed=(),
     positive = [name for _, drawn, needs in checked if needs for name in drawn]
     nu_table = None
     if priors.reffect_prior == "student-t":
-        nu_table = np.empty((len(priors.nu_support),) + (() if chains is None else (chains,))
-                            + (design.m,))
+        nu_table = np.empty((len(priors.nu_support), chains, design.m))
     return SweepLayout(tuple(runs), at, tuple(checked), attrgetter("u", "beta", *positive),
                        max(1, SWEEP_BLOCK_BYTES // (8 * per_sweep)), nu_table)
 
 
-def _standard_draws(rngs, design: GroupedDesign, layout: SweepLayout, sweeps: int,
-                    lone: bool) -> list:
+def _standard_draws(rngs, design: GroupedDesign, layout: SweepLayout, sweeps: int) -> list:
     """One block of `sweeps` sweeps' standard draws for the chains of rngs
     (`draw_standard`), as one dict of views {draw name: (C, .) array} per
-    sweep, without the chain axis for a lone chain (`lone`)."""
+    sweep."""
     zn, zg = draw_standard(rngs, design.m + design.p, layout.runs, sweeps)
     block = {"u": zn[..., :design.m], "beta": zn[..., design.m:],
              **{name: zg[r][..., where] for name, (r, where) in layout.at.items()}}
-    block = {name: np.swapaxes(v, 0, 1)[:, 0] if lone else np.swapaxes(v, 0, 1)
-             for name, v in block.items()}
-    return [{name: v[b] for name, v in block.items()} for b in range(sweeps)]
+    return [{name: v[:, b] for name, v in block.items()} for b in range(sweeps)]
 
 
 def _drawn_ok(state: ChainState, layout: SweepLayout) -> bool:
@@ -421,8 +408,8 @@ def _drawn_ok(state: ChainState, layout: SweepLayout) -> bool:
     beta, for all chains at once: one concatenation, whose sum is finite
     only if every entry is, and the minimum of the fields that must be > 0
     (NaN if one is NaN)."""
-    v = np.concatenate([np.asarray(x).ravel() for x in layout.fields(state)])
-    positive = v[np.size(state.u) + np.size(state.beta):]  # empty if nothing else is drawn
+    v = np.concatenate([x.ravel() for x in layout.fields(state)])
+    positive = v[state.u.size + state.beta.size:]  # empty if nothing else is drawn
     return (np.minimum.reduce(positive, initial=math.inf) > 0.0
             and math.isfinite(np.add.reduce(v)))
 
@@ -432,13 +419,13 @@ def _first_bad_step(state: ChainState, layout: SweepLayout, upto=None, then=""):
     a drawn field not finite (or not > 0), as a NumericalError whose
     `step` is that step and whose `row` is its lowest bad chain, with
     `then` appended to its message; None if there is none."""
-    chains = len(state.u) if state.u.ndim > 1 else 1
+    chains = len(state.u)
     for step, names, needs in layout.checked:
         if step == upto:
             return None
         bad = []  # (row, name, value) at the lowest bad chain of each field
         for name in names:
-            x = np.asarray(getattr(state, name), dtype=np.float64).reshape(chains, -1)
+            x = getattr(state, name).reshape(chains, -1)
             ok = np.isfinite(x) if needs is None else (x > 0.0) & (x < math.inf)
             if not ok.all():
                 row = int(np.argmin(ok.all(axis=1)))
@@ -457,13 +444,12 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
     """One full Gibbs cycle in the fixed order u, beta, global scales (less
     the `fixed` ones), lambda/rho (Half-Cauchy errors only), omega block.
 
-    rngs holds one Generator per chain of `state`; a lone Generator is
-    taken as the one-chain list [rng]. A state without the chain axis is
-    one chain. The steps scale the standard draws z, one sweep's views of
-    `_standard_draws` (layout: `_sweep_layout`'s); without z the sweep
-    draws them first, one normal call and one Gamma call per run of equal
-    shapes on each chain's Generator: the doubles the steps would draw
-    from it in turn.
+    rngs holds one Generator per chain of `state`; a bare Generator is
+    taken as the one-chain list [rng] (`generators`). The steps scale the
+    standard draws z, one sweep's views of `_standard_draws` (layout:
+    `_sweep_layout`'s); without z the sweep draws them first, one normal
+    call and one Gamma call per run of equal shapes on each chain's
+    Generator: the doubles the steps would draw from it in turn.
 
     The Gamma draws are not checked one by one: at its end the sweep
     checks that every field it drew is finite (and > 0 but u and beta).
@@ -471,14 +457,10 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
     order, and the error's `step` is the first step that left a bad field
     (else the step that raised) and its `row` that step's lowest bad chain.
     """
-    if isinstance(rngs, np.random.Generator):
-        rngs = [rngs]
-    lone = state.u.ndim == 1  # a lone chain, held without the chain axis
-    layout = layout or _sweep_layout(design, priors, fixed, None if lone else len(state.u))
+    rngs = generators(rngs)
+    layout = layout or _sweep_layout(design, priors, fixed, len(state.u))
     if z is None:
-        (z,) = _standard_draws(rngs, design, layout, 1, lone)
-    if lone:
-        (rngs,) = rngs
+        (z,) = _standard_draws(rngs, design, layout, 1)
     step = "u"
     try:
         step_u(state, design, rngs, z)
@@ -496,8 +478,6 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
         err = _first_bad_step(state, layout, step, f" (step {step} then failed: {exc})")
         if err is None:
             exc.step = step
-            if lone:
-                exc.row = 0
             raise
         raise err from exc
     if not _drawn_ok(state, layout):
@@ -507,9 +487,10 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
 
 
 def initialize_state(design: GroupedDesign, priors: PriorConfig, rng=None) -> ChainState:
-    """OLS-anchored start: beta from least squares (zero on failure),
-    u from group mean residuals, precisions from inverse residual
-    variances clamped to [1e-6, 1e6], all auxiliaries at 1, nu at 5."""
+    """One chain's start, a (1, .) state (`run_chains` repeats it to C
+    chains): beta from least squares (zero on failure), u from group mean
+    residuals, precisions from inverse residual variances clamped to
+    [1e-6, 1e6], all auxiliaries at 1, nu at 5."""
     m, p = design.m, design.p
     try:
         beta, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
@@ -522,15 +503,15 @@ def initialize_state(design: GroupedDesign, priors: PriorConfig, rng=None) -> Ch
     resid = r - u[design.group_idx]
     var_e = float(resid @ resid) / max(design.n, 1)
     var_u = float(u @ u) / max(m, 1)
-    tau = float(np.clip(1.0 / var_e if var_e > 0 else np.inf, INIT_SCALE_MIN, INIT_SCALE_MAX))
-    phi = float(np.clip(1.0 / var_u if var_u > 0 else np.inf, INIT_SCALE_MIN, INIT_SCALE_MAX))
+    tau = np.clip([1.0 / var_e if var_e > 0 else np.inf], INIT_SCALE_MIN, INIT_SCALE_MAX)
+    phi = np.clip([1.0 / var_u if var_u > 0 else np.inf], INIT_SCALE_MIN, INIT_SCALE_MAX)
     nu_init = 5 if 5 in priors.nu_support else int(priors.nu_support[0])
     return ChainState(
-        beta=beta, u=u, tau=tau, phi=phi,
-        omega=np.ones(m), lam=np.ones(m),
-        rho=np.ones(m), varrho=np.ones(m),
-        nu=np.full(m, nu_init, dtype=np.intp),
-        rss=np.bincount(design.group_idx, weights=resid * resid, minlength=m),
+        beta=beta[None], u=u[None], tau=tau, phi=phi,
+        omega=np.ones((1, m)), lam=np.ones((1, m)),
+        rho=np.ones((1, m)), varrho=np.ones((1, m)),
+        nu=np.full((1, m), nu_init, dtype=np.intp),
+        rss=np.bincount(design.group_idx, weights=resid * resid, minlength=m)[None],
     )
 
 
@@ -594,22 +575,20 @@ def run_chains(panel_or_design, spec: ModelSpec, priors: PriorConfig, *,
     recorded = priors.recorded
     # the draws come first, so a run size numpy refuses stops the fit
     # before any Generator is made
-    draws = {key: allocate((n_chains, kept, *np.shape(getattr(start, attr))),
+    draws = {key: allocate((n_chains, kept, *getattr(start, attr).shape[1:]),
                            np.intp if key == "nu" else np.float64)
              for key, attr in recorded.items()}
     rngs = [RngStream(seed=seed, stream_id=k).generator() for k in stream_ids]
-    # a lone chain is held without the chain axis, which its sweep runs faster on
-    state = start if n_chains == 1 else ChainState(**{
-        f.name: np.repeat(np.asarray(getattr(start, f.name))[None], n_chains, axis=0)
-        for f in fields(ChainState)})
+    state = ChainState(**{f.name: np.repeat(getattr(start, f.name), n_chains, axis=0)
+                          for f in fields(ChainState)})
     for name, value in fixed.items():
-        setattr(state, name, float(value) if n_chains == 1 else np.full(n_chains, float(value)))
-    layout = _sweep_layout(design, priors, fixed, None if n_chains == 1 else n_chains)
+        setattr(state, name, np.full(n_chains, float(value)))
+    layout = _sweep_layout(design, priors, fixed, n_chains)
     k = sent = 0
     for t in range(1, n_iter + 1):
         b = (t - 1) % layout.block
         if b == 0:
-            block = _standard_draws(rngs, design, layout, layout.block, n_chains == 1)
+            block = _standard_draws(rngs, design, layout, layout.block)
         try:
             sweep(state, design, priors, rngs, fixed, layout, block[b])
         except (GlmixerError, ArithmeticError, ValueError) as exc:

@@ -13,7 +13,8 @@ of one sweep, or of a block of sweeps) and `draw_categorical_log` (the
 Student-t nu draw) take all chains in one call, and `standard_gamma_rows`
 draws Student-t's omega Gammas into one buffer; inside, each chain still
 draws from its own Generator, including the nu uniforms. Laplace's Wald
-draws (`draw_gig`) are called chain by chain. `draw_mvn_from_precision`,
+draws (`draw_gig`) are called chain by chain. A bare Generator is the
+one-chain list [rng] (`generators`). `draw_mvn_from_precision`,
 the beta draw under Half-Cauchy errors, takes a stack of precision
 matrices and draws P^-1 (b + L z) from one Cholesky factor and one solve.
 """
@@ -136,30 +137,32 @@ def draw_standard(rngs, n_normal, gamma_runs, sweeps=1):
     return zn, zg
 
 
+def generators(rng) -> list:
+    """One Generator per chain: a bare Generator is the one-chain list [rng]."""
+    return [rng] if isinstance(rng, np.random.Generator) else rng
+
+
 def standard_gamma_rows(rng, shape):
-    """Standard Gamma(shape) draws with one shape per entry: rng's for one
-    chain, or for a list of one Generator per chain and shapes (C, k), row
-    c from rngs[c] in one call, all into one (C, k) buffer. Each row has
-    the bits of ``rngs[c].standard_gamma(shape[c])``."""
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_gamma(shape)
+    """Standard Gamma(shape) draws with one shape per entry, for one
+    Generator per chain (`generators`) and shapes (C, k): row c from
+    rngs[c] in one call, all into one (C, k) buffer. Each row has the
+    bits of ``rngs[c].standard_gamma(shape[c])``."""
     out = np.empty(np.shape(shape))
-    for g, s, row in zip(rng, shape, out):
+    for g, s, row in zip(generators(rng), shape, out, strict=True):
         g.standard_gamma(s, out=row)
     return out
 
 
 def matvec(A, x):
-    """A x for x (k,) or for each row of x (C, k), as stacked (k, 1)
-    matmuls: each row gets the bits of the one-chain ``A @ x_row``, which
-    an einsum or a (C, k) @ (k, n) product does not promise."""
-    return A @ x if x.ndim == 1 else np.matmul(A, x[..., None])[..., 0]
+    """A x for each row of x (C, k), A (n, k) or one (n, k) per chain, as
+    stacked (k, 1) matmuls: row c gets the bits of the one-chain call on
+    row c, which an einsum or a (C, k) @ (k, n) product does not promise."""
+    return np.matmul(A, x[..., None])[..., 0]
 
 
 def vecmat(x, A):
-    """x A for x (k,) or for each row of x (C, k); bitwise ``x_row @ A``
-    (see `matvec`)."""
-    return x @ A if x.ndim == 1 else np.matmul(x[..., None, :], A)[..., 0, :]
+    """x A for each row of x (C, k), as stacked (1, k) matmuls (see `matvec`)."""
+    return np.matmul(x[..., None, :], A)[..., 0, :]
 
 
 def draw_mvn_whitened(rng, b, W, z=None):
@@ -171,7 +174,7 @@ def draw_mvn_whitened(rng, b, W, z=None):
     if not np.isfinite(W).all():
         err = NumericalError("whitening matrix is not finite: the precision "
                              "matrix is not positive definite")
-        err.row = int(np.argmin(np.isfinite(W).all(axis=(-2, -1)))) if W.ndim > 2 else 0
+        err.row = int(np.argmin(np.isfinite(W).all(axis=(-2, -1))))
         raise err
     return vecmat(matvec(W, b) + (rng.standard_normal(W.shape[-1]) if z is None else z), W)
 
@@ -217,7 +220,7 @@ def draw_mvn_from_precision(rng, b, P, z=None):
                               f"shape {b.shape}")
     if not np.isfinite(P).all():
         err = NumericalError("precision matrix is not finite")
-        err.row = int(np.argmin(np.isfinite(P).all(axis=(-2, -1)))) if P.ndim > 2 else 0
+        err.row = int(np.argmin(np.isfinite(P).all(axis=(-2, -1))))
         raise err
     L, P = _cholesky(P)
     noise = rng.standard_normal(b.shape[-1]) if z is None else z
@@ -246,8 +249,8 @@ def draw_gig(rng, a, b):
 
 
 def draw_categorical_log(rng, log_weights):
-    """Categorical draw from unnormalized log weights along the last axis;
-    vectorized over rows.
+    """Categorical draws from unnormalized log weights (C, ..., |support|)
+    along the last axis, for one Generator per chain (`generators`).
 
     Log weights are shifted by their row maximum before exponentiation so
     extreme t-densities cannot underflow every entry at once. The CDF is
@@ -256,11 +259,10 @@ def draw_categorical_log(rng, log_weights):
     of CDF entries <= u, which on the nondecreasing CDF is
     searchsorted(cdf, u, side="right").
 
-    rng may also be a list of one Generator per chain, for log weights
-    with a leading chain axis: each chain's uniforms are one
-    ``random(size=...)`` call on its own Generator, in chain order, so a
-    chain gets the bits of its one-chain call. A row without a finite
-    maximum raises ValidationError whose `row` is the lowest such chain.
+    Each chain's uniforms are one ``random(size=...)`` call on its own
+    Generator, in chain order, so a chain gets the bits of its one-chain
+    call. A row without a finite maximum raises ValidationError whose
+    `row` is the lowest such chain.
 
     A float64 array `log_weights` is overwritten: the CDF is built in its
     memory (pass a copy to keep the weights). At m=300 and four chains the
@@ -272,26 +274,20 @@ def draw_categorical_log(rng, log_weights):
     lw = lw.transpose(lw.ndim - 1, *range(lw.ndim - 1))  # the support first
     top = lw.max(axis=0)  # NaN if the row holds a NaN
     finite = np.isfinite(top)
-    chains = isinstance(rng, (list, tuple))
     if not finite.all():
         err = ValidationError("log weights must be < inf and not NaN, with a finite "
                               "entry in every row")
-        err.row = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1))) if chains else 0
+        err.row = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
         raise err
     cdf = np.subtract(lw, top, out=lw)
     np.exp(cdf, out=cdf)
-    rows = cdf if cdf.ndim > 1 else cdf[:, None]
-    for prev, cur in zip(rows, rows[1:]):
+    for prev, cur in zip(cdf, cdf[1:]):
         np.add(prev, cur, out=cur)
-    if chains:
-        u = np.stack([g.random(size=cdf.shape[2:]) for g in rng])
-    else:
-        u = rng.random(size=cdf.shape[1:])
+    u = np.stack([g.random(size=cdf.shape[2:]) for g in generators(rng)])
     # the count as a sum of the comparison's bytes, in the smallest
     # integer type that holds the support's length
     below = (cdf <= u * cdf[-1]).view(np.uint8)
-    idx = np.add.reduce(below, axis=0, dtype=np.min_scalar_type(len(cdf))).astype(np.intp)
-    return int(idx) if lw.ndim == 1 else idx
+    return np.add.reduce(below, axis=0, dtype=np.min_scalar_type(len(cdf))).astype(np.intp)
 
 
 def draw_local_prior(rng, family, size, nu=None):

@@ -122,11 +122,14 @@ def replace_design(design, **changes):
 
 
 def rss_by_group(state, design):
-    """Per-group residual sums of squares at state.beta and state.u as the
-    direct sum over all n data rows: the reference for the sampler's
-    closed form in the per-group sums."""
-    r = design.y - design.X @ state.beta - state.u[design.group_idx]
-    return np.bincount(design.group_idx, weights=r * r, minlength=design.m)
+    """Per-group residual sums of squares at state.beta and state.u, one row
+    per chain of the (C, .) state, as the direct sum over all n data rows:
+    the reference for the sampler's closed form in the per-group sums."""
+    rows = []
+    for beta, u in zip(state.beta, state.u):
+        r = design.y - design.X @ beta - u[design.group_idx]
+        rows.append(np.bincount(design.group_idx, weights=r * r, minlength=design.m))
+    return np.stack(rows)
 
 
 def quantiles_from_pdf(pdf, probs, lower=0.0, upper=np.inf):

@@ -82,18 +82,18 @@ def test_criterion_3_conjugate_beta_conditional():
     design = build_matrices(panel, spec)
     priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
                          a_tau=1.0, b_tau=1.0, a_phi=1.0, b_phi=1.0)
-    state = initialize_state(design, priors)
-    state.tau = 3.7
+    state = initialize_state(design, priors)  # one chain, a (1, .) state
+    state.tau = np.array([3.7])
     rng = np.random.default_rng(3)
-    state.u = rng.normal(size=design.m)
-    rhs, P = beta_conditional(state, design)
+    state.u = rng.normal(size=(1, design.m))
+    rhs, P = (x[0] for x in beta_conditional(state, design))
     mean = np.linalg.solve(P, rhs)
     cov = np.linalg.inv(P)
     # closed form: weighted (here unweighted, lam = 1) regression of y - u on X
-    z = design.y - state.u[design.group_idx]
+    z = design.y - state.u[0, design.group_idx]
     xtx = design.X.T @ design.X
     mean_ref = np.linalg.solve(xtx, design.X.T @ z)
-    cov_ref = np.linalg.inv(xtx) / state.tau
+    cov_ref = np.linalg.inv(xtx) / 3.7
     err_mean = float(np.max(np.abs(mean - mean_ref)))
     err_cov = float(np.max(np.abs(cov - cov_ref)))
     ok = err_mean < 1e-10 and err_cov < 1e-10

@@ -17,7 +17,7 @@ from glmixer.gibbs import (ERROR_PRIORS, NU_WEIGHTS, REFFECT_PRIORS, PriorConfig
                            rss_closed_form, run_chain, step_beta,
                            step_lambda_halfcauchy, sweep, tau_conditional,
                            u_conditional)
-from glmixer.kernels import draw_categorical_log
+from glmixer.kernels import draw_categorical_log, draw_mvn_from_precision
 from glmixer.simulate import SimConfig, simulate_panel
 
 from oracles import group_aggregates_by_masks, replace_design, rss_by_group
@@ -32,20 +32,40 @@ def small_panel(seed=0, m=4, n_i=10):
 
 
 def make_state(design, rng=None, priors=None):
+    """A one-chain (1, .) state with random values."""
     rng = rng or np.random.default_rng(1234)
     priors = priors or PriorConfig()
     state = initialize_state(design, priors)
     m = design.m
-    state.beta = rng.normal(size=design.p)
-    state.u = rng.normal(size=m)
-    state.tau = rng.uniform(0.5, 5.0)
-    state.phi = rng.uniform(0.5, 5.0)
-    state.omega = rng.uniform(0.2, 3.0, size=m)
-    state.lam = rng.uniform(0.2, 3.0, size=m)
-    state.rho = rng.uniform(0.2, 3.0, size=m)
-    state.varrho = rng.uniform(0.2, 3.0, size=m)
+    state.beta = rng.normal(size=(1, design.p))
+    state.u = rng.normal(size=(1, m))
+    state.tau = rng.uniform(0.5, 5.0, size=1)
+    state.phi = rng.uniform(0.5, 5.0, size=1)
+    state.omega = rng.uniform(0.2, 3.0, size=(1, m))
+    state.lam = rng.uniform(0.2, 3.0, size=(1, m))
+    state.rho = rng.uniform(0.2, 3.0, size=(1, m))
+    state.varrho = rng.uniform(0.2, 3.0, size=(1, m))
     state.rss = rss_by_group(state, design)
     return state
+
+
+def chain_fields(state):
+    """The one chain of a (1, .) state, each field without the chain axis:
+    the plain numbers and vectors the brute-force oracles read."""
+    return gibbs.ChainState(**{f.name: getattr(state, f.name)[0]
+                               for f in dataclasses.fields(state)})
+
+
+def one_chain(state, c):
+    """Chain c of a lockstep state, as a (1, .) state."""
+    return gibbs.ChainState(**{f.name: getattr(state, f.name)[c:c + 1]
+                               for f in dataclasses.fields(state)})
+
+
+def repeated(state, k):
+    """A (1, .) state repeated to k chains, as `run_chains` does."""
+    return gibbs.ChainState(**{f.name: np.repeat(getattr(state, f.name), k, axis=0)
+                               for f in dataclasses.fields(state)})
 
 
 def with_y(design, y):
@@ -108,19 +128,20 @@ class TestUConditional:
     def test_shrinkage_arithmetic(self, design):
         # with lam*tau = 1 and omega*phi/n_i = 0.5 the factor is 2/3
         state = make_state(design)
-        state.lam = np.ones(design.m)
-        state.tau = 1.0
-        state.omega = np.ones(design.m)
-        state.phi = 0.5 * design.sizes.astype(float)[0]
-        mean, var, gamma = u_conditional(state, design)
+        state.lam = np.ones((1, design.m))
+        state.tau = np.ones(1)
+        state.omega = np.ones((1, design.m))
+        state.phi = np.full(1, 0.5 * design.sizes.astype(float)[0])
+        mean, var, gamma = (x[0] for x in u_conditional(state, design))
         np.testing.assert_allclose(gamma, 2.0 / 3.0, atol=1e-14)
-        resid = design.ybar - design.xbar @ state.beta
+        resid = design.ybar - design.xbar @ state.beta[0]
         np.testing.assert_allclose(mean, (2.0 / 3.0) * resid, atol=1e-14)
         np.testing.assert_allclose(var, (2.0 / 3.0) / design.sizes, atol=1e-14)
 
     def test_brute_force(self, design):
         state = make_state(design, np.random.default_rng(5))
-        mean, var, gamma = u_conditional(state, design)
+        mean, var, gamma = (x[0] for x in u_conditional(state, design))
+        state = chain_fields(state)
         for g in range(design.m):
             n_g = design.sizes[g]
             prec_like = n_g * state.lam[g] * state.tau
@@ -135,7 +156,7 @@ class TestUConditional:
 
     def test_infinite_phi_kills_u(self, design):
         state = make_state(design)
-        state.phi = 1e18
+        state.phi = np.full(1, 1e18)
         mean, var, gamma = u_conditional(state, design)
         assert np.all(np.abs(mean) < 1e-9) and np.all(var < 1e-15)
         assert np.all(gamma < 1e-9)
@@ -144,9 +165,9 @@ class TestUConditional:
 class TestBetaConditional:
     def test_ols_when_homoskedastic_no_reffect(self, design):
         state = make_state(design)
-        state.lam = np.ones(design.m)
-        state.u = np.zeros(design.m)
-        rhs, P = beta_conditional(state, design)
+        state.lam = np.ones((1, design.m))
+        state.u = np.zeros((1, design.m))
+        rhs, P = (x[0] for x in beta_conditional(state, design))
         post_mean = np.linalg.solve(P, rhs)
         ols, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
         np.testing.assert_allclose(post_mean, ols, atol=1e-8)
@@ -154,10 +175,10 @@ class TestBetaConditional:
 
     def test_tau_scales_precision_not_mean(self, design):
         state = make_state(design)
-        state.tau = 1.0
-        rhs1, P1 = beta_conditional(state, design)
-        state.tau = 7.0
-        rhs7, P7 = beta_conditional(state, design)
+        state.tau = np.ones(1)
+        rhs1, P1 = (x[0] for x in beta_conditional(state, design))
+        state.tau = np.full(1, 7.0)
+        rhs7, P7 = (x[0] for x in beta_conditional(state, design))
         np.testing.assert_allclose(P7, 7.0 * P1, rtol=1e-13)
         np.testing.assert_allclose(np.linalg.solve(P7, rhs7),
                                    np.linalg.solve(P1, rhs1), atol=1e-10)
@@ -165,7 +186,8 @@ class TestBetaConditional:
     def test_brute_force_weighted_regression(self, design):
         # the conditional mean is the WLS fit of y - u to X with weights lam_i
         state = make_state(design, np.random.default_rng(9))
-        rhs, P = beta_conditional(state, design)
+        rhs, P = (x[0] for x in beta_conditional(state, design))
+        state = chain_fields(state)
         w = state.lam[design.group_idx]
         z = design.y - state.u[design.group_idx]
         XtWX = design.X.T @ (w[:, None] * design.X)
@@ -179,7 +201,7 @@ class TestBetaConditional:
         state = make_state(design)
         _, P0 = beta_conditional(state, design, 0.0)
         _, P1 = beta_conditional(state, design, 2.5)
-        np.testing.assert_allclose(P1 - P0, 2.5 * np.eye(design.p), atol=1e-12)
+        np.testing.assert_allclose((P1 - P0)[0], 2.5 * np.eye(design.p), atol=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.0, 2.5])
     def test_gamma_error_draw_matches_conditional(self, design, kappa):
@@ -187,8 +209,8 @@ class TestBetaConditional:
         # of beta_conditional's N(P^-1 b, P^-1): L'(beta - mean) ~ N(0, I)
         priors = PriorConfig(error_prior="gamma", beta_prior_precision=kappa)
         state = make_state(design, np.random.default_rng(43))
-        state.lam = np.ones(design.m)
-        rhs, P = beta_conditional(state, design, kappa)
+        state.lam = np.ones((1, design.m))
+        rhs, P = (x[0] for x in beta_conditional(state, design, kappa))
         mean = np.linalg.solve(P, rhs)
         L = np.linalg.cholesky(P)
         rng = np.random.default_rng(47)
@@ -196,7 +218,7 @@ class TestBetaConditional:
         z = np.empty((n, design.p))
         for k in range(n):
             step_beta(state, design, priors, rng)
-            z[k] = L.T @ (state.beta - mean)
+            z[k] = L.T @ (state.beta[0] - mean)
         assert np.max(np.abs(z.mean(axis=0))) < 4.0 / math.sqrt(n)
         assert np.max(np.abs(np.cov(z.T) - np.eye(design.p))) < 0.04
 
@@ -205,7 +227,8 @@ class TestScaleConditionals:
     def test_tau_brute_force(self, design):
         priors = PriorConfig(a_tau=0.75, b_tau=1.25)
         state = make_state(design, np.random.default_rng(11))
-        shape, rate = tau_conditional(state, design, priors)
+        shape, (rate,) = tau_conditional(state, design, priors)
+        state = chain_fields(state)
         r = design.y - design.X @ state.beta - state.u[design.group_idx]
         expect_rate = 1.25 + 0.5 * sum(
             state.lam[g] * float(r[design.group_idx == g] @ r[design.group_idx == g])
@@ -216,7 +239,8 @@ class TestScaleConditionals:
     def test_phi_brute_force(self, design):
         priors = PriorConfig(a_phi=0.3, b_phi=0.9)
         state = make_state(design, np.random.default_rng(13))
-        shape, rate = phi_conditional(state, design, priors)
+        shape, (rate,) = phi_conditional(state, design, priors)
+        state = chain_fields(state)
         assert shape == pytest.approx(0.5 * design.m + 0.3, abs=1e-12)
         assert rate == pytest.approx(
             0.9 + 0.5 * sum(state.omega[g] * state.u[g] ** 2 for g in range(design.m)),
@@ -229,12 +253,12 @@ class TestScaleConditionals:
         priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior,
                              a_tau=2.0, b_tau=3.0, a_phi=4.0, b_phi=5.0)
         state = make_state(design)
-        state.lam, state.omega = np.ones(design.m), np.ones(design.m)
-        shape_t, rate_t = tau_conditional(state, design, priors)
-        shape_p, rate_p = phi_conditional(state, design, priors)
+        state.lam, state.omega = np.ones((1, design.m)), np.ones((1, design.m))
+        shape_t, (rate_t,) = tau_conditional(state, design, priors)
+        shape_p, (rate_p,) = phi_conditional(state, design, priors)
         assert shape_t == 0.5 * design.n + 2.0 and shape_p == 0.5 * design.m + 4.0
         assert rate_t == pytest.approx(3.0 + 0.5 * state.rss.sum(), abs=1e-12)
-        assert rate_p == pytest.approx(5.0 + 0.5 * float(state.u @ state.u), abs=1e-12)
+        assert rate_p == pytest.approx(5.0 + 0.5 * float(state.u[0] @ state.u[0]), abs=1e-12)
 
     def test_lambda_brute_force(self, design):
         state = make_state(design, np.random.default_rng(17))
@@ -249,17 +273,18 @@ class TestScaleConditionals:
         # while RSS is ~0.01 n_i; large-tau, residual sd 1e-3 (tau = 1e6)
         for mean_logit, noise_sd in ((None, None), (14.0, 0.1), (2.0, 1e-3)):
             state = make_state(design, np.random.default_rng(19))
+            beta, u = state.beta[0], state.u[0]
             data = design
             if mean_logit is not None:
-                fit = design.X @ state.beta + state.u[design.group_idx]
-                state.beta[0] += mean_logit - fit.mean()
+                fit = design.X @ beta + u[design.group_idx]
+                beta[0] += mean_logit - fit.mean()
                 noise = noise_sd * np.random.default_rng(23).standard_normal(design.n)
                 data = with_y(design, fit + (mean_logit - fit.mean()) + noise)
-            rss = rss_closed_form(state.beta, state.u, data)
+            (rss,) = rss_closed_form(state.beta, state.u, data)
             direct = np.zeros(data.m)
             for j in range(data.n):
                 g = data.group_idx[j]
-                e = data.y[j] - data.X[j] @ state.beta - state.u[g]
+                e = data.y[j] - data.X[j] @ beta - u[g]
                 direct[g] += e * e
             np.testing.assert_allclose(rss, direct, atol=1e-10)
 
@@ -268,7 +293,7 @@ class TestScaleConditionals:
         # cancels to about -1e-12 for roughly half of the groups
         for seed in range(5):
             state = make_state(design, np.random.default_rng(seed))
-            exact = with_y(design, design.X @ state.beta + state.u[design.group_idx])
+            exact = with_y(design, design.X @ state.beta[0] + state.u[0, design.group_idx])
             rss = rss_closed_form(state.beta, state.u, exact)
             assert np.all(rss >= 0.0) and np.all(rss < 1e-10)
 
@@ -296,7 +321,7 @@ class TestNuPrior:
         priors = PriorConfig(reffect_prior="student-t")
         u = np.array([-1.3, 0.2, 2.5])
         phi = 2.0
-        lw = nu_log_weights(u, phi, priors)
+        (lw,) = nu_log_weights(u[None], np.array([phi]), priors)
         scale = math.sqrt(1.0 / phi)
         for i, ui in enumerate(u):
             for j, df in enumerate(priors.nu_support):
@@ -320,7 +345,7 @@ class TestNuPrior:
             g = np.exp((-0.5 * np.log(phi) - c) / h)
             q = u * u * phi
             table = np.stack([g * df, g], axis=1) @ np.stack([np.ones_like(q), q])
-            np.testing.assert_array_equal(nu_log_weights(u, phi, priors),
+            np.testing.assert_array_equal(nu_log_weights(u[None], np.array([phi]), priors)[0],
                                           (np.log(table) * -h[:, None]).T)
 
     def test_t_normalizer_matches_scipy_gammaln(self):
@@ -348,7 +373,7 @@ class TestNuPrior:
             assert batched.shape == (4, 25, len(priors.nu_support))
             for c in range(4):
                 assert (batched[c].tobytes()
-                        == nu_log_weights(u[c], float(phi[c]), priors).tobytes())
+                        == nu_log_weights(u[c:c + 1], phi[c:c + 1], priors).tobytes())
         assert np.shares_memory(batched, table)
 
     @pytest.mark.parametrize("phi", [1e-4, 7e5])
@@ -458,19 +483,42 @@ class TestLockstep:
         assert g_swept.random() == g_stepped.random()
 
     def test_one_chain_sweep_is_a_lockstep_row(self, design):
-        # the step timer in bench/pipeline.py sweeps an axis-free one-chain
-        # state with a lone Generator
+        # the step timer in bench/pipeline.py sweeps the (1, .) state of
+        # `initialize_state` with a bare Generator
         priors = PriorConfig(reffect_prior="student-t")
         single = initialize_state(design, priors)
         rngs = [np.random.default_rng(s) for s in (5, 6)]
-        batch = gibbs.ChainState(**{f.name: np.stack([getattr(single, f.name)] * 2)
-                                    for f in dataclasses.fields(single)})
+        batch = repeated(single, 2)
         one_rng = np.random.default_rng(6)
         for _ in range(3):
             sweep(single, design, priors, one_rng)
             sweep(batch, design, priors, rngs)
         for f in dataclasses.fields(single):
-            np.testing.assert_array_equal(getattr(batch, f.name)[1], getattr(single, f.name))
+            np.testing.assert_array_equal(getattr(batch, f.name)[1], getattr(single, f.name)[0])
+
+    def test_step_timer_kernel_calls_are_lockstep_rows(self, design):
+        # bench/pipeline.py times the beta and nu kernels on a (1, .) state
+        # with a bare Generator; each call draws row c of the call on the
+        # lockstep state with one Generator (or one normal row) per chain
+        priors = PriorConfig(reffect_prior="student-t", beta_prior_precision=0.5)
+        batch = repeated(initialize_state(design, priors), 3)
+        for _ in range(2):  # three different chains
+            sweep(batch, design, priors, [np.random.default_rng(s) for s in (5, 6, 7)])
+        seeds = (11, 12, 13)
+        z = np.stack([np.random.default_rng(s).standard_normal(design.p) for s in seeds])
+        betas = draw_mvn_from_precision(
+            None, *beta_conditional(batch, design, priors.beta_prior_precision), z)
+        nus = draw_categorical_log([np.random.default_rng(s) for s in seeds],
+                                   nu_log_weights(batch.u, batch.phi, priors))
+        for c, s in enumerate(seeds):
+            one = one_chain(batch, c)
+            beta = draw_mvn_from_precision(
+                np.random.default_rng(s),
+                *beta_conditional(one, design, priors.beta_prior_precision))
+            assert beta.tobytes() == betas[c:c + 1].tobytes(), c
+            nu = draw_categorical_log(np.random.default_rng(s),
+                                      nu_log_weights(one.u, one.phi, priors))
+            assert nu.tobytes() == nus[c:c + 1].tobytes(), c
 
     @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
     @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
@@ -489,7 +537,7 @@ class TestLockstep:
         stacked = replace_design(
             design, **{k: np.stack([getattr(d, k) for d in own]) for k in names})
         singles = [initialize_state(d, priors) for d in own]
-        batch = gibbs.ChainState(**{f.name: np.stack([getattr(s, f.name) for s in singles])
+        batch = gibbs.ChainState(**{f.name: np.concatenate([getattr(s, f.name) for s in singles])
                                     for f in dataclasses.fields(gibbs.ChainState)})
         for _ in range(3):
             sweep(batch, stacked, priors, [np.random.default_rng(s) for s in (5, 6, 7)])
@@ -576,7 +624,7 @@ class TestChainMechanics:
             real(state, *args, **kwargs)
             calls.append(None)
             if len(calls) == 7:
-                state.phi = math.nan
+                state.phi = np.full(len(state.phi), math.nan)
 
         monkeypatch.setattr(gibbs, "step_global_scales", failing)
         with pytest.raises(NumericalError,
@@ -599,7 +647,7 @@ class TestChainMechanics:
             real(state, *args)
             calls.append(None)
             if len(calls) == 4:
-                state.tau = math.nan
+                state.tau = np.full(len(state.tau), math.nan)
 
         monkeypatch.setattr(gibbs, "step_u", failing)
         with pytest.raises(NumericalError,

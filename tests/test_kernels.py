@@ -120,7 +120,7 @@ class TestDrawStandard:
         rows = standard_gamma_rows([rng(33, 0), rng(33, 1)], shape)
         for k in range(2):
             assert rows[k].tobytes() == rng(33, k).standard_gamma(shape[k]).tobytes()
-        assert (standard_gamma_rows(rng(33, 1), shape[1]).tobytes()
+        assert (standard_gamma_rows(rng(33, 1), shape[1:]).tobytes()
                 == rows[1].tobytes())
 
 
@@ -269,16 +269,16 @@ class TestGig:
 class TestCategorical:
     def test_log_space_matches(self):
         g = rng(19)
-        logw = np.log([1.0, 2.0, 7.0]) - 700.0  # would underflow naively
-        draws = np.array([draw_categorical_log(g, logw.copy()) for _ in range(10 ** 5)])
+        logw = np.log([[1.0, 2.0, 7.0]]) - 700.0  # one chain's row; would underflow naively
+        draws = np.concatenate([draw_categorical_log(g, logw.copy()) for _ in range(10 ** 5)])
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, [0.1, 0.2, 0.7], atol=0.01)
 
     def test_rejects_rows_without_finite_weight(self):
         with pytest.raises(ValidationError):
-            draw_categorical_log(rng(), [-np.inf, -np.inf])
+            draw_categorical_log(rng(), [[-np.inf, -np.inf]])
         with pytest.raises(ValidationError):
-            draw_categorical_log(rng(), [[0.0, 1.0, 2.0], [-np.inf, -np.inf, -np.inf]])
+            draw_categorical_log(rng(), [[[0.0, 1.0, 2.0], [-np.inf, -np.inf, -np.inf]]])
 
 
 # Few distinct values, so rows carry ties and zero-weight (-inf) entries.
@@ -303,7 +303,7 @@ class TestCategoricalLogMatchesSearchsorted:
     @given(lw=LOG_WEIGHT_ROWS, seed=st.integers(0, 2 ** 32 - 1))
     def test_rows_match_oracle(self, lw, seed):
         lw[~np.isfinite(lw).any(axis=1), 0] = 0.0
-        got = draw_categorical_log(rng(seed), lw.copy())
+        (got,) = draw_categorical_log(rng(seed), lw[None].copy())  # one chain
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, categorical_by_searchsorted(rng(seed), lw))
 
@@ -312,7 +312,7 @@ class TestCategoricalLogMatchesSearchsorted:
         # CDFs [0, 1, 1, 2] and [1, 2, 3, 4]: u * total lands exactly on
         # entries, where counting entries <= u and side="right" must agree
         lw = np.array([[-np.inf, 0.0, -np.inf, 0.0], [0.0, 0.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(draw_categorical_log(FixedUniform(u), lw.copy()),
+        np.testing.assert_array_equal(draw_categorical_log([FixedUniform(u)], lw[None].copy())[0],
                                       categorical_by_searchsorted(FixedUniform(u), lw))
 
     @settings(max_examples=100, deadline=None)
@@ -355,12 +355,12 @@ class TestCategoricalLogMatchesSearchsorted:
             draw_categorical_log([rng(0, c) for c in range(4)], lw)
         assert exc.value.row == 2
 
-    def test_one_dimensional_matches_first_row(self):
-        lw = np.array([0.3, -np.inf, 1.2, 1.2])
+    def test_bare_generator_is_the_one_chain_list(self):
+        lw = np.array([[[0.3, -np.inf, 1.2, 1.2], [0.0, 0.5, -np.inf, 2.0]]])
         for seed in range(50):
             got = draw_categorical_log(rng(seed), lw.copy())
-            assert isinstance(got, int)
-            assert got == categorical_by_searchsorted(rng(seed), lw[None, :])[0]
+            assert got.tobytes() == draw_categorical_log([rng(seed)], lw.copy()).tobytes()
+            np.testing.assert_array_equal(got[0], categorical_by_searchsorted(rng(seed), lw[0]))
 
 
 class TestLocalPrior:

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from glmixer.errors import ValidationError
 from glmixer.metrics import (BAND_EDGES, BAND_LABELS, band_of, mae_rmse,
@@ -83,14 +84,20 @@ class TestRSquare:
             r_square([1e-200, 2e-200], [0.5, 0.5])
 
     @given(st.lists(st.tuples(frac, frac), min_size=3, max_size=40))
+    # SS_tot just above the cut-off: R^2 is about -1.39e10, where a float
+    # oracle's own rounding exceeds abs=1e-10
+    @example(data=[(0.5, 0.9999989999999999), (0.5, 0.99999), (0.5, 0.99999)])
     def test_brute_force(self, data):
+        # the exact rational R^2 of the floats given, rounded once; rel
+        # covers huge |R^2| only, where abs=1e-10 is less than one ulp
         pred, obs = split(data)
-        cbar = sum(obs) / len(obs)
-        ss_tot = sum((o - cbar) ** 2 for o in obs)
+        exact = [(Fraction(p), Fraction(o)) for p, o in data]
+        cbar = sum(o for _, o in exact) / len(exact)
+        ss_tot = sum((o - cbar) ** 2 for _, o in exact)
         if ss_tot < 1e-12:
             return
-        expect = 1.0 - sum((o - p) ** 2 for p, o in data) / ss_tot
-        assert r_square(obs, pred) == pytest.approx(expect, abs=1e-10)
+        expect = float(1 - sum((o - p) ** 2 for p, o in exact) / ss_tot)
+        assert r_square(obs, pred) == pytest.approx(expect, rel=1e-12, abs=1e-10)
 
 
 class TestBands:
