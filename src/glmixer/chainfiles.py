@@ -7,7 +7,14 @@ uint64 row count n and n rows of native float64 values of each chain in
 turn. A frame of 0 rows ends the stream: the helper renames its part files
 into place, PATTERN.format(k) for k < CHAINS, and prints their sha256s. A
 stream that ends otherwise exits 1, an I/O error 4, after removing the
-part files and the output directory if the helper made it."""
+part files and the output directory if the helper made it.
+
+A forked process starts on its parent's CPU, and where the cpuset does
+not balance load (`cpuset.sched_load_balance` 0) it mostly stays there:
+the helper and the sampler then take turns on one CPU while another idles.
+So `ChainWriter` restricts the helper to the caller's CPUs less the one
+the caller runs on, where it may use two or more; the caller's own
+affinity is left as it is."""
 
 import contextlib
 import hashlib
@@ -31,7 +38,9 @@ def _paths(outdir, chains: int, pattern: str) -> list:
 class ChainWriter:
     """The helper writing a fit's `chains` chain files into `outdir`: send it
     the header (`begin`), then frames as `run_chains`'s sink; `digests()` ends
-    the stream. A helper that fails is an OSError; leaving `with` stops it."""
+    the stream. A helper that fails is an OSError; leaving `with` stops it.
+    The helper runs off the caller's current CPU where the caller may use
+    two or more (Linux); where it cannot be moved it runs where it started."""
 
     def __init__(self, outdir, chains: int, pattern: str):
         import subprocess
@@ -42,6 +51,12 @@ class ChainWriter:
         with contextlib.suppress(ImportError, AttributeError, OSError):  # F_SETPIPE_SZ: Linux
             import fcntl
             fcntl.fcntl(self.proc.stdin, fcntl.F_SETPIPE_SZ, 1 << 20)  # sampling runs on ahead
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # sched_*affinity: Linux
+            cpus = os.sched_getaffinity(0)
+            if len(cpus) > 1:  # off the sampler's CPU, which an unbalanced cpuset shares
+                with open("/proc/self/stat", "rb") as fh:
+                    here = int(fh.read().rsplit(b")", 1)[1].split()[36])  # field 39: CPU
+                os.sched_setaffinity(self.proc.pid, cpus - {here})
 
     def begin(self, header: str) -> None:
         self._send(header.encode() + b"\n")

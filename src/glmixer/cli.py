@@ -5,7 +5,8 @@ All randomness flows from one --seed: chain k uses stream_id k and
 prediction sampling uses stream_id 1e6 + k. `fit` samples its chains in
 lockstep in one process, so chain k's draws do not depend on --chains.
 A helper process writes the chain files while the chains sample
-(`chainfiles`). Partially written output directories are removed on failure.
+(`chainfiles`), on a CPU other than the sampler's where two or more are
+allowed. Partially written output directories are removed on failure.
 
 Importing this module loads no package module but `errors` and
 `defaults`: each command imports what it runs. So only simulate, fit,

@@ -35,7 +35,9 @@ the per-sweep draws of its earlier sweeps: the Student-t nu uniforms and
 omega Gammas, one buffer for all chains, and Laplace's Wald draws, chain
 by chain. Chain k of `run_chains` draws from RngStream(seed, k) alone, so
 its draws do not depend on how many chains run. The sweep checks its
-draws once, at its end. Called alone, a step draws from its rng.
+draws once, at its end. Called alone, a step draws chain c's variates
+from Generator c of its rng (a bare Generator is one chain); a Generator
+count other than the state's chain count is a ValidationError.
 The records a fit writes and the nu prior are in `records`.
 """
 
@@ -105,10 +107,24 @@ def u_conditional(state: ChainState, design: GroupedDesign):
     return gamma * resid, gamma / (n_i * lt), gamma
 
 
+def _rngs(rng, chains: int) -> list:
+    """One Generator per chain (`generators`): a count other than `chains`
+    is a ValidationError, so a step called alone never shares draws."""
+    rngs = generators(rng)
+    if len(rngs) != chains:
+        raise ValidationError(f"{len(rngs)} Generator(s) for {chains} chain(s)")
+    return rngs
+
+
+def _normals(rng, chains: int, k: int) -> np.ndarray:
+    """(chains, k) standard normals, row c from chain c's Generator (`_rngs`)."""
+    return np.stack([g.standard_normal(k) for g in _rngs(rng, chains)])
+
+
 def step_u(state: ChainState, design: GroupedDesign, rng, z=None) -> None:
-    """u from its conditional; the normals are z["u"] (see `sweep`) or rng's."""
+    """u from its conditional; the normals are z["u"] (see `sweep`) or `_normals`."""
     mean, var, _ = u_conditional(state, design)
-    state.u = mean + np.sqrt(var) * (rng.standard_normal(design.m) if z is None else z["u"])
+    state.u = mean + np.sqrt(var) * (_normals(rng, len(mean), design.m) if z is None else z["u"])
 
 
 def _beta_sums(state: ChainState, design: GroupedDesign, columns: int) -> np.ndarray:
@@ -150,7 +166,7 @@ def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng
     Otherwise beta = P^-1 (b + L z) with P = L L' factored each sweep
     (`draw_mvn_from_precision`).
     """
-    noise = None if z is None else z["beta"]
+    noise = _normals(rng, len(state.u), design.p) if z is None else z["beta"]
     if priors.error_prior == "gamma":
         evals, evecs = design.xtx_eigh
         scale = np.sqrt(state.tau[:, None] * evals + priors.beta_prior_precision)
@@ -220,8 +236,11 @@ def phi_conditional(state: ChainState, design: GroupedDesign, priors: PriorConfi
 
 def _gamma(rng, z, name, shape, rate, size=None):
     """Gamma(shape, rate) draws: the sweep's standard draws z[name] / rate,
-    which the sweep checks at its end, or rng's checked `draw_gamma`."""
-    return draw_gamma(rng, shape, rate, size) if z is None else z[name] / rate
+    which the sweep checks at its end, or, row c of rate, the checked
+    `draw_gamma` of chain c's Generator."""
+    if z is None:
+        return _each_chain(rng, lambda g, r: draw_gamma(g, shape, r, size), rate)
+    return z[name] / rate
 
 
 def step_global_scales(state: ChainState, design: GroupedDesign, priors: PriorConfig,
@@ -285,10 +304,10 @@ def omega_conditional_student_t(phiu2, nu):
 
 
 def _each_chain(rng, draw, *args):
-    """draw(g, *rows) stacked over each chain's Generator g (`generators`)
+    """draw(g, *rows) stacked over each chain's Generator g (`_rngs`)
     and rows of args; a failing chain is the error's `row`."""
     out = []
-    for c, (g, *rows) in enumerate(zip(generators(rng), *args, strict=True)):
+    for c, (g, *rows) in enumerate(zip(_rngs(rng, len(args[0])), *args, strict=True)):
         try:
             out.append(draw(g, *rows))
         except (GlmixerError, ArithmeticError, ValueError) as exc:
@@ -321,6 +340,7 @@ def step_omega(state: ChainState, priors: PriorConfig, rng, z=None, nu_table=Non
     elif priors.reffect_prior == "laplace":
         state.omega = _each_chain(rng, lambda g, a: draw_gig(g, a, 2.0), phiu2)
     elif priors.reffect_prior == "student-t":
+        rng = _rngs(rng, len(state.u))
         idx = draw_categorical_log(rng, nu_log_weights(state.u, state.phi, priors, nu_table))
         state.nu = np.asarray(priors.nu_support)[idx]
         shape, rate = omega_conditional_student_t(phiu2, state.nu.astype(np.float64))
@@ -445,7 +465,7 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
     the `fixed` ones), lambda/rho (Half-Cauchy errors only), omega block.
 
     rngs holds one Generator per chain of `state`; a bare Generator is
-    taken as the one-chain list [rng] (`generators`). The steps scale the
+    taken as the one-chain list [rng] (`_rngs`). The steps scale the
     standard draws z, one sweep's views of `_standard_draws` (layout:
     `_sweep_layout`'s); without z the sweep draws them first, one normal
     call and one Gamma call per run of equal shapes on each chain's
@@ -457,7 +477,7 @@ def sweep(state: ChainState, design: GroupedDesign, priors: PriorConfig, rngs,
     order, and the error's `step` is the first step that left a bad field
     (else the step that raised) and its `row` that step's lowest bad chain.
     """
-    rngs = generators(rngs)
+    rngs = _rngs(rngs, len(state.u))
     layout = layout or _sweep_layout(design, priors, fixed, len(state.u))
     if z is None:
         (z,) = _standard_draws(rngs, design, layout, 1)

@@ -148,6 +148,72 @@ def test_fit_without_a_larger_pipe(panels, tmp_path, helpers, monkeypatch, fcntl
     assert [p.returncode for p in helpers] == [0]
 
 
+def current_cpu() -> int:
+    """The CPU this process runs on now: field 39 of Linux's /proc/self/stat."""
+    with open("/proc/self/stat", "rb") as fh:
+        return int(fh.read().rsplit(b")", 1)[1].split()[36])
+
+
+# where the cpuset does not balance load, the forked helper would share the
+# sampler's CPU; it is moved off that CPU only when the caller may use two
+placed = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2
+    or not os.path.exists("/proc/self/stat"), reason="needs 2 CPUs and sched_setaffinity")
+
+
+@placed
+def test_helper_runs_off_the_callers_cpu(tmp_path):
+    mask = os.sched_getaffinity(0)
+    before = current_cpu()
+    with ChainWriter(str(tmp_path / "fit"), 1, "c{}.csv") as writer:
+        after = current_cpu()
+        helper_mask = os.sched_getaffinity(writer.proc.pid)
+    assert helper_mask < mask
+    assert len(mask - helper_mask) == 1 and mask - helper_mask <= {before, after}
+    assert os.sched_getaffinity(0) == mask
+
+
+@placed
+def test_fit_leaves_the_callers_cpus_as_found(panels, tmp_path, helpers, monkeypatch):
+    mask, placed_pids, real = os.sched_getaffinity(0), [], os.sched_setaffinity
+
+    def spy(pid, cpus):
+        placed_pids.append(pid)
+        real(pid, cpus)
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+    assert main(fit_args(panels / "panel.csv", tmp_path / "fit")) == 0
+    assert os.sched_getaffinity(0) == mask
+    assert placed_pids == [helpers[0].pid]
+    assert [p.returncode for p in helpers] == [0]
+
+
+@placed
+@pytest.mark.parametrize("failure", ["refused", "invalid", "no sched_setaffinity"])
+def test_fit_where_the_helper_cannot_be_placed(panels, tmp_path, helpers, monkeypatch, failure):
+    assert main(fit_args(panels / "panel.csv", tmp_path / "placed", thin=2)) == 0
+    if failure == "no sched_setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        def fails(pid, cpus):
+            raise (OSError("affinity") if failure == "refused" else ValueError("affinity"))
+        monkeypatch.setattr(os, "sched_setaffinity", fails)
+    assert main(fit_args(panels / "panel.csv", tmp_path / "unplaced", thin=2)) == 0
+    assert tree(tmp_path / "unplaced") == tree(tmp_path / "placed")
+    assert [p.returncode for p in helpers] == [0, 0]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
+def test_helper_on_one_cpu_is_not_placed(tmp_path, monkeypatch):
+    def fails(pid, cpus):
+        raise AssertionError("placed on one CPU")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "sched_setaffinity", fails, raising=False)
+    with ChainWriter(str(tmp_path / "fit"), 1, "c{}.csv") as writer:
+        writer.begin("a")
+        writer(np.ones((1, 2, 1)))
+        assert writer.digests() == {"c0.csv": hashlib.sha256(b"a\n1.0\n1.0\n").hexdigest()}
+
+
 def test_helper_loads_only_the_standard_library(panels, tmp_path, helpers):
     assert main(fit_args(panels / "panel.csv", tmp_path / "fit")) == 0
     argv = helpers[0].args

@@ -90,6 +90,17 @@ def nan_on_call(real, call, name, rows=None):
     return hooked
 
 
+def steps_alone(state, design, priors, rng):
+    """The steps of one sweep, each called alone with rng."""
+    gibbs.step_u(state, design, rng)
+    gibbs.step_beta(state, design, priors, rng)
+    gibbs.step_global_scales(state, design, priors, rng)
+    if priors.error_prior == "half-cauchy":
+        gibbs.step_lambda_halfcauchy(state, design, rng)
+    if priors.reffect_prior != "gamma":
+        gibbs.step_omega(state, priors, rng)
+
+
 @pytest.fixture(scope="module")
 def design():
     return build_matrices(small_panel(), ModelSpec(variant=1, year_offset=2009.5))
@@ -470,17 +481,53 @@ class TestLockstep:
         g_swept, g_stepped = np.random.default_rng(21), np.random.default_rng(21)
         for _ in range(3):
             sweep(swept, design, priors, g_swept)
-            gibbs.step_u(stepped, design, g_stepped)
-            gibbs.step_beta(stepped, design, priors, g_stepped)
-            gibbs.step_global_scales(stepped, design, priors, g_stepped)
-            if error_prior == "half-cauchy":
-                gibbs.step_lambda_halfcauchy(stepped, design, g_stepped)
-            if reffect_prior != "gamma":
-                gibbs.step_omega(stepped, priors, g_stepped)
+            steps_alone(stepped, design, priors, g_stepped)
         for f in dataclasses.fields(swept):
             assert (np.asarray(getattr(swept, f.name)).tobytes()
                     == np.asarray(getattr(stepped, f.name)).tobytes()), f.name
         assert g_swept.random() == g_stepped.random()
+
+    @pytest.mark.parametrize("reffect_prior", REFFECT_PRIORS)
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_steps_alone_draw_each_chain_from_its_generator(self, design, error_prior,
+                                                            reffect_prior):
+        # on two chains with two Generators, steps called alone have the bits
+        # of the sweep, and chain c those of its steps alone on Generator c
+        priors = PriorConfig(error_prior=error_prior, reffect_prior=reffect_prior)
+        start = initialize_state(design, priors)
+        swept, stepped = repeated(start, 2), repeated(start, 2)
+        singles = [repeated(start, 1) for _ in range(2)]
+        g_swept, g_stepped, g_singles = ([np.random.default_rng(s) for s in (21, 22)]
+                                         for _ in range(3))
+        for _ in range(3):
+            sweep(swept, design, priors, g_swept)
+            steps_alone(stepped, design, priors, g_stepped)
+            for single, g in zip(singles, g_singles):
+                steps_alone(single, design, priors, g)
+        for f in dataclasses.fields(swept):
+            assert getattr(swept, f.name).tobytes() == getattr(stepped, f.name).tobytes(), f.name
+            for c, single in enumerate(singles):
+                assert (getattr(stepped, f.name)[c:c + 1].tobytes()
+                        == getattr(single, f.name).tobytes()), (f.name, c)
+        assert not np.array_equal(stepped.u[0], stepped.u[1])
+        assert stepped.tau[0] != stepped.tau[1]
+
+    @pytest.mark.parametrize("step", ["u", "beta", "scales", "lambda", "horseshoe", "laplace",
+                                      "student-t"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_steps_alone_refuse_a_generator_per_chain_mismatch(self, design, step, count):
+        # a bare Generator on two chains would give both chains its draws
+        priors = PriorConfig(reffect_prior=step if step in REFFECT_PRIORS else "horseshoe")
+        state = repeated(initialize_state(design, priors), 2)
+        rng = (np.random.default_rng(0) if count == 1
+               else [np.random.default_rng(s) for s in range(count)])
+        call = {"u": lambda: gibbs.step_u(state, design, rng),
+                "beta": lambda: gibbs.step_beta(state, design, priors, rng),
+                "scales": lambda: gibbs.step_global_scales(state, design, priors, rng),
+                "lambda": lambda: gibbs.step_lambda_halfcauchy(state, design, rng)}.get(
+                    step, lambda: gibbs.step_omega(state, priors, rng))
+        with pytest.raises(ValidationError, match=f"{count} Generator\\(s\\) for 2 chain"):
+            call()
 
     def test_one_chain_sweep_is_a_lockstep_row(self, design):
         # the step timer in bench/pipeline.py sweeps the (1, .) state of
