@@ -7,7 +7,9 @@ uint64 row count n and n rows of native float64 values of each chain in
 turn. A frame of 0 rows ends the stream: the helper renames its part files
 into place, PATTERN.format(k) for k < CHAINS, and prints their sha256s. A
 stream that ends otherwise exits 1, an I/O error 4, after removing the
-part files and the output directory if the helper made it.
+part files and the output directory if the helper made it. Its files are
+closed then, so it freezes its objects (`gc.freeze()`) and exits without
+the interpreter's shutdown collections, as `cli.run` does.
 
 A forked process starts on its parent's CPU, and where the cpuset does
 not balance load (`cpuset.sched_load_balance` 0) it mostly stays there:
@@ -95,7 +97,8 @@ class ChainWriter:
             self.proc.wait()
         self.proc.stdout.close()
         for path in _paths(self.outdir, self.chains, self.pattern) if self.framed else ():
-            with contextlib.suppress(FileNotFoundError):  # part files come at frame 1
+            # part files come at frame 1, in a directory the helper could make
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
                 os.remove(path + ".part")
         return self.proc.returncode
 
@@ -155,7 +158,10 @@ def serve(outdir: str, chains: int, pattern: str, stream, out) -> int:
 
 
 if __name__ == "__main__":
+    import gc
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches `fit` too, which ends the stream
-    sys.exit(serve(sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.stdin.buffer, sys.stdout))
+    code = serve(sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.stdin.buffer, sys.stdout)
+    gc.freeze()  # exit without shutdown collections: `serve` has closed its files
+    sys.exit(code)

@@ -8,6 +8,11 @@ A helper process writes the chain files while the chains sample
 (`chainfiles`), on a CPU other than the sampler's where two or more are
 allowed. Partially written output directories are removed on failure.
 
+The `glmixer` command and `python -m glmixer.cli` call `run`: `main`, then
+`gc.freeze()` and exit, so the interpreter's shutdown runs no collection
+pass over the objects numpy and the command leave behind. `main` itself
+leaves the caller's collector as it found it.
+
 Importing this module loads no package module but `errors` and
 `defaults`: each command imports what it runs. So only simulate, fit,
 predict and check-theory load numpy; only fit loads the sampler
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -362,5 +368,16 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The `glmixer` command: `main`, then exit with its code. The objects
+    left are frozen first, so the interpreter's shutdown collections skip
+    them and the OS takes back their memory. That is safe: every file
+    glmixer writes is closed explicitly, the chain file helper's part files
+    in `serve`, and `fit` reaps the helper before `main` returns."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

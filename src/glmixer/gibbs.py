@@ -172,7 +172,7 @@ def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng
         scale = np.sqrt(state.tau[:, None] * evals + priors.beta_prior_precision)
         W = np.swapaxes(evecs / scale[..., None, :], -1, -2)
         rhs = _beta_rhs(state, _beta_sums(state, design, 2 * design.p), design.p)
-        state.beta = draw_mvn_whitened(rng, rhs, W, noise)
+        state.beta = draw_mvn_whitened(rhs, W, noise)
     else:
         state.beta = draw_mvn_from_precision(
             rng, *beta_conditional(state, design, priors.beta_prior_precision), noise)

@@ -165,8 +165,8 @@ def vecmat(x, A):
     return np.matmul(x[..., None, :], A)[..., 0, :]
 
 
-def draw_mvn_whitened(rng, b, W, z=None):
-    """W'(W b + z) for standard normal z (rng's unless given): for any W with
+def draw_mvn_whitened(b, W, z):
+    """W'(W b + z) for standard normal z: for any W with
     W'W = P^-1 a draw from N(P^-1 b, P^-1), at the cost of two mat-vecs;
     b, W and z may carry a leading chain axis. A non-finite W (from a
     precision that is not positive definite, or NaN) raises NumericalError;
@@ -176,7 +176,7 @@ def draw_mvn_whitened(rng, b, W, z=None):
                              "matrix is not positive definite")
         err.row = int(np.argmin(np.isfinite(W).all(axis=(-2, -1))))
         raise err
-    return vecmat(matvec(W, b) + (rng.standard_normal(W.shape[-1]) if z is None else z), W)
+    return vecmat(matvec(W, b) + z, W)
 
 
 def _cholesky(P):

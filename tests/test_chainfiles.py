@@ -313,6 +313,29 @@ def test_helper_io_error_exits_4(panels, tmp_path, helpers, capfd):
     assert (out / "chain_0.csv").is_dir()
 
 
+def test_out_naming_a_file_exits_4_naming_the_writers_exit_code(panels, tmp_path, helpers,
+                                                                 monkeypatch, capfd):
+    # the helper fails to make the directory at frame 1, where its part files
+    # would have come; the frame after that finds it gone
+    real = cli.run_chains
+
+    def waiting(*args, sink, **kwargs):
+        def send(rows):
+            sink(rows)
+            helpers[-1].wait(TIMEOUT)
+
+        return real(*args, sink=send, **kwargs)
+
+    monkeypatch.setattr(cli, "run_chains", waiting)
+    out = tmp_path / "panel.csv"
+    out.write_bytes((panels / "panel.csv").read_bytes())
+    assert main(fit_args(panels / "panel.csv", out, iters=400, burn_in=0)) == 4
+    err = capfd.readouterr().err
+    assert err.endswith("i/o error: the chain file writer stopped with exit code 4\n")
+    assert [p.returncode for p in helpers] == [4]
+    assert out.read_bytes() == (panels / "panel.csv").read_bytes()
+
+
 def test_keyboard_interrupt_stops_the_helper(panels, tmp_path, helpers, monkeypatch):
     real = cli.run_chains
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import shutil
@@ -835,6 +836,74 @@ def test_fit_and_predict_load_no_numpy_ma(sim_dir, fit_dir, tmp_path, command):
     assert _loaded_after(
         f"import sys, glmixer.cli; assert glmixer.cli.main({args!r}) == 0", "numpy.ma") == 0
     assert (tmp_path / command).is_dir()
+
+
+def _cli_process(args):
+    """(exit code, stderr) of `python -m glmixer.cli` run on `args` in a
+    fresh interpreter, the way the `glmixer` command runs."""
+    src = str(Path(glmixer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "glmixer.cli", *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+class TestProcessPath:
+    def test_stages_write_the_in_process_bytes(self, tmp_path):
+        def stages(root):
+            sim, fit, pred = root / "sim", root / "fit", root / "pred"
+            return [
+                ["simulate", "--m", "4", "--n-obs", "10", "--seed", "3", "--out", sim],
+                ["fit", "--input", sim / "panel.csv", "--iters", "200", "--burn-in", "50",
+                 "--thin", "1", "--chains", "2", "--seed", "7", "--out", fit],
+                ["predict", "--artifact", fit, "--input", sim / "panel.csv", "--out", pred],
+                ["diagnose", "--artifact", fit, "--out", root / "diag"],
+                ["metrics", "--predictions", pred / "predictions.csv",
+                 "--observed", sim / "panel.csv", "--out", root / "met"]]
+
+        for args in stages(tmp_path / "process"):
+            assert _cli_process(args) == (0, "")
+        for args in stages(tmp_path / "main"):
+            assert main([str(a) for a in args]) == 0
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        written = files(tmp_path / "process")
+        assert len(written) == 10  # panel, truth, 4 fit files, predictions, diagnostics, 2 metrics
+        assert written == files(tmp_path / "main")
+
+    def test_validation_error_exits_2(self, sim_dir, tmp_path):
+        out = tmp_path / "fit"
+        code, err = _cli_process(["fit", "--input", sim_dir / "panel.csv", *FIT_ARGS,
+                                  "--chains", "0", "--out", out])
+        assert code == 2 and err == "error: --chains must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_missing_input_exits_4(self, tmp_path):
+        out = tmp_path / "fit"
+        code, err = _cli_process(["fit", "--input", tmp_path / "absent.csv", *FIT_ARGS,
+                                  "--out", out])
+        assert code == 4 and err.startswith("i/o error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_main_leaves_the_collector_as_found(self, sim_dir, tmp_path):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert main(["fit", "--input", str(sim_dir / "panel.csv"), *FIT_ARGS,
+                     "--out", str(tmp_path / "fit")]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_run_exits_with_mains_code_after_freezing(self, monkeypatch):
+        # the process ends next, so its shutdown collections skip what is left
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        assert gc.get_freeze_count() == 0
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value.code == 3 and gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 class TestDiagnose:

@@ -202,7 +202,7 @@ class TestMvnWhitened:
         np.testing.assert_allclose(W.T @ W, cov, atol=1e-13)
         g = rng(12)
         n = 10 ** 5
-        draws = np.array([draw_mvn_whitened(g, self.b, W) for _ in range(n)])
+        draws = np.array([draw_mvn_whitened(self.b, W, g.standard_normal(len(self.b))) for _ in range(n)])
         se = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(draws.mean(axis=0) - cov @ self.b) < 4.0 * se)
         assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.02
@@ -214,7 +214,7 @@ class TestMvnWhitened:
         got = draw_mvn_from_precision(rng(13), self.b, self.P)
         z = rng(13).standard_normal(3)
         np.testing.assert_array_equal(got, np.linalg.solve(self.P, self.b + L @ z))
-        np.testing.assert_allclose(got, draw_mvn_whitened(rng(13), self.b, np.linalg.inv(L)),
+        np.testing.assert_allclose(got, draw_mvn_whitened(self.b, np.linalg.inv(L), z),
                                    rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -222,7 +222,7 @@ class TestMvnWhitened:
         W = np.eye(3)
         W[1, 2] = bad
         with pytest.raises(NumericalError):
-            draw_mvn_whitened(rng(), self.b, W)
+            draw_mvn_whitened(self.b, W, rng().standard_normal(len(self.b)))
 
 
 class TestGig:
