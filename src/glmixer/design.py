@@ -107,9 +107,8 @@ class GroupedDesign:
     `ybar`, `XtX_g`, `Xty_g`, `yty_g`) and the per-design constants
     below, never the n rows `X`, `y`, `group_idx`. The constants are
     computed on first use and kept, so they cost once per fit.
-    `xtx_eigh` and `lambda_shape` depend on the covariates and sizes
-    only; `beta_sums` and `rss_sums` also hold the y sums, which may
-    carry a leading chain axis.
+    `lambda_shape` depends on the sizes only; `beta_sums` and `rss_sums`
+    also hold the y sums, which may carry a leading chain axis.
     """
 
     def __init__(self, X, y, group_idx, sizes, unit_ids, xbar, ybar, XtX_g, Xty_g, yty_g):
@@ -135,12 +134,6 @@ class GroupedDesign:
     @functools.cached_property
     def n(self) -> int:
         return int(self.sizes.sum())
-
-    @functools.cached_property
-    def xtx_eigh(self):
-        """(eigenvalues in ascending order, eigenvectors as columns) of
-        the pooled X'X = sum_g XtX_g."""
-        return np.linalg.eigh(self.XtX_g.sum(axis=0))
 
     @functools.cached_property
     def beta_sums(self) -> np.ndarray:
@@ -170,9 +163,9 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
     per-group statistics a sweep reads.
 
     Fitting requires n_i > p for every group and a finite, numerically
-    nonsingular pooled cross-product matrix: the smallest eigenvalue of
-    its cached eigendecomposition `xtx_eigh` must be positive, and the
-    reciprocal condition lambda_min / lambda_max at least RCOND_MIN.
+    nonsingular pooled cross-product matrix: the smallest eigenvalue from
+    `np.linalg.eigh` must be positive, and the reciprocal condition
+    lambda_min / lambda_max at least RCOND_MIN.
     """
     X, unit_ids, sizes = design_rows(panel, spec)
     p = spec.p
@@ -210,7 +203,9 @@ def build_matrices(panel: PanelDataset, spec: ModelSpec) -> GroupedDesign:
         unit_ids=unit_ids,
         xbar=xbar, ybar=ybar, XtX_g=XtX_g, Xty_g=Xty_g, yty_g=yty_g,
     )
-    evals = design.xtx_eigh[0]  # ascending
+    # eigh, not eigvalsh: on a singular X'X eigvalsh can return a tiny
+    # positive smallest eigenvalue where eigh returns a negative one
+    evals = np.linalg.eigh(XtX_g.sum(axis=0))[0]  # ascending
     if not evals[0] > 0.0:
         raise ValidationError(
             f"pooled cross-product matrix is numerically singular: not positive "

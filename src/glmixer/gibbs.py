@@ -17,9 +17,8 @@ stationary distribution, which the getting-it-right tests verify.
 A sweep reads only the design's per-group sufficient statistics and its
 per-fit constants (see `GroupedDesign`), never the n data rows: the beta
 conditional and the residual sums of squares are closed forms in them,
-one stacked product each. Under Half-Cauchy errors beta is drawn as
-P^-1 (b + L z) with P = L L' (`kernels.draw_mvn_from_precision`), under
-gamma errors from the design's once-per-fit eigendecomposition.
+one stacked product each. Under both error priors beta is drawn as
+P^-1 (b + L z) with P = L L' (`kernels.draw_mvn_from_precision`).
 
 `sweep` has one draw path: one Generator per chain, and each step run
 once on (C, .) arrays; one chain is the case C = 1. Each chain's
@@ -55,8 +54,8 @@ from .defaults import DEFAULT_BURN_IN, DEFAULT_CHAINS, DEFAULT_N_ITER, DEFAULT_T
 from .design import GroupedDesign, ModelSpec, build_matrices
 from .errors import GlmixerError, NumericalError, ValidationError
 from .kernels import (RngStream, allocate, draw_categorical_log, draw_gamma, draw_gig,
-                      draw_mvn_from_precision, draw_mvn_whitened, draw_standard, generators,
-                      matvec, standard_gamma_rows, vecmat)
+                      draw_mvn_from_precision, draw_standard, generators, matvec,
+                      standard_gamma_rows, vecmat)
 # re-exported: `predict` loads the records without the sampler
 from .records import (ERROR_PRIORS, NU_WEIGHTS, REFFECT_PRIORS, PriorConfig,  # noqa: F401
                       Trace, nu_log_prior)
@@ -127,55 +126,31 @@ def step_u(state: ChainState, design: GroupedDesign, rng, z=None) -> None:
     state.u = mean + np.sqrt(var) * (_normals(rng, len(mean), design.m) if z is None else z["u"])
 
 
-def _beta_sums(state: ChainState, design: GroupedDesign, columns: int) -> np.ndarray:
-    """The first `columns` columns of sum_i [lam_i; lam_i u_i] times row i of
-    the design's `beta_sums`: one stacked product, (..., 2, columns)."""
-    weights = np.empty(state.u.shape[:-1] + (2, design.m))
-    weights[..., 0, :] = state.lam
-    np.multiply(state.lam, state.u, out=weights[..., 1, :])
-    return np.matmul(weights, design.beta_sums[..., :columns])
-
-
-def _beta_rhs(state: ChainState, sums: np.ndarray, p: int) -> np.ndarray:
-    """b = tau sum_i lam_i (X_i'y_i - u_i n_i xbar_i) from `_beta_sums`."""
-    return state.tau[:, None] * (sums[..., 0, :p] - sums[..., 1, p:2 * p])
-
-
 def beta_conditional(state: ChainState, design: GroupedDesign, prior_precision: float = 0.0):
     """Right-hand side b and precision matrix P of the beta conditional
     N(P^-1 b, P^-1): b = tau sum_i lam_i (X_i'y_i - u_i n_i xbar_i) and
     P = tau sum_i lam_i X_i'X_i (+ prior precision), from one stacked
     product of the weights [lam; lam u] with the design's `beta_sums`."""
     p = design.p
-    sums = _beta_sums(state, design, 2 * p + p * p)
+    weights = np.empty(state.u.shape[:-1] + (2, design.m))
+    weights[..., 0, :] = state.lam
+    np.multiply(state.lam, state.u, out=weights[..., 1, :])
+    sums = np.matmul(weights, design.beta_sums)
     P = state.tau[:, None, None] * sums[..., 0, 2 * p:].reshape(sums.shape[:-2] + (p, p))
     if prior_precision > 0.0:
         P = P + prior_precision * np.eye(p)
-    return _beta_rhs(state, sums, p), P
+    return state.tau[:, None] * (sums[..., 0, :p] - sums[..., 1, p:2 * p]), P
 
 
 def step_beta(state: ChainState, design: GroupedDesign, priors: PriorConfig, rng,
               z=None) -> None:
-    """Draw beta, then refresh state.rss: u was drawn just before and the
-    later steps of a sweep change neither, so one RSS serves tau and lambda.
-
-    Under gamma errors lam = 1, so P = tau X'X + kappa I = V diag(tau Lambda
-    + kappa) V' with the design's once-per-fit eigendecomposition X'X =
-    V Lambda V', and W = (V / sqrt(tau Lambda + kappa))' whitens it without
-    a factorization, and b needs only the first 2p columns of the product.
-    Otherwise beta = P^-1 (b + L z) with P = L L' factored each sweep
-    (`draw_mvn_from_precision`).
-    """
+    """Draw beta as P^-1 (b + L z) with P = L L' factored each sweep
+    (`draw_mvn_from_precision`), under both error priors, then refresh
+    state.rss: u was drawn just before and the later steps of a sweep
+    change neither, so one RSS serves tau and lambda."""
     noise = _normals(rng, len(state.u), design.p) if z is None else z["beta"]
-    if priors.error_prior == "gamma":
-        evals, evecs = design.xtx_eigh
-        scale = np.sqrt(state.tau[:, None] * evals + priors.beta_prior_precision)
-        W = np.swapaxes(evecs / scale[..., None, :], -1, -2)
-        rhs = _beta_rhs(state, _beta_sums(state, design, 2 * design.p), design.p)
-        state.beta = draw_mvn_whitened(rhs, W, noise)
-    else:
-        state.beta = draw_mvn_from_precision(
-            rng, *beta_conditional(state, design, priors.beta_prior_precision), noise)
+    state.beta = draw_mvn_from_precision(
+        rng, *beta_conditional(state, design, priors.beta_prior_precision), noise)
     state.rss = rss_closed_form(state.beta, state.u, design)
 
 

@@ -15,7 +15,7 @@ draws Student-t's omega Gammas into one buffer; inside, each chain still
 draws from its own Generator, including the nu uniforms. Laplace's Wald
 draws (`draw_gig`) are called chain by chain. A bare Generator is the
 one-chain list [rng] (`generators`). `draw_mvn_from_precision`,
-the beta draw under Half-Cauchy errors, takes a stack of precision
+the beta draw under every prior pair, takes a stack of precision
 matrices and draws P^-1 (b + L z) from one Cholesky factor and one solve.
 """
 
@@ -163,20 +163,6 @@ def matvec(A, x):
 def vecmat(x, A):
     """x A for each row of x (C, k), as stacked (1, k) matmuls (see `matvec`)."""
     return np.matmul(x[..., None, :], A)[..., 0, :]
-
-
-def draw_mvn_whitened(b, W, z):
-    """W'(W b + z) for standard normal z: for any W with
-    W'W = P^-1 a draw from N(P^-1 b, P^-1), at the cost of two mat-vecs;
-    b, W and z may carry a leading chain axis. A non-finite W (from a
-    precision that is not positive definite, or NaN) raises NumericalError;
-    its `row` is the lowest such chain."""
-    if not np.isfinite(W).all():
-        err = NumericalError("whitening matrix is not finite: the precision "
-                             "matrix is not positive definite")
-        err.row = int(np.argmin(np.isfinite(W).all(axis=(-2, -1))))
-        raise err
-    return vecmat(matvec(W, b) + z, W)
 
 
 def _cholesky(P):

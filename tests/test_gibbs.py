@@ -7,7 +7,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from glmixer import gibbs
-from glmixer.design import ModelSpec, build_matrices
+from glmixer.design import RCOND_MIN, ModelSpec, build_matrices
 from glmixer.errors import NumericalError, ValidationError
 from glmixer.gibbs import (ERROR_PRIORS, NU_WEIGHTS, REFFECT_PRIORS, PriorConfig,
                            beta_conditional, initialize_state, lambda_conditional,
@@ -216,22 +216,33 @@ class TestBetaConditional:
 
     @pytest.mark.parametrize("kappa", [0.0, 2.5])
     def test_gamma_error_draw_matches_conditional(self, design, kappa):
-        # the eigendecomposition draw at fixed (u, tau) against the moments
-        # of beta_conditional's N(P^-1 b, P^-1): L'(beta - mean) ~ N(0, I)
-        priors = PriorConfig(error_prior="gamma", beta_prior_precision=kappa)
-        state = make_state(design, np.random.default_rng(43))
-        state.lam = np.ones((1, design.m))
-        rhs, P = (x[0] for x in beta_conditional(state, design, kappa))
-        mean = np.linalg.solve(P, rhs)
-        L = np.linalg.cholesky(P)
-        rng = np.random.default_rng(47)
-        n = 20_000
-        z = np.empty((n, design.p))
-        for k in range(n):
-            step_beta(state, design, priors, rng)
-            z[k] = L.T @ (state.beta[0] - mean)
-        assert np.max(np.abs(z.mean(axis=0))) < 4.0 / math.sqrt(n)
-        assert np.max(np.abs(np.cov(z.T) - np.eye(design.p))) < 0.04
+        # under gamma errors (lam = 1) the beta step is the one shared draw:
+        # draw_mvn_from_precision on beta_conditional, bit for bit, on four
+        # lockstep chains with different (u, tau)
+        priors = PriorConfig(error_prior="gamma", reffect_prior="gamma",
+                             beta_prior_precision=kappa)
+        state = repeated(initialize_state(design, priors), 4)
+        for _ in range(2):  # four different chains
+            sweep(state, design, priors, [np.random.default_rng(s) for s in (1, 2, 3, 4)])
+        assert np.all(state.lam == 1.0)
+        want = draw_mvn_from_precision(
+            None, *beta_conditional(state, design, kappa),
+            np.stack([np.random.default_rng(s).standard_normal(design.p) for s in range(4)]))
+        step_beta(state, design, priors, [np.random.default_rng(s) for s in range(4)])
+        assert state.beta.tobytes() == want.tobytes()
+        assert len({row.tobytes() for row in state.beta}) == 4
+
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_draws_stay_finite_at_the_design_check_bound(self, error_prior):
+        # a design build_matrices accepts with its pooled X'X within a
+        # factor 100 of RCOND_MIN: both error priors' beta draws stay finite
+        spec = ModelSpec(variant=1, year_offset=1000.0)
+        d = build_matrices(small_panel(seed=3, m=10, n_i=12), spec)
+        evals = np.linalg.eigh(d.XtX_g.sum(axis=0))[0]
+        assert RCOND_MIN <= evals[0] / evals[-1] < 100.0 * RCOND_MIN
+        tr = run_chain(d, spec, PriorConfig(error_prior=error_prior), n_iter=300, burn_in=0,
+                       thin=1, seed=1)
+        assert tr.kept == 300 and np.isfinite(tr.draws["beta"]).all()
 
 
 class TestScaleConditionals:
@@ -683,10 +694,7 @@ class TestChainMechanics:
     @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
     def test_nan_precision_stops_the_beta_step(self, design, error_prior, monkeypatch):
         # tau turns NaN after iteration 4's u step, so that sweep's beta
-        # step meets a NaN precision, under either error prior's draw: the
-        # whitening matrix of the eigendecomposition, or the precision
-        # matrix the Half-Cauchy draw factors
-        message = {"gamma": "whitening", "half-cauchy": "precision"}[error_prior]
+        # step meets a NaN precision matrix under either error prior
         calls = []
         real = gibbs.step_u
 
@@ -698,13 +706,14 @@ class TestChainMechanics:
 
         monkeypatch.setattr(gibbs, "step_u", failing)
         with pytest.raises(NumericalError,
-                           match=rf"^chain 1, iteration 4, step beta: {message} matrix is not finite"):
+                           match=r"^chain 1, iteration 4, step beta: precision matrix is not finite"):
             run_chain(design, ModelSpec(variant=1, year_offset=2009.5),
                       PriorConfig(error_prior=error_prior), n_iter=20, burn_in=5,
                       seed=3, stream_id=1)
 
     @pytest.mark.parametrize("priors,hook,name,step,message", [
-        (PriorConfig(error_prior="gamma"), "u_conditional", "tau", "u", "whitening"),
+        (PriorConfig(error_prior="gamma"), "u_conditional", "tau", "u",
+         "precision matrix is not finite"),
         (PriorConfig(), "u_conditional", "tau", "u", "precision matrix is not finite"),
         (PriorConfig(), "tau_conditional", "lam", "scales", "Gamma shape and rate"),
         (PriorConfig(), "lambda_conditional", "phi", "scales", "Gamma shape and rate"),

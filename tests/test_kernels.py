@@ -14,7 +14,7 @@ from glmixer.errors import NumericalError, ValidationError
 from glmixer.gibbs import ERROR_PRIORS, REFFECT_PRIORS, PriorConfig, run_chain
 from glmixer.kernels import (RngStream, draw_categorical_log, draw_gamma, draw_gig,
                              draw_local_prior, draw_mvn_from_precision,
-                             draw_mvn_whitened, draw_standard, standard_gamma_rows)
+                             draw_standard, standard_gamma_rows)
 
 from oracles import (categorical_by_searchsorted, ecdf_sup_distance, gamma_pdf,
                      gig_half_mean, gig_neg_half_by_masks, gig_pdf, replace_design)
@@ -178,6 +178,18 @@ class TestMvnFromPrecision:
             got[1], np.linalg.solve(jittered, b[1] + np.linalg.cholesky(jittered) @ z[1]))
         np.testing.assert_array_equal(got[0], draw_mvn_from_precision(None, b[0], P[0], z[0]))
 
+    def test_precision_draw_is_mean_plus_inverse_transpose_factor(self):
+        # P^-1 (b + L z) = P^-1 b + L'^-1 z, up to rounding; bitwise it is
+        # the solve of b + L z with P
+        P = np.array([[2.0, 0.8, 0.1], [0.8, 1.5, -0.3], [0.1, -0.3, 0.7]])
+        b = np.array([1.0, -2.0, 0.5])
+        L = np.linalg.cholesky(P)
+        got = draw_mvn_from_precision(rng(13), b, P)
+        z = rng(13).standard_normal(3)
+        np.testing.assert_array_equal(got, np.linalg.solve(P, b + L @ z))
+        np.testing.assert_allclose(got, np.linalg.solve(P, b) + np.linalg.solve(L.T, z),
+                                   rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_precision_names_the_lowest_bad_chain(self, bad):
         P = np.stack([np.eye(2)] * 4)
@@ -185,44 +197,6 @@ class TestMvnFromPrecision:
         with pytest.raises(NumericalError, match="precision matrix is not finite") as exc:
             draw_mvn_from_precision(rng(), np.zeros((4, 2)), P)
         assert exc.value.row == 1
-
-
-class TestMvnWhitened:
-    P = np.array([[2.0, 0.8, 0.1], [0.8, 1.5, -0.3], [0.1, -0.3, 0.7]])
-    b = np.array([1.0, -2.0, 0.5])
-
-    @pytest.mark.parametrize("factor", ["cholesky", "eigh"])
-    def test_matches_precision_moments(self, factor):
-        if factor == "cholesky":
-            W = np.linalg.inv(np.linalg.cholesky(self.P))
-        else:
-            evals, evecs = np.linalg.eigh(self.P)
-            W = (evecs / np.sqrt(evals)).T
-        cov = np.linalg.inv(self.P)  # independent dense inverse
-        np.testing.assert_allclose(W.T @ W, cov, atol=1e-13)
-        g = rng(12)
-        n = 10 ** 5
-        draws = np.array([draw_mvn_whitened(self.b, W, g.standard_normal(len(self.b))) for _ in range(n)])
-        se = np.sqrt(np.diag(cov) / n)
-        assert np.all(np.abs(draws.mean(axis=0) - cov @ self.b) < 4.0 * se)
-        assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.02
-
-    def test_precision_draw_is_cholesky_whitened_draw(self):
-        # P^-1 (b + L z) = P^-1 b + L'^-1 z, the whitened draw with W = L^-1,
-        # up to rounding; bitwise it is the solve of b + L z with P
-        L = np.linalg.cholesky(self.P)
-        got = draw_mvn_from_precision(rng(13), self.b, self.P)
-        z = rng(13).standard_normal(3)
-        np.testing.assert_array_equal(got, np.linalg.solve(self.P, self.b + L @ z))
-        np.testing.assert_allclose(got, draw_mvn_whitened(self.b, np.linalg.inv(L), z),
-                                   rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_w(self, bad):
-        W = np.eye(3)
-        W[1, 2] = bad
-        with pytest.raises(NumericalError):
-            draw_mvn_whitened(self.b, W, rng().standard_normal(len(self.b)))
 
 
 class TestGig:
