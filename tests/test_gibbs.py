@@ -233,6 +233,26 @@ class TestBetaConditional:
         assert len({row.tobytes() for row in state.beta}) == 4
 
     @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
+    def test_step_beta_matches_conditional_moments(self, design, error_prior):
+        # the beta step at fixed (u, tau, lam) against the moments of
+        # beta_conditional's N(P^-1 b, P^-1): L'(beta - mean) ~ N(0, I)
+        priors = PriorConfig(error_prior=error_prior, beta_prior_precision=2.5)
+        state = make_state(design, np.random.default_rng(43))
+        if error_prior == "gamma":
+            state.lam = np.ones((1, design.m))
+        rhs, P = (x[0] for x in beta_conditional(state, design, 2.5))
+        mean = np.linalg.solve(P, rhs)
+        L = np.linalg.cholesky(P)
+        rng = np.random.default_rng(47)
+        n = 20_000
+        z = np.empty((n, design.p))
+        for k in range(n):
+            step_beta(state, design, priors, rng)
+            z[k] = L.T @ (state.beta[0] - mean)
+        assert np.max(np.abs(z.mean(axis=0))) < 4.0 / math.sqrt(n)
+        assert np.max(np.abs(np.cov(z.T) - np.eye(design.p))) < 0.04
+
+    @pytest.mark.parametrize("error_prior", ERROR_PRIORS)
     def test_draws_stay_finite_at_the_design_check_bound(self, error_prior):
         # a design build_matrices accepts with its pooled X'X within a
         # factor 100 of RCOND_MIN: both error priors' beta draws stay finite

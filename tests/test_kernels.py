@@ -178,6 +178,20 @@ class TestMvnFromPrecision:
             got[1], np.linalg.solve(jittered, b[1] + np.linalg.cholesky(jittered) @ z[1]))
         np.testing.assert_array_equal(got[0], draw_mvn_from_precision(None, b[0], P[0], z[0]))
 
+    def test_correlated_moments_with_mean(self):
+        # a correlated 3 x 3 precision with b != 0: the draws' mean is
+        # P^-1 b within 4 standard errors and their covariance P^-1
+        P = np.array([[2.0, 0.8, 0.1], [0.8, 1.5, -0.3], [0.1, -0.3, 0.7]])
+        b = np.array([1.0, -2.0, 0.5])
+        cov = np.linalg.inv(P)  # independent dense inverse
+        g = rng(12)
+        n = 10 ** 5
+        draws = draw_mvn_from_precision(None, np.broadcast_to(b, (n, 3)),
+                                        np.broadcast_to(P, (n, 3, 3)), g.standard_normal((n, 3)))
+        se = np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(draws.mean(axis=0) - cov @ b) < 4.0 * se)
+        assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.02
+
     def test_precision_draw_is_mean_plus_inverse_transpose_factor(self):
         # P^-1 (b + L z) = P^-1 b + L'^-1 z, up to rounding; bitwise it is
         # the solve of b + L z with P
